@@ -20,9 +20,10 @@ import numpy as np
 
 from . import logic, terms as tm
 from .structures import (
-    Relation,
     Structure,
     StructureClass,
+    _domain_of,
+    _mask_pairs,
     injective_codes,
     space_size,
 )
@@ -187,7 +188,8 @@ def bulk_eval_formula(
 ) -> np.ndarray:
     """Masks of the pairs (x, y) satisfying phi, batched like the term path.
 
-    Free variables beyond {x, y} are rejected; a missing one is padded as
+    Runs `logic.formula_tensor` on atoms unpacked from the masks.  Free
+    variables beyond {x, y} are rejected; a missing one is padded as
     unconstrained, matching define_relation(..., pad_missing=True).
     """
     fv = logic.free_vars(phi)
@@ -200,76 +202,16 @@ def bulk_eval_formula(
         n = len(arr)
         break
     bit_index = np.arange(k * k, dtype=np.uint64)
-    atom_cache: dict[str, np.ndarray] = {}
 
-    def atom_tensor(name: str) -> np.ndarray:
-        cached = atom_cache.get(name)
-        if cached is None:
-            masks = symbol_masks.get(name)
-            if masks is None:
-                raise tm.TermError(f"unknown relation symbol {name!r}")
-            bits = (masks[:, None] >> bit_index[None, :]) & _U1
-            cached = bits.astype(bool).reshape(n, k, k)
-            atom_cache[name] = cached
-        return cached
+    def atom(name: str) -> np.ndarray:
+        masks = symbol_masks.get(name)
+        if masks is None:
+            raise tm.TermError(f"unknown relation symbol {name!r}")
+        bits = (masks[:, None] >> bit_index[None, :]) & _U1
+        return bits.astype(bool).reshape(n, k, k)
 
-    def align(
-        tensor: np.ndarray, have: tuple[str, ...], want: tuple[str, ...]
-    ) -> np.ndarray:
-        if have == want:
-            return tensor
-        # Insert missing axes, then broadcast to the full shape.
-        for pos, v in enumerate(want):
-            if v not in have:
-                tensor = np.expand_dims(tensor, axis=1 + pos)
-                have = have[:pos] + (v,) + have[pos:]
-        return np.broadcast_to(tensor, (n,) + (k,) * len(want))
-
-    def go(node: logic.Formula) -> tuple[tuple[str, ...], np.ndarray]:
-        if isinstance(node, logic.Atom):
-            base = atom_tensor(node.rel)
-            if node.left == node.right:
-                diag = base[:, np.arange(k), np.arange(k)]
-                return (node.left,), diag
-            variables = tuple(sorted((node.left, node.right)))
-            if variables == (node.left, node.right):
-                return variables, base
-            return variables, np.swapaxes(base, 1, 2)
-        if isinstance(node, logic.Eq):
-            if node.left == node.right:
-                return (node.left,), np.ones((n, k), dtype=bool)
-            variables = tuple(sorted((node.left, node.right)))
-            eye = np.broadcast_to(np.eye(k, dtype=bool), (n, k, k))
-            return variables, eye
-        if isinstance(node, logic.Truth):
-            return (), np.full(n, node.value, dtype=bool)
-        if isinstance(node, logic.Not):
-            variables, tensor = go(node.body)
-            return variables, ~tensor
-        if isinstance(node, (logic.And, logic.Or, logic.Implies)):
-            lvars, ltensor = go(node.left)
-            rvars, rtensor = go(node.right)
-            variables = tuple(sorted(set(lvars) | set(rvars)))
-            ltensor = align(ltensor, lvars, variables)
-            rtensor = align(rtensor, rvars, variables)
-            if isinstance(node, logic.And):
-                return variables, ltensor & rtensor
-            if isinstance(node, logic.Or):
-                return variables, ltensor | rtensor
-            return variables, ~ltensor | rtensor
-        if isinstance(node, (logic.Exists, logic.Forall)):
-            bvars, tensor = go(node.body)
-            if node.var not in bvars:
-                return bvars, tensor
-            axis = 1 + bvars.index(node.var)
-            keep = tuple(v for v in bvars if v != node.var)
-            if isinstance(node, logic.Exists):
-                return keep, tensor.any(axis=axis)
-            return keep, tensor.all(axis=axis)
-        raise logic.LogicError(f"not a formula node: {node!r}")
-
-    variables, tensor = go(phi)
-    tensor = align(tensor, variables, ("x", "y"))
+    variables, tensor = logic.formula_tensor(phi, k, n, atom)
+    tensor = logic.align_variables(tensor, variables, ("x", "y"), k)
     flat = tensor.reshape(n, k * k).astype(np.uint64)
     return np.bitwise_or.reduce(flat << bit_index[None, :], axis=1)
 
@@ -370,19 +312,9 @@ def random_symbol_masks(
 
 # --- bridging to ordinary structures --------------------------------------------
 
-def mask_to_relation(mask: int, k: int, domain: Sequence[str]) -> Relation:
-    pairs = set()
-    for i in range(k):
-        for j in range(k):
-            if mask >> (i * k + j) & 1:
-                pairs.add((domain[i], domain[j]))
-    return frozenset(pairs)
-
-
 def masks_to_structure(masks: Mapping[str, int], k: int) -> Structure:
-    domain = tuple(f"e{i}" for i in range(1, k + 1))
-    rels = {name: mask_to_relation(int(mask), k, domain) for name, mask in masks.items()}
-    return Structure(domain, rels)
+    rels = {name: _mask_pairs(int(mask), k) for name, mask in masks.items()}
+    return Structure(_domain_of(k), rels)
 
 
 def structure_to_masks(structure: Structure) -> tuple[int, dict[str, int]]:

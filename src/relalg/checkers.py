@@ -25,6 +25,7 @@ from .structures import (
     homomorphisms,
     induced,
     is_injective_partial_function,
+    isomorphism,
     is_partial_function,
     is_total_function,
     random_structure,
@@ -691,11 +692,30 @@ def _scalar_value(obj, structure: Structure):
     return logic.define_relation(obj, "x", "y", structure, pad_missing=True)
 
 
+def _reference_value(obj, structure: Structure):
+    """The value through the second route: `eval_term` for a term, the
+    Tarskian `eval_formula` pair by pair for a formula."""
+    if isinstance(obj, tm.Term):
+        return tm.eval_term(obj, structure)
+    dom = structure.domain
+    return frozenset(
+        (a, b)
+        for a in dom
+        for b in dom
+        if logic.eval_formula(obj, structure, {"x": a, "y": b})
+    )
+
+
 def _mismatch_report(
     lhs, rhs, structure: Structure, coverage, random_checked, seed
 ) -> EquivalenceReport:
-    lv = _scalar_value(lhs, structure)
-    rv = _scalar_value(rhs, structure)
+    """Re-verify a found counterexample through the second route and report it."""
+    lv = _reference_value(lhs, structure)
+    rv = _reference_value(rhs, structure)
+    if lv == rv:
+        raise AssertionError(
+            "the reference evaluators do not confirm the counterexample"
+        )
     return EquivalenceReport(
         equivalent=False,
         counterexample=structure,
@@ -721,8 +741,8 @@ def equivalence_report(
     evaluation budget lasts; an over-budget size degrades to seeded random
     mask batches with coverage recorded.  A second phase samples random
     structures up to sample_size with plain evaluation.  The first
-    counterexample (in enumeration order) is re-verified scalar-side before
-    being reported.
+    counterexample (in enumeration order) is re-verified through
+    `eval_term` and the Tarskian `eval_formula` before being reported.
     """
     bounds = bounds or Bounds()
     signature = tuple(sorted(signature))
@@ -739,18 +759,10 @@ def equivalence_report(
             return None
         first = int(np.argmax(bad))
         if exhaustive:
-            structure = structure_from_index(
-                signature, size, cls, int(base_index + first)
-            )
-        else:
-            structure = bulk.masks_to_structure(
-                {name: int(arr[first]) for name, arr in symbol_masks.items()}, size
-            )
-        if _scalar_value(lhs, structure) == _scalar_value(rhs, structure):
-            raise AssertionError(
-                "bulk and scalar evaluation disagree on a counterexample"
-            )
-        return structure
+            return structure_from_index(signature, size, cls, int(base_index + first))
+        return bulk.masks_to_structure(
+            {name: int(arr[first]) for name, arr in symbol_masks.items()}, size
+        )
 
     for size in range(1, max_size + 1):
         total = count_structures(signature, size, cls)
@@ -864,26 +876,24 @@ def verify_counterexample(verdict: Verdict) -> bool:
         rball = _anchored_ball(right, ra, radius, mode)
         lrow = anchored_row(left, la)
         rrow = anchored_row(right, ra)
-        if len(lball.domain) != len(rball.domain):
+        if not (lrow <= set(lball.domain) and rrow <= set(rball.domain)):
             return False
-        lelems = [la] + [x for x in lball.domain if x != la]
-        relems = [ra] + [x for x in rball.domain if x != ra]
-        n = len(lelems)
-        saw_iso = False
-        for perm in permutations(range(1, n)):
-            mapping = {la: ra}
-            for idx, dst in zip(range(1, n), perm):
-                mapping[lelems[idx]] = relems[dst]
-            ok = all(
-                frozenset((mapping[a], mapping[b]) for a, b in lball.relations[nm])
-                == rball.relations[nm]
-                for nm in lball.signature
-            )
-            if not ok:
-                continue
-            saw_iso = True
-            if frozenset(mapping[x] for x in lrow) == rrow:
-                return False  # some ball isomorphism matches the rows
-        return saw_iso
+        if isomorphism(lball, [la], rball, [ra]) is None:
+            return False
+        # The rows as one more relation out of the anchor: an isomorphism of
+        # the marked balls is a ball isomorphism that maps row onto row.
+        mark = "row"
+        while mark in lball.relations or mark in rball.relations:
+            mark += "'"
+
+        def marked(ball, anchor, row):
+            rels = dict(ball.relations)
+            rels[mark] = {(anchor, b) for b in row}
+            return Structure(ball.domain, rels)
+
+        return (
+            isomorphism(marked(lball, la, lrow), [la], marked(rball, ra, rrow), [ra])
+            is None
+        )
 
     return False

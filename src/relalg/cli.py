@@ -502,12 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-size", type=int, default=None)
     common.add_argument("--samples", type=int, default=None)
     common.add_argument("--report", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for interface stability; execution is sequential",
-    )
     common.add_argument("--out", default=None, help="write the report to a file")
 
     parser = argparse.ArgumentParser(

@@ -11,16 +11,20 @@ Syntax (binding from loosest to tightest):
     R(x,y)  x=y  true  false  (a)
 
 Formulas are plain immutable trees.  `eval_formula` is the direct Tarskian
-truth definition; `define_relation` evaluates a two-free-variable formula
-into a concrete relation using assignment-set semantics, which stays
-polynomial in the structure instead of exponential in quantifier depth.
+truth definition, kept as the independent oracle.  `formula_tensor` is the
+one formula-table evaluator: it computes phi's satisfying assignments as a
+boolean tensor over a batch of structures, one axis per free variable, which
+stays polynomial in the structure instead of exponential in quantifier
+depth.  `define_relation` runs it on one structure and
+`bulk.bulk_eval_formula` on a batch of bit masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
-from itertools import product
+from collections.abc import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .parsing import TokenStream, tokenize
 from .structures import Relation, Structure
@@ -216,87 +220,93 @@ def eval_formula(
     return ev(phi, env)
 
 
-# --- assignment-set evaluation --------------------------------------------------
+# --- formula tables ---------------------------------------------------------------
 
-def _all_rows(variables: tuple[str, ...], domain: tuple[str, ...]) -> set[tuple[str, ...]]:
-    return set(product(domain, repeat=len(variables)))
-
-
-def _extend(
-    rows: set[tuple[str, ...]],
-    variables: tuple[str, ...],
-    target: tuple[str, ...],
-    domain: tuple[str, ...],
-) -> set[tuple[str, ...]]:
-    """Re-index rows over `variables` to rows over the superset `target`."""
-    if variables == target:
-        return rows
-    positions = {v: i for i, v in enumerate(variables)}
-    fresh = [v for v in target if v not in positions]
-    out: set[tuple[str, ...]] = set()
-    for row in rows:
-        base = {v: row[positions[v]] for v in variables}
-        for extra in product(domain, repeat=len(fresh)):
-            full = dict(base)
-            full.update(zip(fresh, extra))
-            out.add(tuple(full[v] for v in target))
-    return out
+def _lift(
+    tensor: np.ndarray, have: tuple[str, ...], want: tuple[str, ...], k: int
+) -> np.ndarray:
+    """Give a table over the sorted variables `have` a unit axis for each
+    variable of the sorted superset `want` that it lacks."""
+    if have == want:
+        return tensor
+    return tensor.reshape(tensor.shape[:1] + tuple(k if v in have else 1 for v in want))
 
 
-def _rows(phi: Formula, structure: Structure) -> tuple[tuple[str, ...], set[tuple[str, ...]]]:
-    """Free variables of phi (sorted) plus the set of satisfying rows."""
-    dom = structure.domain
+def align_variables(
+    tensor: np.ndarray, have: tuple[str, ...], want: tuple[str, ...], k: int
+) -> np.ndarray:
+    """Broadcast a table over the sorted variables `have` to the sorted superset `want`."""
+    if have == want:
+        return tensor
+    full = tensor.shape[:1] + (k,) * len(want)
+    return np.broadcast_to(_lift(tensor, have, want, k), full)
 
-    if isinstance(phi, Atom):
-        rel = structure.rel(phi.rel)
-        if phi.left == phi.right:
-            return (phi.left,), {(a,) for a, b in rel if a == b}
-        variables = tuple(sorted((phi.left, phi.right)))
-        if variables == (phi.left, phi.right):
-            return variables, set(rel)
-        return variables, {(b, a) for a, b in rel}
-    if isinstance(phi, Eq):
-        if phi.left == phi.right:
-            return (phi.left,), {(d,) for d in dom}
-        variables = tuple(sorted((phi.left, phi.right)))
-        return variables, {(d, d) for d in dom}
-    if isinstance(phi, Truth):
-        return (), ({()} if phi.value else set())
-    if isinstance(phi, Not):
-        variables, rows = _rows(phi.body, structure)
-        return variables, _all_rows(variables, dom) - rows
-    if isinstance(phi, (And, Or, Implies)):
-        lvars, lrows = _rows(phi.left, structure)
-        rvars, rrows = _rows(phi.right, structure)
-        variables = tuple(sorted(set(lvars) | set(rvars)))
-        lrows = _extend(lrows, lvars, variables, dom)
-        rrows = _extend(rrows, rvars, variables, dom)
-        if isinstance(phi, And):
-            return variables, lrows & rrows
-        if isinstance(phi, Or):
-            return variables, lrows | rrows
-        return variables, (_all_rows(variables, dom) - lrows) | rrows
-    if isinstance(phi, Exists):
-        bvars, brows = _rows(phi.body, structure)
-        if phi.var not in bvars:
-            return bvars, (brows if dom else set())
-        keep = tuple(v for v in bvars if v != phi.var)
-        drop = bvars.index(phi.var)
-        return keep, {row[:drop] + row[drop + 1 :] for row in brows}
-    if isinstance(phi, Forall):
-        bvars, brows = _rows(phi.body, structure)
-        if phi.var not in bvars:
-            return bvars, (brows if dom else _all_rows(bvars, dom))
-        keep = tuple(v for v in bvars if v != phi.var)
-        if not dom:
-            return keep, ({()} if not keep else set())
-        drop = bvars.index(phi.var)
-        counts: dict[tuple[str, ...], int] = {}
-        for row in brows:
-            key = row[:drop] + row[drop + 1 :]
-            counts[key] = counts.get(key, 0) + 1
-        return keep, {key for key, c in counts.items() if c == len(dom)}
-    raise LogicError(f"not a formula node: {phi!r}")
+
+def formula_tensor(
+    phi: Formula, k: int, n: int, atom: Callable[[str], np.ndarray]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Truth table of phi over a batch of n structures with domain size k.
+
+    `atom(name)` returns the (n, k, k) bool table of a relation symbol.  The
+    result is phi's free variables, sorted, and a bool array of shape
+    (n,) + (k,) * len(variables) indexed by their values.
+    """
+    atoms: dict[str, np.ndarray] = {}
+
+    def base(name: str) -> np.ndarray:
+        table = atoms.get(name)
+        if table is None:
+            table = atoms[name] = atom(name)
+        return table
+
+    def go(node: Formula) -> tuple[tuple[str, ...], np.ndarray]:
+        if isinstance(node, Atom):
+            table = base(node.rel)
+            if node.left == node.right:
+                return (node.left,), table[:, np.arange(k), np.arange(k)]
+            variables = tuple(sorted((node.left, node.right)))
+            if variables == (node.left, node.right):
+                return variables, table
+            return variables, np.swapaxes(table, 1, 2)
+        if isinstance(node, Eq):
+            if node.left == node.right:
+                return (node.left,), np.ones((n, k), dtype=bool)
+            variables = tuple(sorted((node.left, node.right)))
+            return variables, np.broadcast_to(np.eye(k, dtype=bool), (n, k, k))
+        if isinstance(node, Truth):
+            return (), np.full(n, node.value, dtype=bool)
+        if isinstance(node, Not):
+            variables, tensor = go(node.body)
+            return variables, ~tensor
+        if isinstance(node, (And, Or, Implies)):
+            lvars, ltensor = go(node.left)
+            rvars, rtensor = go(node.right)
+            # Every variable has a full axis on one side, so numpy's
+            # broadcasting yields full tables.
+            variables = tuple(sorted(set(lvars) | set(rvars)))
+            ltensor = _lift(ltensor, lvars, variables, k)
+            rtensor = _lift(rtensor, rvars, variables, k)
+            if isinstance(node, And):
+                return variables, ltensor & rtensor
+            if isinstance(node, Or):
+                return variables, ltensor | rtensor
+            return variables, ~ltensor | rtensor
+        if isinstance(node, (Exists, Forall)):
+            bvars, tensor = go(node.body)
+            if node.var not in bvars:
+                # A vacuous quantifier still ranges over the domain, so on an
+                # empty domain exists is false and forall is true.
+                wider = tuple(sorted(bvars + (node.var,)))
+                tensor = align_variables(tensor, bvars, wider, k)
+                bvars = wider
+            axis = 1 + bvars.index(node.var)
+            keep = tuple(v for v in bvars if v != node.var)
+            if isinstance(node, Exists):
+                return keep, tensor.any(axis=axis)
+            return keep, tensor.all(axis=axis)
+        raise LogicError(f"not a formula node: {node!r}")
+
+    return go(phi)
 
 
 def define_relation(
@@ -324,16 +334,27 @@ def define_relation(
             f"free variables {sorted(fv)} do not cover the requested pair "
             f"({x!r}, {y!r}); pass pad_missing=True to allow this"
         )
-    variables, rows = _rows(phi, structure)
+    dom = structure.domain
+    k = len(dom)
+    position = {d: i for i, d in enumerate(dom)}
+
+    def atom(name: str) -> np.ndarray:
+        table = np.zeros((1, k, k), dtype=bool)
+        pairs = structure.rel(name)
+        if pairs:
+            rows, cols = zip(*((position[a], position[b]) for a, b in pairs))
+            table[0, rows, cols] = True
+        return table
+
+    variables, tensor = formula_tensor(phi, k, 1, atom)
     if x == y:
-        target = (x,)
-        rows = _extend(rows, variables, target, structure.domain)
-        return frozenset((row[0], row[0]) for row in rows)
+        column = align_variables(tensor, variables, (x,), k)[0]
+        return frozenset((dom[i], dom[i]) for i in np.flatnonzero(column))
     target = tuple(sorted((x, y)))
-    rows = _extend(rows, variables, target, structure.domain)
-    if target == (x, y):
-        return frozenset((a, b) for a, b in rows)
-    return frozenset((b, a) for a, b in rows)
+    table = align_variables(tensor, variables, target, k)[0]
+    if target != (x, y):
+        table = table.T
+    return frozenset((dom[i], dom[j]) for i, j in zip(*np.nonzero(table)))
 
 
 # --- terms as three-variable formulas -------------------------------------------

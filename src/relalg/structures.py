@@ -14,6 +14,8 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from math import comb, factorial
 from pathlib import Path
 
 Pair = tuple[str, str]
@@ -479,17 +481,26 @@ def space_size(size: int, cls: StructureClass) -> int:
         return (size + 1) ** size
     if cls is StructureClass.TOTAL_FUNCTIONS:
         return size ** size
-    return len(injective_codes(size))
+    return _injective_count(size)
+
+
+@cache
+def _injective_count(size: int) -> int:
+    """Injective partial functions on `size` elements: choose j sources,
+    j targets and a bijection between them."""
+    return sum(comb(size, j) ** 2 * factorial(j) for j in range(size + 1))
+
+
+@cache
+def _bit_pairs(size: int) -> tuple[Pair, ...]:
+    dom = _domain_of(size)
+    return tuple((a, b) for a in dom for b in dom)
 
 
 def _mask_pairs(mask: int, size: int) -> Relation:
-    dom = _domain_of(size)
-    pairs = set()
-    for i in range(size):
-        for j in range(size):
-            if mask >> (i * size + j) & 1:
-                pairs.add((dom[i], dom[j]))
-    return frozenset(pairs)
+    """Decode a bit mask: bit i*size + j stands for the pair (e_{i+1}, e_{j+1})."""
+    pairs = _bit_pairs(size)
+    return frozenset([pairs[p] for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
 
 
 def _pf_code_pairs(code: int, size: int, base: int) -> Relation:

@@ -780,7 +780,7 @@ def estimate_radius(
                 failure = {
                     "radius": radius,
                     "message": message,
-                    "details": report.counterexample or {},
+                    "details": structure_to_json(report.counterexample),
                 }
                 attempts.append({"radius": radius, "outcome": message})
                 continue

@@ -37,6 +37,7 @@ from relalg.structures import (
     is_total_function,
     isomorphism,
     random_structure,
+    structure_from_index,
 )
 from relalg.synth import (
     characteristic_term,
@@ -299,17 +300,9 @@ def test_c11_characteristic_terms_classify():
             for i in range(len(types)):
                 for j in range(i + 1, len(types)):
                     assert not np.any(outs[i] & outs[j]), (radius, k)
-            dom = tuple(f"e{n}" for n in range(1, k + 1))
             for index in range(total):
-                mask = int(masks["f"][index])
-                pairs = frozenset(
-                    (dom[i], dom[j])
-                    for i in range(k)
-                    for j in range(k)
-                    if mask >> (i * k + j) & 1
-                )
-                s = Structure(dom, {"f": pairs})
-                for pos, element in enumerate(dom):
+                s = structure_from_index(("f",), k, PF, index)
+                for pos, element in enumerate(s.domain):
                     actual = neighborhood_type(s, element, radius)
                     bit = 1 << (pos * k + pos)
                     for t, out in zip(types, outs):

@@ -11,14 +11,14 @@ from relalg.bulk import (
     bulk_eval_formula,
     bulk_eval_term,
     decode_symbol_masks,
-    mask_to_relation,
     masks_to_structure,
     random_symbol_masks,
     structure_to_masks,
 )
-from relalg.logic import define_relation, parse_formula
+from relalg.logic import eval_formula, parse_formula
 from relalg.structures import (
     StructureClass,
+    _mask_pairs,
     count_structures,
     enumerate_structures,
     is_injective_partial_function,
@@ -40,7 +40,7 @@ def test_mask_round_trip():
     assert k == 5
     assert masks_to_structure(masks, k) == s
     for name, mask in masks.items():
-        assert mask_to_relation(mask, k, s.domain) == s.relations[name]
+        assert _mask_pairs(mask, k) == s.relations[name]
 
 
 def test_decode_matches_enumeration_order():
@@ -91,21 +91,35 @@ def test_bulk_term_eval_matches_scalar(seed, k):
     for i in (0, 7, 13, 29):
         s = structure_from_masks_at(masks, k, i)
         expected = eval_term(t, s)
-        assert mask_to_relation(int(out[i]), k, s.domain) == expected
+        assert _mask_pairs(int(out[i]), k) == expected
+
+
+BULK_FORMULAS = (
+    "exists z. (f(x,z) & g(z,y)) | f(y,x)",
+    "forall z. f(x,z) -> !g(z,y)",
+    "!(exists z. f(z,z)) | x = y",
+    "forall x. exists z. f(x,z) & g(z,y)",
+    "f(x,x) -> forall z. g(z,x)",
+)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_bulk_formula_eval_matches_scalar(seed):
-    phi = parse_formula("exists z. (f(x,z) & g(z,y)) | f(y,x)")
+    phi = parse_formula(BULK_FORMULAS[seed % len(BULK_FORMULAS)])
     np_rng = np.random.default_rng(seed)
-    k = 1 + seed % 4
+    k = 1 + seed % MAX_BULK_SIZE
     masks = random_symbol_masks(np_rng, 20, k, ALL, ("f", "g"))
     out = bulk_eval_formula(phi, k, masks)
     for i in (0, 9, 19):
         s = structure_from_masks_at(masks, k, i)
-        expected = define_relation(phi, "x", "y", s, pad_missing=True)
-        assert mask_to_relation(int(out[i]), k, s.domain) == expected
+        expected = {
+            (a, b)
+            for a in s.domain
+            for b in s.domain
+            if eval_formula(phi, s, {"x": a, "y": b})
+        }
+        assert _mask_pairs(int(out[i]), k) == expected
 
 
 def test_bulk_term_eval_exhaustive_size_two():
@@ -121,4 +135,4 @@ def test_bulk_term_eval_exhaustive_size_two():
         out = bulk_eval_term(t, 2, masks)
         for i in range(total):
             s = structure_from_masks_at(masks, 2, i)
-            assert mask_to_relation(int(out[i]), 2, s.domain) == eval_term(t, s), text
+            assert _mask_pairs(int(out[i]), 2) == eval_term(t, s), text

@@ -1,9 +1,14 @@
 """Bounded property checkers and the operation-by-property matrix."""
 
+import numpy as np
+import pytest
+
+from relalg import bulk, logic
 from relalg.checkers import (
     EXPECTED_MATRIX,
     MATRIX_COLUMNS,
     Bounds,
+    Verdict,
     catalogue_matrix,
     check_forward,
     check_function_preserving,
@@ -16,8 +21,9 @@ from relalg.checkers import (
     term_for_operation,
     verify_counterexample,
 )
-from relalg.structures import StructureClass
-from relalg.terms import CATALOGUE, expand_injunion, parse_term
+from relalg.logic import eval_formula, parse_formula
+from relalg.structures import Structure, StructureClass, structure_to_json
+from relalg.terms import CATALOGUE, eval_term, expand_injunion, parse_term
 
 LIGHT = Bounds(max_size=2, samples=60, sample_size=5)
 
@@ -109,3 +115,62 @@ def test_equivalence_report_positive_and_negative():
     )
     assert not split.equivalent
     assert split.counterexample is not None
+
+
+def ball_row_verdict(term, left, right, radius=1):
+    payload = {
+        "kind": "ball-row-mismatch",
+        "term": term,
+        "mode": "forward",
+        "radius": radius,
+        "left": structure_to_json(left),
+        "left_anchor": "a",
+        "right": structure_to_json(right),
+        "right_anchor": "a",
+    }
+    return Verdict("forward", "fail", payload, LIGHT.to_json(), 0)
+
+
+FORK = {("a", "b"), ("a", "c")}
+
+
+def test_ball_row_mismatch_needs_rows_apart_under_every_ball_isomorphism():
+    # Both radius-1 balls are the fork a -> b, a -> c.  The rows of f |> f at
+    # a are {b} and {c}: different under the identity, equal once the ball
+    # automorphism swaps b and c, so this is no counterexample.
+    left = Structure("abcd", {"f": FORK | {("b", "d")}})
+    right = Structure("abcd", {"f": FORK | {("c", "d")}})
+    assert not verify_counterexample(ball_row_verdict("f |> f", left, right))
+    bare = Structure("abc", {"f": FORK})
+    assert verify_counterexample(ball_row_verdict("f |> f", left, bare))
+    # Rows of f ; f reach d, outside the radius-1 balls.
+    assert not verify_counterexample(ball_row_verdict("f ; f", left, right))
+
+
+def test_formula_side_is_reported_through_eval_formula():
+    phi = parse_formula("exists z. R(x,z) & R(z,y)")
+    report = equivalence_report(parse_term("R"), phi, ("R",), bounds=LIGHT)
+    assert not report.equivalent
+    s = report.counterexample
+    assert report.rhs_pairs == sorted(
+        [a, b]
+        for a in s.domain
+        for b in s.domain
+        if eval_formula(phi, s, {"x": a, "y": b})
+    )
+    assert report.lhs_pairs == sorted(list(p) for p in eval_term(parse_term("R"), s))
+
+
+def test_mismatches_are_rechecked_through_the_second_route(monkeypatch):
+    term, phi = parse_term("R"), parse_formula("R(x,y)")
+    scalar_only = Bounds(max_size=0, samples=50, sample_size=3)
+    assert equivalence_report(term, phi, ("R",), bounds=scalar_only).equivalent
+    assert equivalence_report(term, phi, ("R",), bounds=LIGHT).equivalent
+    with monkeypatch.context() as m:
+        m.setattr(logic, "define_relation", lambda *args, **kwargs: frozenset())
+        with pytest.raises(AssertionError):
+            equivalence_report(term, phi, ("R",), bounds=scalar_only)
+    with monkeypatch.context() as m:
+        m.setattr(bulk, "bulk_eval_formula", lambda phi, k, masks: np.zeros_like(masks["R"]))
+        with pytest.raises(AssertionError):
+            equivalence_report(term, phi, ("R",), bounds=LIGHT)

@@ -1,5 +1,8 @@
 """Three-variable formulas: parsing, evaluation, and the term encoding."""
 
+import random
+
+import numpy as np
 import pytest
 
 from relalg.logic import (
@@ -7,17 +10,23 @@ from relalg.logic import (
     Atom,
     Eq,
     Exists,
+    Forall,
+    Implies,
     LogicError,
+    Not,
+    Or,
+    Truth,
     classify,
     define_relation,
     eval_formula,
+    formula_tensor,
     free_vars,
     parse_formula,
     print_formula,
     term_to_fo3,
 )
 from relalg.parsing import ParseError
-from relalg.structures import Structure, enumerate_structures
+from relalg.structures import Structure, enumerate_structures, random_structure
 from relalg.terms import CATALOGUE, eval_term, parse_term
 
 EDGE = Structure(("a", "b"), {"R": {("a", "b")}, "S": {("b", "b")}})
@@ -133,3 +142,96 @@ def test_term_to_fo3_uses_three_variables():
 
     walk(phi)
     assert len(names | free_vars(phi)) <= 3
+
+
+# --- the formula-table evaluator against the Tarskian oracle ----------------------
+
+VARIABLES = ("x", "y", "z")
+
+
+def random_formula(rng, depth, quantifiers):
+    """Any connective or quantifier, at most `quantifiers` of them nested."""
+    if depth == 0 or rng.random() < 0.2:
+        kind = rng.randrange(5)
+        if kind < 3:
+            return Atom(rng.choice("RS"), rng.choice(VARIABLES), rng.choice(VARIABLES))
+        if kind == 3:
+            return Eq(rng.choice(VARIABLES), rng.choice(VARIABLES))
+        return Truth(rng.random() < 0.5)
+    kinds = ["not", "and", "or", "implies"] + ["exists", "forall"] * (quantifiers > 0)
+    kind = rng.choice(kinds)
+    if kind == "not":
+        return Not(random_formula(rng, depth - 1, quantifiers))
+    if kind in ("exists", "forall"):
+        body = random_formula(rng, depth - 1, quantifiers - 1)
+        node = Exists if kind == "exists" else Forall
+        return node(rng.choice(VARIABLES), body)
+    left = random_formula(rng, depth - 1, quantifiers)
+    right = random_formula(rng, depth - 1, quantifiers)
+    return {"and": And, "or": Or, "implies": Implies}[kind](left, right)
+
+
+def close_over(rng, phi, names):
+    for v in names:
+        if v in free_vars(phi):
+            phi = (Exists if rng.random() < 0.5 else Forall)(v, phi)
+    return phi
+
+
+def tarskian_relation(phi, x, y, structure):
+    dom = structure.domain
+    return frozenset(
+        (a, b)
+        for a in dom
+        for b in dom
+        if (x != y or a == b) and eval_formula(phi, structure, {x: a, y: b})
+    )
+
+
+FIXED_FORMULAS = (
+    "forall z. R(x,z) -> !S(z,y)",
+    "!(exists z. R(y,z)) | x = y",
+    "forall x. exists z. R(x,z) & S(z,y)",
+    "R(x,x) -> forall z. S(z,z)",
+    "exists z. true",
+)
+
+
+def test_define_relation_agrees_with_eval_formula():
+    rng = random.Random(20230508)
+    formulas = [parse_formula(text) for text in FIXED_FORMULAS]
+    formulas += [random_formula(rng, 4, 2) for _ in range(150)]
+    for i, raw in enumerate(formulas):
+        phi = close_over(rng, raw, ("z",))
+        for size in (i % 13, rng.randint(0, 4)):
+            s = random_structure(rng, size, ("R", "S"))
+            for x, y in (("x", "y"), ("y", "x")):
+                got = define_relation(phi, x, y, s, pad_missing=True)
+                assert got == tarskian_relation(phi, x, y, s), (print_formula(phi), x, size)
+            if free_vars(phi) == {"x", "y"}:
+                assert define_relation(phi, "y", "x", s) == tarskian_relation(phi, "y", "x", s)
+            else:
+                with pytest.raises(LogicError):
+                    define_relation(phi, "x", "y", s)
+            unary = close_over(rng, phi, ("y",))
+            got = define_relation(unary, "x", "x", s, pad_missing=True)
+            assert got == tarskian_relation(unary, "x", "x", s), print_formula(unary)
+            if free_vars(unary) == {"x"}:
+                assert define_relation(unary, "x", "x", s) == got
+            else:
+                with pytest.raises(LogicError):
+                    define_relation(unary, "x", "x", s)
+    with pytest.raises(LogicError):
+        define_relation(parse_formula("R(x,w)"), "x", "y", EDGE, pad_missing=True)
+
+
+def test_formula_tensor_keeps_empty_domain_semantics():
+    def none(name):
+        return np.zeros((1, 0, 0), dtype=bool)
+
+    for text in ("exists v. true", "forall v. false", "exists v. R(v,v)",
+                 "forall v. R(v,v)", "!(exists v. v = v)", "true"):
+        phi = parse_formula(text)
+        variables, tensor = formula_tensor(phi, 0, 1, none)
+        assert variables == ()
+        assert bool(tensor[0]) == eval_formula(phi, Structure((), {"R": ()})), text

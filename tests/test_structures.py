@@ -132,6 +132,39 @@ def test_enumeration_counts_match_formulas():
     assert count_structures(("f",), 4, TF) == 256
 
 
+def test_injective_count_is_closed_form():
+    from relalg.structures import injective_codes
+
+    assert [count_structures(("f",), k, IPF) for k in range(7)] == [
+        1, 2, 7, 34, 209, 1546, 13327,
+    ]
+    for k in range(6):
+        assert count_structures(("f",), k, IPF) == len(injective_codes(k))
+
+
+def test_injective_count_builds_no_code_table():
+    from relalg.structures import _INJECTIVE_CODE_CACHE
+
+    _INJECTIVE_CODE_CACHE.pop(8, None)
+    assert count_structures(("f", "g"), 8, IPF) == 1441729**2  # OEIS A002720
+    assert 8 not in _INJECTIVE_CODE_CACHE
+
+
+def test_mask_decoding_matches_bit_layout():
+    from relalg.structures import _mask_pairs
+
+    rng = random.Random(3)
+    for k in range(0, 13):
+        mask = rng.getrandbits(k * k) if k else 0
+        expected = {
+            (f"e{i + 1}", f"e{j + 1}")
+            for i in range(k)
+            for j in range(k)
+            if mask >> (i * k + j) & 1
+        }
+        assert _mask_pairs(mask, k) == expected
+
+
 def test_enumeration_agrees_with_indexing():
     sig = ("f", "g")
     listed = list(enumerate_structures(sig, 2, PF))

@@ -1,10 +1,12 @@
 """Word-type enumeration and term synthesis from black-box oracles."""
 
+import json
 import random
 
 import pytest
 
-from relalg.checkers import Bounds
+from relalg import synth
+from relalg.checkers import Bounds, EquivalenceReport
 from relalg.structures import StructureClass, enumerate_structures, random_structure
 from relalg.synth import (
     SynthesisError,
@@ -185,6 +187,19 @@ def test_estimate_radius_gives_up_honestly():
     assert est.failure is not None
     assert "bounded" in est.failure["message"]
     assert len(est.attempts) == 3
+
+
+def test_estimate_radius_failure_is_json_serializable(monkeypatch):
+    witness = random_structure(1, 2, ("f",), PF)
+
+    def disagree(result, oracle, bounds=None, seed=0):
+        return EquivalenceReport(False, witness, [], [], [], 0, seed)
+
+    monkeypatch.setattr(synth, "validate_synthesis", disagree)
+    est = estimate_radius(parse_term("dom(f)"), max_radius=1)
+    assert est.radius is None
+    assert "disagrees" in est.failure["message"]
+    assert json.loads(json.dumps(est.failure))["details"]["domain"] == list(witness.domain)
 
 
 def test_synthesis_result_to_json():
