@@ -1,11 +1,12 @@
-"""Vectorised evaluation over many small structures at once.
+"""Batched evaluation over many structures of one size at once.
 
-A structure with domain size k <= 8 and one binary relation fits in a single
-64-bit word: bit i*k + j stands for the pair (e_{i+1}, e_{j+1}).  A numpy
-array of such words represents the same relation symbol across a whole batch
-of structures, and every catalogue operation becomes a handful of bitwise
-array operations.  This is what makes bounded-exhaustive sweeps over
-hundreds of thousands of structures affordable.
+Each structure of size k <= MAX_BULK_SIZE is one uint64 word per symbol, a
+k x k bit matrix in the layout of `structures.relation_mask` (bit i*k + j is
+the pair (e_{i+1}, e_{j+1})).  `bulk_eval_term` runs the kernels of
+`structures.BulkOps`, the one definition of the catalogue operations, on
+arrays of such words; `terms.eval_term` runs the same kernels on Python ints
+for one structure.  The batch form is what makes bounded-exhaustive sweeps
+over hundreds of thousands of structures affordable.
 
 The bit layout matches `structures.structure_from_index` exactly, so a
 mismatch index found here can be decoded back into an ordinary `Structure`
@@ -19,16 +20,8 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from . import logic, terms as tm
-from .structures import (
-    Structure,
-    StructureClass,
-    _domain_of,
-    _mask_pairs,
-    injective_codes,
-    space_size,
-)
-
-MAX_BULK_SIZE = 8
+from .structures import MAX_BULK_SIZE  # noqa: F401  (re-exported)
+from .structures import BulkOps, StructureClass, injective_codes, space_size
 
 _U0 = np.uint64(0)
 _U1 = np.uint64(1)
@@ -38,149 +31,13 @@ def _u(value: int) -> np.uint64:
     return np.uint64(value)
 
 
-class BulkOps:
-    """Per-domain-size bit tricks for the catalogue operations."""
-
-    def __init__(self, k: int):
-        if not 1 <= k <= MAX_BULK_SIZE:
-            raise ValueError(f"bulk evaluation supports sizes 1..{MAX_BULK_SIZE}, got {k}")
-        self.k = k
-        kk = k * k
-        self.mask_all = _u((1 << kk) - 1) if kk < 64 else _u(2**64 - 1)
-        self.diag = _u(sum(1 << (i * k + i) for i in range(k)))
-        self.row_masks = [_u(((1 << k) - 1) << (i * k)) for i in range(k)]
-        self.col_masks = [_u(sum(1 << (i * k + j) for i in range(k))) for j in range(k)]
-        self.row_bits = _u((1 << k) - 1)
-
-    def top(self, n: int) -> np.ndarray:
-        return np.full(n, self.mask_all, dtype=np.uint64)
-
-    def identity(self, n: int) -> np.ndarray:
-        return np.full(n, self.diag, dtype=np.uint64)
-
-    def empty(self, n: int) -> np.ndarray:
-        return np.zeros(n, dtype=np.uint64)
-
-    def complement(self, r: np.ndarray) -> np.ndarray:
-        return r ^ self.mask_all
-
-    def converse(self, r: np.ndarray) -> np.ndarray:
-        k = self.k
-        out = np.zeros_like(r)
-        for i in range(k):
-            for j in range(k):
-                bit = (r >> _u(i * k + j)) & _U1
-                out |= bit << _u(j * k + i)
-        return out
-
-    def dom(self, r: np.ndarray) -> np.ndarray:
-        k = self.k
-        out = np.zeros_like(r)
-        for i in range(k):
-            nonempty = (r & self.row_masks[i]) != _U0
-            out |= np.where(nonempty, _u(1 << (i * k + i)), _U0)
-        return out
-
-    def ran(self, r: np.ndarray) -> np.ndarray:
-        k = self.k
-        out = np.zeros_like(r)
-        for j in range(k):
-            nonempty = (r & self.col_masks[j]) != _U0
-            out |= np.where(nonempty, _u(1 << (j * k + j)), _U0)
-        return out
-
-    def antidom(self, r: np.ndarray) -> np.ndarray:
-        k = self.k
-        out = np.zeros_like(r)
-        for i in range(k):
-            empty = (r & self.row_masks[i]) == _U0
-            out |= np.where(empty, _u(1 << (i * k + i)), _U0)
-        return out
-
-    def compose(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-        k = self.k
-        out = np.zeros_like(r)
-        for b in range(k):
-            s_row = (s >> _u(b * k)) & self.row_bits
-            for a in range(k):
-                bit = (r >> _u(a * k + b)) & _U1
-                out |= (bit * s_row) << _u(a * k)
-        return out
-
-    def semijoin(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-        keep = np.zeros_like(r)
-        for b in range(self.k):
-            nonempty = (s & self.row_masks[b]) != _U0
-            keep |= np.where(nonempty, self.col_masks[b], _U0)
-        return r & keep
-
-    def prefunion(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-        free = np.zeros_like(r)
-        for a in range(self.k):
-            empty = (r & self.row_masks[a]) == _U0
-            free |= np.where(empty, self.row_masks[a], _U0)
-        return r | (s & free)
-
-    def injunion(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-        straight = self.prefunion(r, s)
-        reverse = self.prefunion(self.converse(r), self.converse(s))
-        return straight & self.converse(reverse)
-
-    def apply(self, op: str, args: Sequence[np.ndarray], n: int) -> np.ndarray:
-        if op == "id":
-            return self.identity(n)
-        if op == "empty":
-            return self.empty(n)
-        if op == "top":
-            return self.top(n)
-        if op in ("union",):
-            return args[0] | args[1]
-        if op == "inter":
-            return args[0] & args[1]
-        if op == "diff":
-            return args[0] & ~args[1] & self.mask_all
-        handler = getattr(self, op, None)
-        if handler is None:
-            raise ValueError(f"unknown operation tag {op!r}")
-        return handler(*args)
-
-
 def bulk_eval_term(
     t: tm.Term, k: int, symbol_masks: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Evaluate one term across a batch, freeing intermediates eagerly.
-
-    Intermediate arrays are dropped as soon as every parent has consumed
-    them, so memory stays proportional to the term's nesting rather than
-    its size.
-    """
+    """Evaluate one term across a batch of size-k structures."""
     ops = BulkOps(k)
-    n = None
-    for arr in symbol_masks.values():
-        n = len(arr)
-        break
-    if n is None:
-        n = 0
-    refs: dict[int, int] = {}
-    order = list(tm._postorder(t))
-    for node in order:
-        for a in node.args:
-            refs[id(a)] = refs.get(id(a), 0) + 1
-    memo: dict[int, np.ndarray] = {}
-    for node in order:
-        if node.op == "sym":
-            arr = symbol_masks.get(node.name or "")
-            if arr is None:
-                raise tm.TermError(f"unknown relation symbol {node.name!r}")
-            value = arr
-        else:
-            value = ops.apply(node.op, [memo[id(a)] for a in node.args], n)
-        memo[id(node)] = value
-        for a in node.args:
-            refs[id(a)] -= 1
-            if refs[id(a)] == 0 and id(a) != id(t):
-                del memo[id(a)]
-    return memo[id(t)]
+    n = len(next(iter(symbol_masks.values()), ()))
+    return tm.evaluate(t, symbol_masks, lambda op, args: ops.apply(op, args, n))
 
 
 def bulk_eval_formula(
@@ -197,10 +54,7 @@ def bulk_eval_formula(
         raise logic.LogicError(
             f"bulk evaluation needs free variables within x, y; got {sorted(fv)}"
         )
-    n = 0
-    for arr in symbol_masks.values():
-        n = len(arr)
-        break
+    n = len(next(iter(symbol_masks.values()), ()))
     bit_index = np.arange(k * k, dtype=np.uint64)
 
     def atom(name: str) -> np.ndarray:
@@ -308,24 +162,3 @@ def random_symbol_masks(
                     masks |= np.where(digits[:, p] == _u(d), _u(1 << (p * k + d - 1)), _U0)
             out[name] = masks
     return out
-
-
-# --- bridging to ordinary structures --------------------------------------------
-
-def masks_to_structure(masks: Mapping[str, int], k: int) -> Structure:
-    rels = {name: _mask_pairs(int(mask), k) for name, mask in masks.items()}
-    return Structure(_domain_of(k), rels)
-
-
-def structure_to_masks(structure: Structure) -> tuple[int, dict[str, int]]:
-    k = len(structure.domain)
-    if k > MAX_BULK_SIZE:
-        raise ValueError(f"structure too large for mask form: {k} > {MAX_BULK_SIZE}")
-    index = {x: i for i, x in enumerate(structure.domain)}
-    out: dict[str, int] = {}
-    for name, rel in structure.relations.items():
-        mask = 0
-        for a, b in rel:
-            mask |= 1 << (index[a] * k + index[b])
-        out[name] = mask
-    return k, out

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Any
 
 import numpy as np
 
@@ -24,10 +23,9 @@ from .structures import (
     enumerate_structures,
     homomorphisms,
     induced,
-    is_injective_partial_function,
+    is_homomorphism,
     isomorphism,
-    is_partial_function,
-    is_total_function,
+    masks_to_structure,
     random_structure,
     structure_from_index,
     structure_from_json,
@@ -453,10 +451,12 @@ def _bounded_rows_check(
     bounds: Bounds,
     seed: int,
     name: str,
-) -> Verdict | None:
+) -> tuple[Verdict | None, int]:
     """One radius attempt: rows must stay inside their balls and agree on
-    isomorphic anchored balls.  Returns a failure verdict or None."""
+    isomorphic anchored balls.  Returns a failure verdict or None, and the
+    number of balls too large to canonicalise, which were not compared."""
     buckets: dict[tuple, tuple[tuple, Structure, str]] = {}
+    skipped = 0
     for structure in pool:
         value = tm.eval_term(term, structure)
         rows: dict[str, set[str]] = {}
@@ -476,10 +476,11 @@ def _bounded_rows_check(
                     "radius": radius,
                     "element": outside[0],
                 }
-                return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
+                return Verdict(name, "fail", counterexample, bounds.to_json(), seed), skipped
             ball = induced(structure, depths)
             canon = _anchored_canonical(ball, anchor, row)
             if canon is None:
+                skipped += 1
                 continue
             ball_key, row_key = canon
             seen = buckets.get(ball_key)
@@ -496,8 +497,8 @@ def _bounded_rows_check(
                     "right": structure_to_json(structure),
                     "right_anchor": anchor,
                 }
-                return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
-    return None
+                return Verdict(name, "fail", counterexample, bounds.to_json(), seed), skipped
+    return None, skipped
 
 
 def _check_bounded(
@@ -518,12 +519,14 @@ def _check_bounded(
 
     last_failure: Verdict | None = None
     for radius in range(max_radius + 1):
-        failure = _bounded_rows_check(term, pool, radius, mode, bounds, seed, name)
+        failure, skipped = _bounded_rows_check(term, pool, radius, mode, bounds, seed, name)
         if failure is None:
             verdict = Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
             verdict.bounds["radius"] = radius
             verdict.bounds["max_radius"] = max_radius
+            verdict.bounds["balls_skipped"] = skipped
             return verdict
+        failure.bounds["balls_skipped"] = skipped
         if verify_counterexample(failure):
             last_failure = failure
     assert last_failure is not None
@@ -760,7 +763,7 @@ def equivalence_report(
         first = int(np.argmax(bad))
         if exhaustive:
             return structure_from_index(signature, size, cls, int(base_index + first))
-        return bulk.masks_to_structure(
+        return masks_to_structure(
             {name: int(arr[first]) for name, arr in symbol_masks.items()}, size
         )
 
@@ -837,8 +840,6 @@ def verify_counterexample(verdict: Verdict) -> bool:
         target = structure_from_json(data["target"])
         h = data["map"]
         a, b = data["pair"]
-        from .structures import is_homomorphism
-
         if not is_homomorphism(source, target, h):
             return False
         if (a, b) not in tm.eval_term(term, source):

@@ -3,7 +3,9 @@
 Everything downstream evaluates against the `Structure` type defined here:
 substructures, homomorphism and isomorphism search, automorphism orbits,
 deterministic bounded-exhaustive enumeration, seeded random generation, and
-a small JSON file format.
+a small JSON file format.  The bit-matrix codec and `BulkOps`, the one
+kernel table of the catalogue operations, live here too, so that the term
+evaluators (`terms`, `bulk`) depend on this module and not on each other.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property, lru_cache
 from math import comb, factorial
 from pathlib import Path
+
+import numpy as np
 
 Pair = tuple[str, str]
 Relation = frozenset[Pair]
@@ -122,6 +126,12 @@ class Structure:
 
     def __hash__(self) -> int:
         return hash((self.domain, tuple(sorted(self.relations.items()))))
+
+    @cached_property
+    def masks(self) -> Mapping[str, int]:
+        """Each relation as a bit mask over the domain (see `relation_mask`),
+        encoded once per structure; read-only."""
+        return {name: relation_mask(rel, self.domain) for name, rel in self.relations.items()}
 
     @property
     def signature(self) -> tuple[str, ...]:
@@ -491,16 +501,179 @@ def _injective_count(size: int) -> int:
     return sum(comb(size, j) ** 2 * factorial(j) for j in range(size + 1))
 
 
+# --- the bit-matrix codec and kernels -------------------------------------------
+#
+# A relation over a domain d_0 < ... < d_{k-1} is a k x k bit matrix held in
+# an int (or a uint64 word, see `bulk`): bit i*k + j stands for the pair
+# (d_i, d_j).  The domain is always a tuple; for the structures of size k
+# built here it is `_sorted_domain(k)`, the order a `Structure` stores.
+
 @cache
-def _bit_pairs(size: int) -> tuple[Pair, ...]:
-    dom = _domain_of(size)
-    return tuple((a, b) for a in dom for b in dom)
+def _sorted_domain(size: int) -> tuple[str, ...]:
+    """e1..e_size as a `Structure` holds them, sorted as strings (e10 before e2)."""
+    return tuple(sorted(_domain_of(size)))
 
 
-def _mask_pairs(mask: int, size: int) -> Relation:
-    """Decode a bit mask: bit i*size + j stands for the pair (e_{i+1}, e_{j+1})."""
-    pairs = _bit_pairs(size)
-    return frozenset([pairs[p] for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
+@lru_cache(maxsize=256)
+def _bit_pairs(domain: tuple[str, ...]) -> tuple[Pair, ...]:
+    return tuple((a, b) for a in domain for b in domain)
+
+
+@lru_cache(maxsize=256)
+def _pair_bits(domain: tuple[str, ...]) -> dict[Pair, int]:
+    return {pair: 1 << p for p, pair in enumerate(_bit_pairs(domain))}
+
+
+_BYTE_BITS = tuple(tuple(p for p in range(8) if byte >> p & 1) for byte in range(256))
+
+
+def _mask_pairs(mask: int, domain: tuple[str, ...]) -> Relation:
+    """Decode a bit mask over a domain; the inverse of `relation_mask`."""
+    pairs = _bit_pairs(domain)
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return frozenset(
+        [
+            pairs[base + p]
+            for base, byte in zip(range(0, 8 * len(data), 8), data)
+            if byte
+            for p in _BYTE_BITS[byte]
+        ]
+    )
+
+
+def relation_mask(rel: Iterable[Pair], domain: tuple[str, ...]) -> int:
+    """Encode a relation over a domain."""
+    # The bits of distinct pairs are distinct powers of two, so their sum is their union.
+    return sum(map(_pair_bits(domain).__getitem__, rel))
+
+
+def masks_to_structure(masks: Mapping[str, int], k: int) -> Structure:
+    """The structure on e1..ek with these masks, numpy words accepted; the
+    inverse of `Structure.masks`."""
+    domain = _sorted_domain(k)
+    return Structure(domain, {name: _mask_pairs(int(m), domain) for name, m in masks.items()})
+
+
+MAX_BULK_SIZE = 8
+
+
+class BulkOps:
+    """The kernel of every catalogue operation on k x k bit matrices.
+
+    With `batch` the operands are uint64 arrays (k <= MAX_BULK_SIZE) and the
+    constants are np.uint64; without it they are Python ints, of any size.
+    Row i of a matrix is bits i*k .. i*k + k - 1; `col0` marks column 0 and
+    `row0` row 0, so an indicator bit at i*k times `row0` fills row i, and
+    one at j times `col0` fills column j.
+    """
+
+    def __init__(self, k: int, batch: bool = True):
+        if batch and not 1 <= k <= MAX_BULK_SIZE:
+            raise ValueError(f"bulk evaluation supports sizes 1..{MAX_BULK_SIZE}, got {k}")
+        word = np.uint64 if batch else int
+        self.k = k
+        self.mask_all = word((1 << (k * k)) - 1)
+        self.diag = word(sum(1 << (i * k + i) for i in range(k)))
+        self.row0 = word((1 << k) - 1)
+        self.col0 = word(sum(1 << (i * k) for i in range(k)))
+        self.constants = {"id": self.diag, "empty": word(0), "top": self.mask_all}
+        # (b, b*k) for the columns and rows after the first.
+        self._shifts = tuple((word(b), word(b * k)) for b in range(1, k))
+        # Converse swaps the pairs d places off the diagonal: (i, i+d) moves
+        # d*(k-1) bits up to (i+d, i), and back.
+        self._swaps = tuple(
+            (
+                word(sum(1 << (i * k + i + d) for i in range(k - d))),
+                word(sum(1 << ((i + d) * k + i) for i in range(k - d))),
+                word(d * (k - 1)),
+            )
+            for d in range(1, k)
+        )
+
+    def _rowany(self, r):
+        """Bit i*k set where row i of r is nonempty."""
+        out = r
+        for b, _ in self._shifts:
+            out = out | (r >> b)
+        return out & self.col0
+
+    def _colany(self, r):
+        """Bit j set where column j of r is nonempty."""
+        out = r
+        for _, bk in self._shifts:
+            out = out | (r >> bk)
+        return out & self.row0
+
+    def _diagonal(self, rows):
+        """The identity restricted to the rows with an indicator bit at i*k."""
+        return (rows * self.row0) & self.diag
+
+    def complement(self, r):
+        return r ^ self.mask_all
+
+    def converse(self, r):
+        out = r & self.diag
+        for upper, lower, shift in self._swaps:
+            out |= ((r & upper) << shift) | ((r & lower) >> shift)
+        return out
+
+    def dom(self, r):
+        return self._diagonal(self._rowany(r))
+
+    def ran(self, r):
+        return (self._colany(r) * self.col0) & self.diag
+
+    def antidom(self, r):
+        return self._diagonal(self._rowany(r) ^ self.col0)
+
+    def union(self, r, s):
+        return r | s
+
+    def inter(self, r, s):
+        return r & s
+
+    def diff(self, r, s):
+        return r & ~s
+
+    def compose(self, r, s):
+        # Column b of r as indicator bits at a*k, times row b of s, gives
+        # every (a, c) with (a, b) in r and (b, c) in s.
+        col0, row0 = self.col0, self.row0
+        out = (r & col0) * (s & row0)
+        for b, bk in self._shifts:
+            out |= ((r >> b) & col0) * ((s >> bk) & row0)
+        return out
+
+    def semijoin(self, r, s):
+        sources = self._colany(self._diagonal(self._rowany(s)))
+        return r & (sources * self.col0)
+
+    def prefunion(self, r, s):
+        free = (self._rowany(r) ^ self.col0) * self.row0
+        return r | (s & free)
+
+    def injunion(self, r, s):
+        straight = self.prefunion(r, s)
+        reverse = self.prefunion(self.converse(r), self.converse(s))
+        return straight & self.converse(reverse)
+
+    def value(self, op: str, args: Sequence):
+        """One node's value from its children's values."""
+        if args:
+            return getattr(self, op)(*args)
+        return self.constants[op]
+
+    def apply(self, op: str, args: Sequence[np.ndarray], n: int) -> np.ndarray:
+        """`value` over a batch of n structures: constants become n words."""
+        if args:
+            return getattr(self, op)(*args)
+        return np.full(n, self.constants[op], dtype=np.uint64)
+
+
+@cache
+def int_ops(k: int) -> BulkOps:
+    """The kernel table on Python ints, for one structure of size k."""
+    return BulkOps(k, batch=False)
 
 
 def _pf_code_pairs(code: int, size: int, base: int) -> Relation:
@@ -540,7 +713,7 @@ def injective_codes(size: int) -> tuple[int, ...]:
 
 def relation_from_code(code: int, size: int, cls: StructureClass) -> Relation:
     if cls is StructureClass.ALL:
-        return _mask_pairs(code, size)
+        return _mask_pairs(code, _sorted_domain(size))
     if cls is StructureClass.PARTIAL_FUNCTIONS:
         return _pf_code_pairs(code, size, size + 1)
     if cls is StructureClass.TOTAL_FUNCTIONS:
@@ -595,7 +768,7 @@ def random_structure(
     for name in sorted(signature):
         if cls is StructureClass.ALL:
             mask = rng.getrandbits(size * size) if size else 0
-            rels[name] = _mask_pairs(mask, size)
+            rels[name] = _mask_pairs(mask, dom)
         elif cls is StructureClass.PARTIAL_FUNCTIONS:
             pairs = set()
             for p in range(size):

@@ -15,16 +15,25 @@ All infix operators associate to the left and the postfix converse binds
 tighter than the prefix operators, so ~f^ reads as ~(f^).  The identifiers
 ``id``, ``T``, ``dom`` and ``ran`` are reserved and cannot name relation
 symbols inside term text.
+
+Each operation's semantics is defined once, as a bit-matrix kernel of
+`structures.BulkOps`.  `eval_term`, `semantic_closure` and
+`closure_is_closed` run those kernels on Python ints (one structure, any
+size) and `bulk.bulk_eval_term` runs them on uint64 batches; relations are
+frozensets of pairs only where they enter and leave.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
+from typing import TypeVar
 
 from .parsing import ParseError, TokenStream, tokenize
-from .structures import Relation, Structure
+from .structures import Relation, Structure, StructureError, _mask_pairs, int_ops, relation_mask
+
+V = TypeVar("V")
 
 
 class TermError(ValueError):
@@ -97,10 +106,11 @@ class Term:
 
     Structural hashing is precomputed at construction so that deeply nested
     terms (synthesised terms routinely nest hundreds of levels) stay cheap
-    to hash and compare.
+    to hash and compare.  `_plan`, the evaluation order, is filled in on
+    the first evaluation (see `evaluate`).
     """
 
-    __slots__ = ("op", "args", "name", "_hash")
+    __slots__ = ("op", "args", "name", "_hash", "_plan")
 
     def __init__(self, op: str, args: Iterable["Term"] = (), name: str | None = None):
         args = tuple(args)
@@ -294,100 +304,64 @@ def expand_injunion(t: Term) -> Term:
 
 # --- evaluation ---------------------------------------------------------------
 
-def _scalar_apply(
-    op: str, name: str | None, args: Sequence[Relation], structure: Structure
-) -> Relation:
-    dom_elems = structure.domain
-    if op == "sym":
-        rel = structure.relations.get(name)  # type: ignore[arg-type]
-        if rel is None:
-            raise TermError(f"unknown relation symbol {name!r}")
-        return rel
-    if op == "id":
-        return frozenset((x, x) for x in dom_elems)
-    if op == "empty":
-        return frozenset()
-    if op == "top":
-        return frozenset((x, y) for x in dom_elems for y in dom_elems)
-    if op == "complement":
-        (r,) = args
-        return frozenset(
-            (x, y) for x in dom_elems for y in dom_elems if (x, y) not in r
-        )
-    if op == "converse":
-        (r,) = args
-        return frozenset((b, a) for a, b in r)
-    if op == "dom":
-        (r,) = args
-        return frozenset((a, a) for a, _ in r)
-    if op == "ran":
-        (r,) = args
-        return frozenset((b, b) for _, b in r)
-    if op == "antidom":
-        (r,) = args
-        sources = {a for a, _ in r}
-        return frozenset((x, x) for x in dom_elems if x not in sources)
-    r, s = args
-    if op == "union":
-        return r | s
-    if op == "inter":
-        return r & s
-    if op == "diff":
-        return r - s
-    if op == "compose":
-        by_source: dict[str, set[str]] = {}
-        for b, c in s:
-            by_source.setdefault(b, set()).add(c)
-        return frozenset(
-            (a, c) for a, b in r if b in by_source for c in by_source[b]
-        )
-    if op == "semijoin":
-        sources = {a for a, _ in s}
-        return frozenset((a, b) for a, b in r if b in sources)
-    if op == "prefunion":
-        covered = {a for a, _ in r}
-        return r | frozenset((a, b) for a, b in s if a not in covered)
-    if op == "injunion":
-        def pref(u: Relation, v: Relation) -> Relation:
-            covered = {a for a, _ in u}
-            return u | frozenset((a, b) for a, b in v if a not in covered)
+def _plan(t: Term) -> tuple[tuple[str, str | None, tuple[int, ...], tuple[int, ...]], ...]:
+    """t's distinct subterms, children first, as (op, symbol name, argument
+    positions, positions whose last use this step is).
 
-        def flip(u: Relation) -> Relation:
-            return frozenset((b, a) for a, b in u)
-
-        r2, s2 = args
-        return pref(r2, s2) & flip(pref(flip(r2), flip(s2)))
-    raise TermError(f"unknown operation tag {op!r}")
-
-
-def eval_term(
-    t: Term, structure: Structure, memo: dict[Term, Relation] | None = None
-) -> Relation:
-    """Evaluate t on a structure.
-
-    Iterative, so arbitrarily deep terms evaluate without touching the
-    interpreter recursion limit.  A caller-supplied memo is reused across
-    calls; it is only valid for a single structure.
+    Built on a term's first evaluation and kept on it: callers evaluate one
+    term over many structures, often alternating two terms (the sides of
+    an equivalence), and walking a large shared DAG costs about as much as
+    evaluating it.
     """
-    if memo is None:
-        memo = {}
-    if t in memo:
-        return memo[t]
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        pending = [a for a in node.args if a not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[node] = _scalar_apply(
-            node.op, node.name, [memo[a] for a in node.args], structure
-        )
-    return memo[t]
+    try:
+        return t._plan
+    except AttributeError:
+        pass
+    order = list(_postorder(t))
+    position = {id(node): i for i, node in enumerate(order)}
+    last_use = {position[id(a)]: i for i, node in enumerate(order) for a in node.args}
+    freed: list[list[int]] = [[] for _ in order]
+    for p, i in last_use.items():
+        freed[i].append(p)
+    plan = tuple(
+        (node.op, node.name, tuple(position[id(a)] for a in node.args), tuple(freed[i]))
+        for i, node in enumerate(order)
+    )
+    object.__setattr__(t, "_plan", plan)
+    return plan
+
+
+def evaluate(
+    t: Term, leaves: Mapping[str, V], step: Callable[[str, list[V]], V]
+) -> V:
+    """The value of t from its symbols' values and one step per operation.
+
+    `step(op, args)` computes a node from its children's values; both
+    `eval_term` and `bulk.bulk_eval_term` pass the kernels of
+    `structures.BulkOps`.  Iterative, so arbitrarily deep terms evaluate
+    without touching the interpreter recursion limit, and each value is
+    dropped once every parent has used it, so memory follows the term's
+    nesting rather than its size.
+    """
+    values: list = []
+    for op, name, args, freed in _plan(t):
+        if name is None:
+            value = step(op, [values[p] for p in args])
+        else:
+            value = leaves.get(name)
+            if value is None:
+                raise TermError(f"unknown relation symbol {name!r}")
+        values.append(value)
+        for p in freed:
+            values[p] = None
+    return values[-1]
+
+
+def eval_term(t: Term, structure: Structure) -> Relation:
+    """Evaluate t on a structure, on bit matrices held in Python ints."""
+    domain = structure.domain
+    value = evaluate(t, structure.masks, int_ops(len(domain)).value)
+    return _mask_pairs(value, domain)
 
 
 # --- concrete syntax ----------------------------------------------------------
@@ -721,24 +695,27 @@ def semantic_closure(
     of its children's values, so iterating every operation over every tuple
     of already-reached denotations until nothing new appears computes the
     full term-definable family.  Terminates because the structure is finite.
+    Denotations are bit masks while the closure runs (see `structures.BulkOps`).
     """
     ops = set(basis)
     if symbols is None:
         symbols = structure.signature
-    known: dict[Relation, Term] = {}
-    order: list[Relation] = []
+    kernels = int_ops(len(structure.domain))
+    known: dict[int, Term] = {}
+    order: list[int] = []
 
-    def record(rel: Relation, witness: Term) -> None:
-        if rel not in known:
-            known[rel] = witness
-            order.append(rel)
+    def record(mask: int, witness: Term) -> None:
+        if mask not in known:
+            known[mask] = witness
+            order.append(mask)
 
     for name in sorted(symbols):
-        record(structure.rel(name), sym(name))
+        if name not in structure.masks:
+            raise StructureError(f"unknown relation symbol {name!r}")
+        record(structure.masks[name], sym(name))
     for c in _CONSTANT_ORDER:
         if c in ops:
-            t = Term(c)
-            record(eval_term(t, structure), t)
+            record(kernels.constants[c], Term(c))
 
     evaluations = 0
     complete = True
@@ -749,19 +726,18 @@ def semantic_closure(
         snapshot = list(order)
         stop = False
         for op in unary:
+            kernel = getattr(kernels, op)
             for rel in snapshot:
                 evaluations += 1
                 if evaluations > budget:
                     stop = True
                     break
-                record(
-                    _scalar_apply(op, None, (rel,), structure),
-                    Term(op, (known[rel],)),
-                )
+                record(kernel(rel), Term(op, (known[rel],)))
             if stop:
                 break
         if not stop:
             for op in binary:
+                kernel = getattr(kernels, op)
                 for rel_a in snapshot:
                     for rel_b in snapshot:
                         evaluations += 1
@@ -769,7 +745,7 @@ def semantic_closure(
                             stop = True
                             break
                         record(
-                            _scalar_apply(op, None, (rel_a, rel_b), structure),
+                            kernel(rel_a, rel_b),
                             Term(op, (known[rel_a], known[rel_b])),
                         )
                     if stop:
@@ -781,7 +757,13 @@ def semantic_closure(
             break
         if len(known) == before:
             break
-    return ClosureResult(known, order, complete, evaluations)
+    relations = [_mask_pairs(mask, structure.domain) for mask in order]
+    return ClosureResult(
+        {rel: known[mask] for rel, mask in zip(relations, order)},
+        relations,
+        complete,
+        evaluations,
+    )
 
 
 def closure_is_closed(
@@ -789,21 +771,24 @@ def closure_is_closed(
 ) -> bool:
     """Check a family of relations is closed under every basis operation."""
     ops = set(basis)
-    family = {frozenset(r) for r in relations}
+    kernels = int_ops(len(structure.domain))
+    family = {relation_mask(r, structure.domain) for r in relations}
     for c in _CONSTANT_ORDER:
-        if c in ops and _scalar_apply(c, None, (), structure) not in family:
+        if c in ops and kernels.constants[c] not in family:
             return False
     for op in _UNARY_ORDER:
         if op not in ops:
             continue
+        kernel = getattr(kernels, op)
         for rel in family:
-            if _scalar_apply(op, None, (rel,), structure) not in family:
+            if kernel(rel) not in family:
                 return False
     for op in _BINARY_ORDER:
         if op not in ops:
             continue
+        kernel = getattr(kernels, op)
         for rel_a in family:
             for rel_b in family:
-                if _scalar_apply(op, None, (rel_a, rel_b), structure) not in family:
+                if kernel(rel_a, rel_b) not in family:
                     return False
     return True

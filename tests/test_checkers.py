@@ -174,3 +174,10 @@ def test_mismatches_are_rechecked_through_the_second_route(monkeypatch):
         m.setattr(bulk, "bulk_eval_formula", lambda phi, k, masks: np.zeros_like(masks["R"]))
         with pytest.raises(AssertionError):
             equivalence_report(term, phi, ("R",), bounds=LIGHT)
+
+
+def test_bounded_checks_count_the_balls_they_could_not_compare():
+    passed = check_forward(parse_term("f ; g"))
+    assert passed.passed and passed.bounds["balls_skipped"] > 0
+    failed = check_forward(parse_term("f^"), LIGHT, 0)
+    assert not failed.passed and failed.bounds["balls_skipped"] == 0

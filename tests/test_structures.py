@@ -22,6 +22,7 @@ from relalg.structures import (
     is_partial_function,
     is_total_function,
     isomorphism,
+    masks_to_structure,
     random_structure,
     structure_from_index,
     structure_from_json,
@@ -151,7 +152,7 @@ def test_injective_count_builds_no_code_table():
 
 
 def test_mask_decoding_matches_bit_layout():
-    from relalg.structures import _mask_pairs
+    from relalg.structures import _domain_of, _mask_pairs
 
     rng = random.Random(3)
     for k in range(0, 13):
@@ -162,7 +163,18 @@ def test_mask_decoding_matches_bit_layout():
             for j in range(k)
             if mask >> (i * k + j) & 1
         }
-        assert _mask_pairs(mask, k) == expected
+        assert _mask_pairs(mask, _domain_of(k)) == expected
+
+
+def test_masks_round_trip_past_nine_elements():
+    # From 10 elements on, a Structure's string-sorted domain (e1, e10, e2, ...)
+    # is not e1..ek in numeric order; encoding and decoding must both follow it.
+    rng = random.Random(5)
+    for k in range(1, 13):
+        s = random_structure(k, k, ("f", "g"))
+        assert masks_to_structure(s.masks, k) == s
+        code = rng.getrandbits(k * k)
+        assert structure_from_index(("f",), k, ALL, code).masks["f"] == code
 
 
 def test_enumeration_agrees_with_indexing():
