@@ -15,7 +15,7 @@ for reporting.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -80,17 +80,22 @@ def bulk_masks(
 
 # --- decoding enumeration indices into mask batches ----------------------------
 
-def _function_codes_to_masks(codes: np.ndarray, k: int, base: int) -> np.ndarray:
-    masks = np.zeros_like(codes)
-    for p in range(k):
-        digit = (codes // _u(base**p)) % _u(base)
-        if base == k + 1:
-            for d in range(1, k + 1):
-                masks |= np.where(digit == _u(d), _u(1 << (p * k + d - 1)), _U0)
-        else:
-            for d in range(k):
-                masks |= np.where(digit == _u(d), _u(1 << (p * k + d)), _U0)
+def _digit_masks(columns: Iterable[np.ndarray], k: int, partial: bool) -> np.ndarray:
+    """Function masks from digit columns, column p giving the image of e_{p+1}:
+    digit d is an edge to e_{d+1}, or with `partial` to e_d, 0 meaning none.
+    One shift places each digit."""
+    masks = _U0
+    for p, digit in enumerate(columns):
+        bits = _U1 << digit
+        if partial:
+            bits >>= _U1
+        masks = masks | (bits << _u(p * k))
     return masks
+
+
+def _function_codes_to_masks(codes: np.ndarray, k: int, base: int) -> np.ndarray:
+    columns = ((codes // _u(base**p)) % _u(base) for p in range(k))
+    return _digit_masks(columns, k, base == k + 1)
 
 
 def decode_symbol_masks(
@@ -138,11 +143,7 @@ def random_symbol_masks(
             out[name] = ((hi << _u(32)) | lo) & ops.mask_all
         elif cls is StructureClass.TOTAL_FUNCTIONS:
             digits = rng.integers(0, k, (n, k), dtype=np.uint64)
-            masks = np.zeros(n, dtype=np.uint64)
-            for p in range(k):
-                for d in range(k):
-                    masks |= np.where(digits[:, p] == _u(d), _u(1 << (p * k + d)), _U0)
-            out[name] = masks
+            out[name] = _digit_masks(digits.T, k, partial=False)
         else:
             digits = rng.integers(0, k + 1, (n, k), dtype=np.uint64)
             if cls is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
@@ -156,9 +157,5 @@ def random_symbol_masks(
                     digits[taken, p] = _U0
                     fresh = has & ~taken
                     used[rows[fresh], target[fresh]] = True
-            masks = np.zeros(n, dtype=np.uint64)
-            for p in range(k):
-                for d in range(1, k + 1):
-                    masks |= np.where(digits[:, p] == _u(d), _u(1 << (p * k + d - 1)), _U0)
-            out[name] = masks
+            out[name] = _digit_masks(digits.T, k, partial=True)
     return out

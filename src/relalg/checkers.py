@@ -20,12 +20,14 @@ from .structures import (
     Structure,
     StructureClass,
     count_structures,
+    drawn_structure,
     enumerate_structures,
     homomorphisms,
     induced,
     is_homomorphism,
     isomorphism,
     masks_to_structure,
+    random_masks,
     random_structure,
     structure_from_index,
     structure_from_json,
@@ -742,10 +744,14 @@ def equivalence_report(
 
     Exhaustive over each size up to the resolved bound while the cumulative
     evaluation budget lasts; an over-budget size degrades to seeded random
-    mask batches with coverage recorded.  A second phase samples random
-    structures up to sample_size with plain evaluation.  The first
-    counterexample (in enumeration order) is re-verified through
-    `eval_term` and the Tarskian `eval_formula` before being reported.
+    mask batches with coverage recorded.  A second phase draws `samples`
+    random structures of sizes 1..sample_size from `random.Random(seed)`;
+    the draws of a bulk size are evaluated in one batch per size, the
+    others one by one, and `random_checked` is the position of the first
+    mismatching draw (all draws when none differs).  The first
+    counterexample (in enumeration order, then in draw order) is
+    re-verified through `eval_term` and the Tarskian `eval_formula` before
+    being reported.
     """
     bounds = bounds or Bounds()
     signature = tuple(sorted(signature))
@@ -800,16 +806,54 @@ def equivalence_report(
             coverage.append(SizeCoverage(size, total, "skipped", 0))
 
     rng = random.Random(seed)
-    random_checked = 0
+    draws = []
     for _ in range(bounds.samples):
         size = rng.randint(1, bounds.sample_size)
-        structure = random_structure(rng, size, signature, cls)
-        random_checked += 1
-        if _scalar_value(lhs, structure) != _scalar_value(rhs, structure):
-            return _mismatch_report(
-                lhs, rhs, structure, coverage, random_checked, seed
+        draws.append((size, random_masks(rng, size, signature, cls)))
+    first = _first_sampled_mismatch(lhs, rhs, signature, draws)
+    if first is None:
+        return EquivalenceReport(True, None, None, None, coverage, len(draws), seed)
+    size, masks = draws[first]
+    return _mismatch_report(
+        lhs, rhs, drawn_structure(masks, size), coverage, first + 1, seed
+    )
+
+
+def _first_sampled_mismatch(lhs, rhs, signature, draws) -> int | None:
+    """The index of the first draw on which the two sides differ, or None.
+
+    Draws of a bulk size are compared in one uint64 batch per size; the rest
+    (larger sizes, and every draw of an empty signature, which has no masks
+    to batch) are evaluated one by one in draw order, up to the earliest
+    mismatch the batches found.
+    """
+    first = len(draws)
+    by_size: dict[int, list[int]] = {}
+    one_by_one: list[int] = []
+    for index, (size, _) in enumerate(draws):
+        if signature and size <= bulk.MAX_BULK_SIZE:
+            by_size.setdefault(size, []).append(index)
+        else:
+            one_by_one.append(index)
+    for size, indices in sorted(by_size.items()):
+        symbol_masks = {
+            name: np.fromiter(
+                (draws[i][1][name] for i in indices), np.uint64, len(indices)
             )
-    return EquivalenceReport(True, None, None, None, coverage, random_checked, seed)
+            for name in signature
+        }
+        bad = bulk.bulk_masks(lhs, size, symbol_masks) != bulk.bulk_masks(
+            rhs, size, symbol_masks
+        )
+        if bad.any():
+            first = min(first, indices[int(np.argmax(bad))])
+    for index in one_by_one:
+        if index >= first:
+            break
+        structure = drawn_structure(draws[index][1], draws[index][0])
+        if _scalar_value(lhs, structure) != _scalar_value(rhs, structure):
+            return index
+    return first if first < len(draws) else None
 
 
 # --- counterexample re-verification ----------------------------------------------

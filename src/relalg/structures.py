@@ -756,6 +756,45 @@ def enumerate_structures(
             yield structure_from_index(signature, size, cls, index)
 
 
+def random_masks(
+    rng: random.Random,
+    size: int,
+    signature: Sequence[str],
+    cls: StructureClass = StructureClass.ALL,
+) -> dict[str, int]:
+    """One seeded random structure as a mask per symbol, bits laid out over
+    `_domain_of(size)` (e1..e_size in numeric order); `drawn_structure`
+    decodes it.  This is the one Python-RNG generator: `random_structure`
+    and `equivalence_report`'s sampled phase both draw through it."""
+    out: dict[str, int] = {}
+    for name in sorted(signature):
+        mask = 0
+        if cls is StructureClass.ALL:
+            mask = rng.getrandbits(size * size) if size else 0
+        elif cls is StructureClass.PARTIAL_FUNCTIONS:
+            for p in range(size):
+                digit = rng.randrange(size + 1)
+                if digit:
+                    mask |= 1 << (p * size + digit - 1)
+        elif cls is StructureClass.TOTAL_FUNCTIONS:
+            for p in range(size):
+                mask |= 1 << (p * size + rng.randrange(size))
+        else:
+            targets = list(range(size))
+            rng.shuffle(targets)
+            for p in range(size):
+                if rng.random() < 0.5:
+                    mask |= 1 << (p * size + targets[p])
+        out[name] = mask
+    return out
+
+
+def drawn_structure(masks: Mapping[str, int], size: int) -> Structure:
+    """The structure a `random_masks` draw stands for."""
+    dom = _domain_of(size)
+    return Structure(dom, {name: _mask_pairs(mask, dom) for name, mask in masks.items()})
+
+
 def random_structure(
     seed: int | random.Random,
     size: int,
@@ -763,28 +802,7 @@ def random_structure(
     cls: StructureClass = StructureClass.ALL,
 ) -> Structure:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    dom = _domain_of(size)
-    rels: dict[str, Relation] = {}
-    for name in sorted(signature):
-        if cls is StructureClass.ALL:
-            mask = rng.getrandbits(size * size) if size else 0
-            rels[name] = _mask_pairs(mask, dom)
-        elif cls is StructureClass.PARTIAL_FUNCTIONS:
-            pairs = set()
-            for p in range(size):
-                digit = rng.randrange(size + 1)
-                if digit:
-                    pairs.add((dom[p], dom[digit - 1]))
-            rels[name] = frozenset(pairs)
-        elif cls is StructureClass.TOTAL_FUNCTIONS:
-            rels[name] = frozenset((dom[p], dom[rng.randrange(size)]) for p in range(size))
-        else:
-            targets = list(dom)
-            rng.shuffle(targets)
-            rels[name] = frozenset(
-                (dom[p], targets[p]) for p in range(size) if rng.random() < 0.5
-            )
-    return Structure(dom, rels)
+    return drawn_structure(random_masks(rng, size, signature, cls), size)
 
 
 # --- JSON file format --------------------------------------------------------

@@ -142,7 +142,10 @@ class Term:
             return True
         if not isinstance(other, Term):
             return NotImplemented
+        # Each pair of nodes is compared once, so shared subterms cost their
+        # DAG size, not their tree expansion.
         stack = [(self, other)]
+        pushed = {(id(self), id(other))}
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -154,7 +157,11 @@ class Term:
                 or len(a.args) != len(b.args)
             ):
                 return False
-            stack.extend(zip(a.args, b.args))
+            for pair in zip(a.args, b.args):
+                key = (id(pair[0]), id(pair[1]))
+                if key not in pushed:
+                    pushed.add(key)
+                    stack.append(pair)
         return True
 
     def __repr__(self) -> str:

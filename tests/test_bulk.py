@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from relalg.bulk import (
     MAX_BULK_SIZE,
+    _function_codes_to_masks,
     bulk_eval_formula,
     bulk_eval_term,
     decode_symbol_masks,
@@ -63,6 +64,58 @@ def test_decode_matches_enumeration_order():
 
 def structure_from_masks_at(masks, k, i):
     return masks_to_structure({name: int(arr[i]) for name, arr in masks.items()}, k)
+
+
+def reference_digit_masks(digits, k, partial):
+    """Digits placed the way they were before one shift per digit: a pass
+    per possible value at every position."""
+    masks = np.zeros(len(digits), dtype=np.uint64)
+    for p in range(k):
+        for d in range(1, k + 1) if partial else range(k):
+            bit = p * k + d - 1 if partial else p * k + d
+            masks |= np.where(digits[:, p] == d, np.uint64(1 << bit), np.uint64(0))
+    return masks
+
+
+def reference_random_symbol_masks(rng, n, k, cls, symbols):
+    out = {}
+    for name in sorted(symbols):
+        if cls is ALL:
+            lo = rng.integers(0, 1 << 32, n, dtype=np.uint64)
+            hi = rng.integers(0, 1 << 32, n, dtype=np.uint64)
+            out[name] = ((hi << np.uint64(32)) | lo) & np.uint64((1 << k * k) - 1)
+        elif cls is TF:
+            out[name] = reference_digit_masks(rng.integers(0, k, (n, k), dtype=np.uint64), k, False)
+        else:
+            digits = rng.integers(0, k + 1, (n, k), dtype=np.uint64)
+            if cls is IPF:
+                used = np.zeros((n, k), dtype=bool)
+                rows = np.arange(n)
+                for p in range(k):
+                    dp = digits[:, p]
+                    has = dp > 0
+                    target = np.where(has, dp - np.uint64(1), np.uint64(0)).astype(np.int64)
+                    taken = used[rows, target] & has
+                    digits[taken, p] = 0
+                    fresh = has & ~taken
+                    used[rows[fresh], target[fresh]] = True
+            out[name] = reference_digit_masks(digits, k, True)
+    return out
+
+
+def test_digit_placement_matches_the_value_by_value_decoder():
+    for k in range(1, MAX_BULK_SIZE + 1):
+        for base, partial in ((k + 1, True), (k, False)):
+            codes = np.random.default_rng(k).integers(0, base**k, 4096, dtype=np.uint64)
+            digits = np.stack([(codes // np.uint64(base**p)) % np.uint64(base) for p in range(k)], 1)
+            assert np.array_equal(
+                _function_codes_to_masks(codes, k, base), reference_digit_masks(digits, k, partial)
+            ), (k, base)
+        for cls in (ALL, PF, TF, IPF):
+            got = random_symbol_masks(np.random.default_rng(k), 2048, k, cls, ("f", "g"))
+            want = reference_random_symbol_masks(np.random.default_rng(k), 2048, k, cls, ("f", "g"))
+            for name in ("f", "g"):
+                assert np.array_equal(got[name], want[name]), (k, cls, name)
 
 
 def test_random_masks_lie_in_their_class():

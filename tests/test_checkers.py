@@ -163,17 +163,20 @@ def test_formula_side_is_reported_through_eval_formula():
 
 def test_mismatches_are_rechecked_through_the_second_route(monkeypatch):
     term, phi = parse_term("R"), parse_formula("R(x,y)")
-    scalar_only = Bounds(max_size=0, samples=50, sample_size=3)
-    assert equivalence_report(term, phi, ("R",), bounds=scalar_only).equivalent
+    # Sampled phase only: sizes up to 8 are compared in bulk, sizes 9-12
+    # through define_relation.
+    sampled_only = Bounds(max_size=0, samples=50, sample_size=12)
+    assert equivalence_report(term, phi, ("R",), bounds=sampled_only).equivalent
     assert equivalence_report(term, phi, ("R",), bounds=LIGHT).equivalent
     with monkeypatch.context() as m:
         m.setattr(logic, "define_relation", lambda *args, **kwargs: frozenset())
         with pytest.raises(AssertionError):
-            equivalence_report(term, phi, ("R",), bounds=scalar_only)
+            equivalence_report(term, phi, ("R",), bounds=sampled_only)
     with monkeypatch.context() as m:
         m.setattr(bulk, "bulk_eval_formula", lambda phi, k, masks: np.zeros_like(masks["R"]))
-        with pytest.raises(AssertionError):
-            equivalence_report(term, phi, ("R",), bounds=LIGHT)
+        for bounds in (LIGHT, sampled_only):
+            with pytest.raises(AssertionError):
+                equivalence_report(term, phi, ("R",), bounds=bounds)
 
 
 def test_bounded_checks_count_the_balls_they_could_not_compare():

@@ -218,3 +218,43 @@ def test_json_round_trip():
     assert structure_from_json(json.loads(json.dumps(doc))) == s
     with pytest.raises(StructureError):
         structure_from_json({"domain": ["a"], "relations": {"f": [["a", "b", "c"]]}})
+
+
+def reference_random_structure(rng, size, signature, cls):
+    """The generator as it stood before draws became masks: pairs built
+    straight from the stream."""
+    dom = tuple(f"e{i}" for i in range(1, size + 1))
+    rels = {}
+    for name in sorted(signature):
+        if cls is ALL:
+            mask = rng.getrandbits(size * size) if size else 0
+            rels[name] = {
+                (dom[p // size], dom[p % size]) for p in range(size * size) if mask >> p & 1
+            }
+        elif cls is PF:
+            pairs = set()
+            for p in range(size):
+                digit = rng.randrange(size + 1)
+                if digit:
+                    pairs.add((dom[p], dom[digit - 1]))
+            rels[name] = pairs
+        elif cls is TF:
+            rels[name] = {(dom[p], dom[rng.randrange(size)]) for p in range(size)}
+        else:
+            targets = list(dom)
+            rng.shuffle(targets)
+            rels[name] = {(dom[p], targets[p]) for p in range(size) if rng.random() < 0.5}
+    return Structure(dom, rels)
+
+
+def test_random_structure_keeps_its_stream():
+    from relalg.structures import drawn_structure, random_masks
+
+    for cls in StructureClass:
+        for size in range(0, 13):
+            for seed in range(8):
+                old, new, masks = (random.Random(seed) for _ in range(3))
+                want = reference_random_structure(old, size, ("f", "g"), cls)
+                assert random_structure(new, size, ("f", "g"), cls) == want
+                assert drawn_structure(random_masks(masks, size, ("g", "f"), cls), size) == want
+                assert old.getstate() == new.getstate() == masks.getstate()

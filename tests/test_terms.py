@@ -235,3 +235,25 @@ def test_load_terms(tmp_path):
     path.write_text("f ; g\n# comment\n\n~f <+ id\n")
     loaded = load_terms(path)
     assert [print_term(t) for t in loaded] == ["f ; g", "~f <+ id"]
+
+
+def doubling(leaf, levels):
+    t = leaf
+    for _ in range(levels):
+        t = Term("compose", (t, t))
+    return t
+
+
+def test_equality_is_linear_in_dag_size():
+    import time
+
+    # 60 levels of t ; t expand to a tree of 2^61 nodes; each side is a
+    # 61-node DAG, built separately so that no node is shared between them.
+    start = time.perf_counter()
+    assert doubling(sym("f"), 60) == doubling(sym("f"), 60)
+    assert time.perf_counter() - start < 1.0
+    # Equal hashes all the way down, so only the walk to the deepest leaf
+    # can tell the two apart.
+    other = sym("g")
+    object.__setattr__(other, "_hash", sym("f")._hash)
+    assert doubling(sym("f"), 60) != doubling(other, 60)
