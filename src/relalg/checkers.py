@@ -19,6 +19,7 @@ from . import terms as tm
 from .structures import (
     Structure,
     StructureClass,
+    ball,
     count_structures,
     drawn_structure,
     enumerate_structures,
@@ -91,13 +92,8 @@ class Verdict:
         }
 
 
-def _random_sizes(rng: random.Random, bounds: Bounds, cap: int | None = None) -> list[int]:
-    top = bounds.sample_size if cap is None else min(bounds.sample_size, cap)
-    return [rng.randint(1, max(1, top)) for _ in range(bounds.samples)]
-
-
-def _symbols_of(term: tm.Term) -> tuple[str, ...]:
-    return tm.term_signature(term)
+def _random_sizes(rng: random.Random, bounds: Bounds) -> list[int]:
+    return [rng.randint(1, max(1, bounds.sample_size)) for _ in range(bounds.samples)]
 
 
 # --- class-invariant properties (fp / tfp / ifp) -------------------------------
@@ -150,7 +146,7 @@ def _check_invariant(
     name: str, term: tm.Term, bounds: Bounds, seed: int
 ) -> Verdict:
     cls, offence = _INVARIANTS[name]
-    symbols = _symbols_of(term)
+    symbols = tm.term_signature(term)
     max_size = bounds.resolved_size(len(symbols))
 
     def examine(structure: Structure) -> Verdict | None:
@@ -216,7 +212,7 @@ def check_homomorphism_safe(
     random pairs (sizes capped at 6, hom search capped at hom_limit).
     """
     bounds = bounds or Bounds()
-    symbols = _symbols_of(term)
+    symbols = tm.term_signature(term)
 
     value_cache: dict[Structure, frozenset] = {}
 
@@ -371,7 +367,7 @@ def check_subseteq_safe(
     """The term's value on an induced substructure embeds into its value
     on the whole structure."""
     bounds = bounds or Bounds()
-    symbols = _symbols_of(term)
+    symbols = tm.term_signature(term)
     max_size = bounds.resolved_size(len(symbols))
 
     def examine(structure: Structure, subsets) -> Verdict | None:
@@ -414,11 +410,6 @@ def check_subseteq_safe(
 
 
 # --- forward / local boundedness ------------------------------------------------
-
-def _anchored_ball(structure: Structure, anchor: str, radius: int, mode: str):
-    depths = _reach_depths(structure, anchor, radius, mode)
-    return induced(structure, depths)
-
 
 def _anchored_canonical(
     ball: Structure, anchor: str, row: frozenset[str]
@@ -512,7 +503,7 @@ def _check_bounded(
     seed: int,
     max_radius: int,
 ) -> Verdict:
-    symbols = _symbols_of(term)
+    symbols = tm.term_signature(term)
     max_size = bounds.resolved_size(len(symbols))
     pool = list(enumerate_structures(symbols, max_size, cls))
     rng = random.Random(seed)
@@ -917,8 +908,8 @@ def verify_counterexample(verdict: Verdict) -> bool:
             return frozenset(b for a, b in value if a == anchor)
 
         la, ra = data["left_anchor"], data["right_anchor"]
-        lball = _anchored_ball(left, la, radius, mode)
-        rball = _anchored_ball(right, ra, radius, mode)
+        lball = ball(left, la, radius, mode)
+        rball = ball(right, ra, radius, mode)
         lrow = anchored_row(left, la)
         rrow = anchored_row(right, ra)
         if not (lrow <= set(lball.domain) and rrow <= set(rball.domain)):

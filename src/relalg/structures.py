@@ -676,49 +676,44 @@ def int_ops(k: int) -> BulkOps:
     return BulkOps(k, batch=False)
 
 
-def _pf_code_pairs(code: int, size: int, base: int) -> Relation:
-    """Decode a partial/total-function code; element e1 is least significant.
-
-    With base == size + 1 a digit of 0 means "undefined" and digit d means
-    an edge to e_d; with base == size digit d means an edge to e_(d+1).
-    """
-    dom = _domain_of(size)
-    pairs = set()
-    for p in range(size):
-        digit = code // (base ** p) % base
-        if base == size + 1:
-            if digit > 0:
-                pairs.add((dom[p], dom[digit - 1]))
-        else:
-            pairs.add((dom[p], dom[digit]))
-    return frozenset(pairs)
+def _function_digits(code: int, size: int, base: int) -> list[int]:
+    """The digits of a partial/total-function code, element e1's first."""
+    return [code // base**p % base for p in range(size)]
 
 
 _INJECTIVE_CODE_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def injective_codes(size: int) -> tuple[int, ...]:
-    """Partial-function codes whose decoded relation is injective, ascending."""
+    """Partial-function codes whose decoded relation is injective, ascending:
+    those whose nonzero digits are distinct."""
     cached = _INJECTIVE_CODE_CACHE.get(size)
     if cached is not None:
         return cached
-    codes = tuple(
-        code
-        for code in range((size + 1) ** size)
-        if is_injective_partial_function(_pf_code_pairs(code, size, size + 1))
-    )
-    _INJECTIVE_CODE_CACHE[size] = codes
+    found = []
+    for code in range((size + 1) ** size):
+        targets = [d for d in _function_digits(code, size, size + 1) if d]
+        if len(set(targets)) == len(targets):
+            found.append(code)
+    codes = _INJECTIVE_CODE_CACHE[size] = tuple(found)
     return codes
 
 
 def relation_from_code(code: int, size: int, cls: StructureClass) -> Relation:
+    """Decode one symbol's code.  A function code has a digit per element,
+    e1's least significant: with base size + 1 a digit of 0 means
+    "undefined" and digit d an edge to e_d; with base size (total
+    functions) digit d is an edge to e_(d+1).  As in `bulk._digit_masks`,
+    one shift places each digit in the mask."""
     if cls is StructureClass.ALL:
         return _mask_pairs(code, _sorted_domain(size))
-    if cls is StructureClass.PARTIAL_FUNCTIONS:
-        return _pf_code_pairs(code, size, size + 1)
-    if cls is StructureClass.TOTAL_FUNCTIONS:
-        return _pf_code_pairs(code, size, size)
-    return _pf_code_pairs(injective_codes(size)[code], size, size + 1)
+    if cls is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
+        code = injective_codes(size)[code]
+    partial = cls is not StructureClass.TOTAL_FUNCTIONS
+    mask = 0
+    for p, digit in enumerate(_function_digits(code, size, size + partial)):
+        mask |= (1 << digit >> partial) << p * size
+    return _mask_pairs(mask, _domain_of(size))
 
 
 def structure_from_index(

@@ -341,49 +341,24 @@ def realization(t: NeighborhoodType) -> tuple[Structure, str]:
 
 # --- characteristic terms --------------------------------------------------------------
 
-class _TermPool:
-    """Hash-consing term factory so atoms shared across pieces stay shared."""
+def _identity(symbols: tuple[str, ...]) -> tm.Term:
+    """The identity without an id constant: the antidomain of an empty
+    composition is the full diagonal."""
+    first = tm.sym(symbols[0])
+    return tm.antidom(tm.compose(tm.antidom(first), first))
 
-    def __init__(self, symbols: tuple[str, ...], oriented: bool):
-        self.letters = type_letters(symbols, oriented)
-        self.pool: dict[tm.Term, tm.Term] = {}
-        first = tm.sym(symbols[0])
-        # The identity without an id constant: the antidomain of an empty
-        # composition is the full diagonal.
-        self.identity = self.make(
-            "antidom", (self.make("compose", (self.make("antidom", (first,)), first)),)
-        )
-        self._paths: dict[tuple[int, ...], tm.Term] = {(): self.identity}
 
-    def make(self, op: str, args: tuple[tm.Term, ...] = (), name: str | None = None) -> tm.Term:
-        candidate = tm.Term(op, args, name)
-        return self.pool.setdefault(candidate, candidate)
-
-    def path(self, word: tuple[int, ...]) -> tm.Term:
-        got = self._paths.get(word)
-        if got is not None:
-            return got
-        prefix = self.path(word[:-1])
-        s, inv = self.letters[word[-1]]
-        step = self.make("sym", (), s)
-        if inv:
-            step = self.make("converse", (step,))
-        term = step if len(word) == 1 else self.make("compose", (prefix, step))
-        self._paths[word] = term
-        return term
-
-    def holds(self, t: tm.Term) -> tm.Term:
-        """Identity on the domain of t (double antidomain)."""
-        return self.make("antidom", (self.make("antidom", (t,)),))
-
-    def fails(self, t: tm.Term) -> tm.Term:
-        return self.make("antidom", (t,))
-
-    def conjoin(self, parts: list[tm.Term]) -> tm.Term:
-        out = parts[0]
-        for p in parts[1:]:
-            out = self.make("inter", (out, p))
-        return out
+def _path(t: NeighborhoodType, word: tuple[int, ...]) -> tm.Term:
+    """The relation that follows `word` from an element; the identity for
+    the empty word."""
+    if not word:
+        return _identity(t.symbols)
+    term = None
+    for j in word:
+        s, inv = t.letters[j]
+        step = tm.conv(tm.sym(s)) if inv else tm.sym(s)
+        term = step if term is None else tm.compose(term, step)
+    return term
 
 
 def _existing_words(t: NeighborhoodType) -> dict[tuple[int, ...], int]:
@@ -416,31 +391,30 @@ def _all_words(letter_count: int, radius: int) -> list[tuple[int, ...]]:
     return out
 
 
-def characteristic_term(t: NeighborhoodType, pool: _TermPool | None = None) -> tm.Term:
+def characteristic_term(t: NeighborhoodType) -> tm.Term:
     """Identity on exactly the elements whose word type equals t.
 
     An intersection of word-existence atoms (every word up to the radius,
     positive or negative) and endpoint-equality atoms (every pair of
-    existing words, the empty word included).
+    existing words, the empty word included).  An atom "p holds" is the
+    double antidomain of p, "p fails" its antidomain.
     """
-    if pool is None:
-        pool = _TermPool(t.symbols, t.oriented)
     existing = _existing_words(t)
     atoms: list[tm.Term] = []
     for word in _all_words(len(t.letters), t.radius):
-        p = pool.path(word)
-        atoms.append(pool.holds(p) if word in existing else pool.fails(p))
+        p = tm.antidom(_path(t, word))
+        atoms.append(tm.antidom(p) if word in existing else p)
     words = list(existing)
     for a in range(len(words)):
         for b in range(a + 1, len(words)):
-            meet = pool.make("inter", (pool.path(words[a]), pool.path(words[b])))
-            if existing[words[a]] == existing[words[b]]:
-                atoms.append(pool.holds(meet))
-            else:
-                atoms.append(pool.fails(meet))
+            p = tm.antidom(tm.inter(_path(t, words[a]), _path(t, words[b])))
+            atoms.append(tm.antidom(p) if existing[words[a]] == existing[words[b]] else p)
     if not atoms:
-        return pool.identity
-    return pool.conjoin(atoms)
+        return _identity(t.symbols)
+    out = atoms[0]
+    for p in atoms[1:]:
+        out = tm.inter(out, p)
+    return out
 
 
 # --- oracle probing and synthesis ---------------------------------------------------------
@@ -664,7 +638,6 @@ def _synthesize(
     symbols = tuple(sorted(symbols))
     fn = _oracle_fn(oracle)
     types = enumerate_types(symbols, radius, oriented, budget)
-    pool = _TermPool(symbols, oriented)
     combine = "injunion" if oriented else "prefunion"
     pieces: list[tm.Term] = []
     positive = 0
@@ -676,17 +649,16 @@ def _synthesize(
         positive += 1
         (target,) = row
         node = int(target[1:])
-        chi = characteristic_term(t, pool)
+        chi = characteristic_term(t)
         word = t.words[node]
-        piece = chi if not word else pool.make("compose", (chi, pool.path(word)))
-        pieces.append(piece)
+        pieces.append(tm.compose(chi, _path(t, word)) if word else chi)
     if not pieces:
-        first = pool.make("sym", (), symbols[0])
-        term = pool.make("compose", (pool.make("antidom", (first,)), first))
+        first = tm.sym(symbols[0])
+        term = tm.compose(tm.antidom(first), first)
     else:
         term = pieces[0]
         for p in pieces[1:]:
-            term = pool.make(combine, (term, p))
+            term = tm.Term(combine, (term, p))
     return SynthesisResult(term, radius, oriented, symbols, len(types), positive)
 
 

@@ -1,7 +1,8 @@
 """Relation-algebra terms: syntax, evaluation, enumeration, closure.
 
 A term is a tree over a fixed operation vocabulary applied to named relation
-symbols.  Concrete syntax (binding from loosest to tightest):
+symbols, held as an interned DAG (see `Term`).  Concrete syntax (binding
+from loosest to tightest):
 
     t <+ u   preferential union        t <# u   injective preferential union
     t | u    union
@@ -26,6 +27,7 @@ frozensets of pairs only where they enter and leave.
 from __future__ import annotations
 
 import random
+import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import TypeVar
@@ -102,17 +104,22 @@ BASES: dict[str, frozenset[str]] = {
 
 
 class Term:
-    """Immutable term tree node.
+    """Immutable, interned term node.
 
-    Structural hashing is precomputed at construction so that deeply nested
-    terms (synthesised terms routinely nest hundreds of levels) stay cheap
-    to hash and compare.  `_plan`, the evaluation order, is filled in on
-    the first evaluation (see `evaluate`).
+    Terms are hash-consed (Filliâtre and Conchon, *Type-safe modular
+    hash-consing*, 2006): constructing a term returns the one live node with
+    that operation, symbol name and arguments, so structurally equal terms
+    are one object, equality is identity, and every builder shares common
+    subterms.  The intern table holds nodes weakly, so a term nobody refers
+    to is freed.  The hash is structural and precomputed, so it is cheap on
+    terms nested hundreds of levels deep and equal for equal terms built at
+    different times.  `_plan`, the evaluation order, is filled in on the
+    first evaluation (see `evaluate`).
     """
 
-    __slots__ = ("op", "args", "name", "_hash", "_plan")
+    __slots__ = ("op", "args", "name", "_hash", "_plan", "__weakref__")
 
-    def __init__(self, op: str, args: Iterable["Term"] = (), name: str | None = None):
+    def __new__(cls, op: str, args: Iterable["Term"] = (), name: str | None = None):
         args = tuple(args)
         arity = ARITY.get(op)
         if arity is None:
@@ -124,12 +131,18 @@ class Term:
         for a in args:
             if not isinstance(a, Term):
                 raise TermError(f"term arguments must be terms, got {type(a).__name__}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(
-            self, "_hash", hash((op, name) + tuple(a._hash for a in args))
-        )
+        key = (op, name, args)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "op", op)
+            object.__setattr__(node, "args", args)
+            object.__setattr__(node, "name", name)
+            object.__setattr__(
+                node, "_hash", hash((op, name) + tuple(a._hash for a in args))
+            )
+            _INTERNED[key] = node
+        return node
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("Term instances are immutable")
@@ -137,35 +150,13 @@ class Term:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        # Each pair of nodes is compared once, so shared subterms cost their
-        # DAG size, not their tree expansion.
-        stack = [(self, other)]
-        pushed = {(id(self), id(other))}
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if (
-                a._hash != b._hash
-                or a.op != b.op
-                or a.name != b.name
-                or len(a.args) != len(b.args)
-            ):
-                return False
-            for pair in zip(a.args, b.args):
-                key = (id(pair[0]), id(pair[1]))
-                if key not in pushed:
-                    pushed.add(key)
-                    stack.append(pair)
-        return True
-
     def __repr__(self) -> str:
         return f"Term({print_term(self)!r})"
+
+
+# Every live term by (op, name, args); the arguments are themselves interned,
+# so tuple equality on a key compares them by identity.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
 
 
 ID = Term("id")
@@ -288,8 +279,6 @@ def subst_syms(t: Term, mapping: Mapping[str, Term]) -> Term:
     def make(node: Term, args: tuple[Term, ...]) -> Term:
         if node.op == "sym" and node.name in mapping:
             return mapping[node.name]
-        if args == node.args:
-            return node
         return Term(node.op, args, node.name)
 
     return _rebuild(t, make)
@@ -302,8 +291,6 @@ def expand_injunion(t: Term) -> Term:
         if node.op == "injunion":
             a, b = args
             return inter(prefunion(a, b), conv(prefunion(conv(a), conv(b))))
-        if args == node.args:
-            return node
         return Term(node.op, args, node.name)
 
     return _rebuild(t, make)
@@ -481,7 +468,7 @@ def parse_term(text: str) -> Term:
 
 
 def print_term(t: Term) -> str:
-    """Minimal-parenthesis rendering; parse_term(print_term(t)) == t."""
+    """Minimal-parenthesis rendering; parse_term(print_term(t)) is t."""
     rendered: dict[int, str] = {}
     for node in _postorder(t):
         p = _PRECEDENCE[node.op]
@@ -567,8 +554,6 @@ def simplify_term(t: Term) -> Term:
                 return a
             if a == EMPTY or b == EMPTY:
                 return EMPTY
-        if args == node.args:
-            return node
         return Term(op, args, node.name)
 
     return _rebuild(t, make)
@@ -711,18 +696,22 @@ def semantic_closure(
     known: dict[int, Term] = {}
     order: list[int] = []
 
-    def record(mask: int, witness: Term) -> None:
+    def record(
+        mask: int, op: str, args: tuple[Term, ...] = (), name: str | None = None
+    ) -> None:
+        # Most evaluations reach a known denotation; only a new one gets a
+        # witness term.
         if mask not in known:
-            known[mask] = witness
+            known[mask] = Term(op, args, name)
             order.append(mask)
 
     for name in sorted(symbols):
         if name not in structure.masks:
             raise StructureError(f"unknown relation symbol {name!r}")
-        record(structure.masks[name], sym(name))
+        record(structure.masks[name], "sym", (), name)
     for c in _CONSTANT_ORDER:
         if c in ops:
-            record(kernels.constants[c], Term(c))
+            record(kernels.constants[c], c)
 
     evaluations = 0
     complete = True
@@ -739,7 +728,7 @@ def semantic_closure(
                 if evaluations > budget:
                     stop = True
                     break
-                record(kernel(rel), Term(op, (known[rel],)))
+                record(kernel(rel), op, (known[rel],))
             if stop:
                 break
         if not stop:
@@ -751,10 +740,7 @@ def semantic_closure(
                         if evaluations > budget:
                             stop = True
                             break
-                        record(
-                            kernel(rel_a, rel_b),
-                            Term(op, (known[rel_a], known[rel_b])),
-                        )
+                        record(kernel(rel_a, rel_b), op, (known[rel_a], known[rel_b]))
                     if stop:
                         break
                 if stop:

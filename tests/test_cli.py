@@ -1,20 +1,29 @@
 """End-to-end runs of the command-line entry point."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import relalg
 
 ENVELOPE_KEYS = ["bounds", "command", "payload", "schema", "seed", "verdict", "wall_time"]
 
 
 def run(*argv):
+    # The child imports the relalg this test imported, whether that came
+    # from PYTHONPATH, pytest's own `pythonpath` setting or an install.
+    source = str(Path(relalg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "relalg.cli", *argv],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -151,6 +151,57 @@ def test_injective_count_builds_no_code_table():
     assert 8 not in _INJECTIVE_CODE_CACHE
 
 
+def reference_function_code_pairs(code, size, base):
+    """The digit-by-digit function-code decoder: with base size + 1 a digit
+    of 0 means "undefined" and digit d an edge to e_d; with base size digit
+    d is an edge to e_(d+1)."""
+    dom = tuple(f"e{i}" for i in range(1, size + 1))
+    pairs = set()
+    for p in range(size):
+        digit = code // (base ** p) % base
+        if base == size + 1:
+            if digit > 0:
+                pairs.add((dom[p], dom[digit - 1]))
+        else:
+            pairs.add((dom[p], dom[digit]))
+    return frozenset(pairs)
+
+
+def test_function_codes_decode_as_the_digit_reference():
+    from relalg.structures import injective_codes, space_size
+
+    def reference(size, cls, index):
+        if cls is TF:
+            pairs = reference_function_code_pairs(index, size, size)
+        else:
+            code = injective_codes(size)[index] if cls is IPF else index
+            pairs = reference_function_code_pairs(code, size, size + 1)
+        return Structure(tuple(f"e{i}" for i in range(1, size + 1)), {"f": pairs})
+
+    for cls in (PF, TF, IPF):
+        for size in range(5):
+            for index in range(space_size(size, cls)):
+                assert structure_from_index(("f",), size, cls, index) == reference(
+                    size, cls, index
+                ), (cls, size, index)
+    # Past nine elements the digits still follow e1..ek in numeric order.
+    # The injective code table at these sizes has billions of entries.
+    rng = random.Random(17)
+    for cls in (PF, TF):
+        for size in (9, 10, 11):
+            for _ in range(50):
+                index = rng.randrange(space_size(size, cls))
+                assert structure_from_index(("f",), size, cls, index) == reference(
+                    size, cls, index
+                ), (cls, size, index)
+    for k in range(7):
+        assert injective_codes(k) == tuple(
+            code
+            for code in range((k + 1) ** k)
+            if is_injective_partial_function(reference_function_code_pairs(code, k, k + 1))
+        )
+
+
 def test_mask_decoding_matches_bit_layout():
     from relalg.structures import _domain_of, _mask_pairs
 

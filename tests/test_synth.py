@@ -128,6 +128,13 @@ def test_synthesize_intersection_of_two_letters():
     assert report.equivalent
 
 
+def test_synthesized_terms_are_interned():
+    # Pieces share their atoms, and a second synthesis returns the very node
+    # the first one built.
+    first = synthesize_forward(parse_term("f ; g"), 2).term
+    assert synthesize_forward(parse_term("f ; g"), 2).term is first
+
+
 def test_synthesize_oriented_converse():
     oracle = parse_term("f^")
     result = synthesize_local_injective(oracle, 1)

@@ -247,13 +247,43 @@ def doubling(leaf, levels):
 def test_equality_is_linear_in_dag_size():
     import time
 
-    # 60 levels of t ; t expand to a tree of 2^61 nodes; each side is a
-    # 61-node DAG, built separately so that no node is shared between them.
+    # 60 levels of t ; t expand to a tree of 2^61 nodes and a 61-node DAG;
+    # two separate builds give one object, so comparing them costs nothing.
     start = time.perf_counter()
-    assert doubling(sym("f"), 60) == doubling(sym("f"), 60)
+    assert doubling(sym("f"), 60) is doubling(sym("f"), 60)
     assert time.perf_counter() - start < 1.0
-    # Equal hashes all the way down, so only the walk to the deepest leaf
-    # can tell the two apart.
-    other = sym("g")
-    object.__setattr__(other, "_hash", sym("f")._hash)
-    assert doubling(sym("f"), 60) != doubling(other, 60)
+    # A difference at the deepest leaf alone gives a different object.
+    deep_f, deep_g = doubling(sym("f"), 60), doubling(sym("g"), 60)
+    assert deep_f is not deep_g
+    assert deep_f != deep_g
+
+
+def test_terms_are_interned():
+    rng = random.Random(8)
+    for basis in BASES.values():
+        for _ in range(30):
+            t = random_term(rng, basis, ("f", "g"), rng.randint(1, 15))
+            assert parse_term(print_term(t)) is t
+            # The rebuilders return their input when nothing changes.
+            assert subst_syms(t, {"h": sym("f")}) is t
+            if "injunion" not in term_ops(t):
+                assert expand_injunion(t) is t
+            simplified = simplify_term(t)
+            assert simplify_term(simplified) is simplified
+    assert simplify_term(parse_term("f ; g & g")) is parse_term("f ; g & g")
+
+
+def test_hash_is_structural_across_lifetimes():
+    import gc
+    import weakref
+
+    # Symbol names no other test builds, so nothing else keeps the node alive.
+    text = "(lifetime_f ; lifetime_g) <+ ~lifetime_f"
+    t = parse_term(text)
+    first_hash = hash(t)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    # The intern table holds terms weakly.
+    assert ref() is None
+    assert hash(parse_term(text)) == first_hash
