@@ -305,7 +305,11 @@ def _cmd_synth(args) -> _Outcome:
     payload["result"] = result.to_json()
     text.append(f"radius {result.radius}: {result.positive} positive types "
                 f"of {result.types_considered}")
-    text.append(f"term size: {tm.term_size(result.term)}")
+    text.append(f"term: {payload['result']['term']}")
+    text.append(
+        f"term size: {tm.term_size(result.term)}, {result.nodes} DAG nodes, "
+        f"{result.probes} probes"
+    )
     status = "ok"
     bounds = None
     if args.validate_size is not None:
@@ -453,6 +457,8 @@ def _replay_synthesis(args) -> _Outcome:
                 "oriented": oriented,
                 "positive_types": result.positive,
                 "term_size": tm.term_size(result.term),
+                "nodes": result.nodes,
+                "probes": result.probes,
                 "equivalent": report.equivalent,
             }
         )

@@ -22,7 +22,7 @@ depth.  `define_relation` runs it on one structure and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -96,24 +96,6 @@ class Forall(Formula):
 
 TRUE = Truth(True)
 FALSE = Truth(False)
-
-
-def conjoin(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
-def disjoin(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
 
 
 def free_vars(phi: Formula) -> frozenset[str]:

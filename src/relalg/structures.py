@@ -848,10 +848,3 @@ def load_structure(path: str | Path) -> Structure:
     except json.JSONDecodeError as exc:
         raise StructureError(f"invalid JSON in {path}: {exc}") from None
     return structure_from_json(data)
-
-
-def dump_structure(structure: Structure, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(structure_to_json(structure), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

@@ -8,16 +8,25 @@ function (injective when inverted letters are in play), following a word is
 deterministic and the type is a finite quotient automaton with a canonical
 breadth-first numbering.
 
-Synthesis enumerates all abstract types of the given radius, asks the
-oracle about a minimal realization of each, probes the realization's
-ball-preserving extensions to catch oracles that look further than the
-radius allows, and emits one term piece per type with a nonempty answer.
+Synthesis enumerates all abstract types of the given radius and asks the
+oracle about a minimal realization of each, and about the realization's
+ball-preserving extensions, to catch oracles that look further than the
+radius allows.  A term oracle is evaluated on bit masks built straight
+from the realization's edges; a callable one gets the named structure.
+The answers become a reduced ordered decision diagram (Bryant, 1986) over
+one atom table, the existence of each word and the equality of each pair
+of words' endpoints: a set of types that one word answers is a leaf, and
+any other set splits on its first separating atom.  The diagram is a term
+over the paper's bases, composition, antidomain, intersection and
+preferential union (converse and the injective union when oriented), and
+`characteristic_term` reads the same atom table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 from . import terms as tm
 from .checkers import Bounds, EquivalenceReport, equivalence_report
@@ -27,6 +36,7 @@ from .structures import (
     StructureClass,
     is_injective_partial_function,
     is_partial_function,
+    int_ops,
     structure_to_json,
 )
 
@@ -318,10 +328,16 @@ def enumerate_types(
     return out
 
 
-def realization(t: NeighborhoodType) -> tuple[Structure, str]:
-    """The minimal structure whose root has exactly this type."""
-    elements = tuple(f"v{i:02d}" for i in range(t.node_count()))
-    rels: dict[str, set[tuple[str, str]]] = {s: set() for s in t.symbols}
+def _element_name(j: int, nodes: int) -> str:
+    """Realization node j is v{j}; the fresh elements an extension adds
+    after the `nodes` nodes are p00, p01, ..."""
+    return f"v{j:02d}" if j < nodes else f"p{j - nodes:02d}"
+
+
+def _realization_edges(t: NeighborhoodType) -> dict[str, frozenset[tuple[int, int]]]:
+    """The edges of the type's minimal realization, per symbol, over the
+    node indices."""
+    edges: dict[str, set[tuple[int, int]]] = {s: set() for s in t.symbols}
     for i, row in enumerate(t.rows):
         if row is None:
             continue
@@ -329,23 +345,45 @@ def realization(t: NeighborhoodType) -> tuple[Structure, str]:
             if target is None:
                 continue
             s, inv = t.letters[j]
-            if inv:
-                rels[s].add((elements[target], elements[i]))
-            else:
-                rels[s].add((elements[i], elements[target]))
-    structure = Structure(
-        elements, {s: frozenset(pairs) for s, pairs in rels.items()}
+            edges[s].add((target, i) if inv else (i, target))
+    return {s: frozenset(pairs) for s, pairs in edges.items()}
+
+
+def _structure(
+    n: int, base: dict[str, frozenset[tuple[int, int]]], fresh: int = 0, added: tuple = ()
+) -> Structure:
+    """The realization with n nodes and these edges, plus an extension's
+    fresh elements and added edges (see `Extension`), named."""
+    names = [_element_name(j, n) for j in range(n + fresh)]
+    extra = dict(zip(base, added))
+    return Structure(
+        tuple(names),
+        {
+            s: frozenset((names[a], names[b]) for a, b in (*pairs, *extra.get(s, ())))
+            for s, pairs in base.items()
+        },
     )
-    return structure, elements[0]
 
 
-# --- characteristic terms --------------------------------------------------------------
+def realization(t: NeighborhoodType) -> tuple[Structure, str]:
+    """The minimal structure whose root has exactly this type."""
+    n = t.node_count()
+    return _structure(n, _realization_edges(t)), _element_name(0, n)
+
+
+# --- the atom table and characteristic terms -------------------------------------------
 
 def _identity(symbols: tuple[str, ...]) -> tm.Term:
     """The identity without an id constant: the antidomain of an empty
     composition is the full diagonal."""
     first = tm.sym(symbols[0])
     return tm.antidom(tm.compose(tm.antidom(first), first))
+
+
+def _empty(symbols: tuple[str, ...]) -> tm.Term:
+    """The empty relation without a 0 constant."""
+    first = tm.sym(symbols[0])
+    return tm.compose(tm.antidom(first), first)
 
 
 def _path(t: NeighborhoodType, word: tuple[int, ...]) -> tm.Term:
@@ -382,56 +420,73 @@ def _existing_words(t: NeighborhoodType) -> dict[tuple[int, ...], int]:
     return found
 
 
-def _all_words(letter_count: int, radius: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
+@cache
+def _words(letter_count: int, radius: int) -> tuple[tuple[int, ...], ...]:
+    """Every word up to the radius, the empty word first, in shortlex order."""
+    out: list[tuple[int, ...]] = [()]
     level: list[tuple[int, ...]] = [()]
     for _ in range(radius):
         level = [w + (j,) for w in level for j in range(letter_count)]
         out.extend(level)
-    return out
+    return tuple(out)
+
+
+Atom = tuple[tuple[int, ...], ...]  # (w,): w exists; (a, b): a and b end on one element
+
+
+@cache
+def _atoms(letter_count: int, radius: int) -> tuple[Atom, ...]:
+    """The atoms that tell word types apart: the existence of every nonempty
+    word, then the equality of the endpoints of every pair of words, both in
+    shortlex order."""
+    words = _words(letter_count, radius)
+    existence = tuple((w,) for w in words[1:])
+    equality = tuple((a, b) for i, a in enumerate(words) for b in words[i + 1 :])
+    return existence + equality
+
+
+def _holds(existing: dict[tuple[int, ...], int], atom: Atom) -> bool:
+    if len(atom) == 1:
+        return atom[0] in existing
+    a, b = atom
+    return a in existing and existing.get(a) == existing.get(b)
+
+
+def _fails(t: NeighborhoodType, atom: Atom) -> tm.Term:
+    """The identity on the elements where the atom fails: the antidomain of
+    the word, or of the intersection of the two words; the double antidomain
+    is the identity where it holds."""
+    if len(atom) == 1:
+        return tm.antidom(_path(t, atom[0]))
+    return tm.antidom(tm.inter(_path(t, atom[0]), _path(t, atom[1])))
 
 
 def characteristic_term(t: NeighborhoodType) -> tm.Term:
     """Identity on exactly the elements whose word type equals t.
 
-    An intersection of word-existence atoms (every word up to the radius,
-    positive or negative) and endpoint-equality atoms (every pair of
-    existing words, the empty word included).  An atom "p holds" is the
-    double antidomain of p, "p fails" its antidomain.
+    The intersection of the atom table's atoms as t decides them: every
+    word-existence atom, and the endpoint-equality atoms of the pairs of
+    words that exist in t (the empty word included).
     """
     existing = _existing_words(t)
-    atoms: list[tm.Term] = []
-    for word in _all_words(len(t.letters), t.radius):
-        p = tm.antidom(_path(t, word))
-        atoms.append(tm.antidom(p) if word in existing else p)
-    words = list(existing)
-    for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            p = tm.antidom(tm.inter(_path(t, words[a]), _path(t, words[b])))
-            atoms.append(tm.antidom(p) if existing[words[a]] == existing[words[b]] else p)
-    if not atoms:
-        return _identity(t.symbols)
-    out = atoms[0]
-    for p in atoms[1:]:
-        out = tm.inter(out, p)
-    return out
+    out = None
+    for atom in _atoms(len(t.letters), t.radius):
+        if len(atom) == 2 and not (atom[0] in existing and atom[1] in existing):
+            continue
+        fails = _fails(t, atom)
+        p = tm.antidom(fails) if _holds(existing, atom) else fails
+        out = p if out is None else tm.inter(out, p)
+    return _identity(t.symbols) if out is None else out
 
 
-# --- oracle probing and synthesis ---------------------------------------------------------
+# --- oracle probing ----------------------------------------------------------------------
 
 Oracle = Callable[[Structure], Relation]
 
-
-def _oracle_fn(oracle: tm.Term | Oracle) -> Oracle:
-    if isinstance(oracle, tm.Term):
-        return lambda structure: tm.eval_term(oracle, structure)
-    if callable(oracle):
-        return oracle
-    raise SynthesisError("oracle must be a term or a callable on structures")
-
-
-def _root_row(value: Relation, root: str) -> frozenset[str]:
-    return frozenset(b for a, b in value if a == root)
+# An extension of a realization with n nodes: its label for reports, the
+# number of fresh elements it adds (indices n, n + 1, ...) and the edges it
+# adds, one tuple per symbol in signature order.
+Extension = tuple[str, int, tuple[tuple[tuple[int, int], ...], ...]]
 
 
 def _symbol_groupings(missing: tuple[str, ...]) -> list[list[tuple[str, ...]]]:
@@ -456,43 +511,41 @@ def _symbol_groupings(missing: tuple[str, ...]) -> list[list[tuple[str, ...]]]:
 
 
 class _Extender:
-    """Builds one ball-preserving extension of the realization."""
+    """Builds one ball-preserving extension of a realization with n nodes."""
 
-    def __init__(self, base: Structure, symbols: tuple[str, ...]):
-        self.base = base
+    def __init__(self, n: int, symbols: tuple[str, ...]):
+        self.n = n
         self.symbols = symbols
-        self.rels: dict[str, set] = {s: set(base.relations[s]) for s in symbols}
-        self.new: list[str] = []
+        self.edges: dict[str, list[tuple[int, int]]] = {s: [] for s in symbols}
+        self.count = 0
 
-    def fresh(self) -> str:
-        name = f"p{len(self.new):02d}"
-        self.new.append(name)
-        return name
+    def fresh(self) -> int:
+        self.count += 1
+        return self.n + self.count - 1
 
-    def out_tree(self, tip: str, depth: int) -> None:
+    def out_tree(self, tip: int, depth: int) -> None:
         if depth <= 0:
             return
         for s in self.symbols:
             child = self.fresh()
-            self.rels[s].add((tip, child))
+            self.edges[s].append((tip, child))
             self.out_tree(child, depth - 1)
 
-    def in_tree(self, tip: str, depth: int) -> None:
+    def in_tree(self, tip: int, depth: int) -> None:
         if depth <= 0:
             return
         for s in self.symbols:
             parent = self.fresh()
-            self.rels[s].add((parent, tip))
+            self.edges[s].append((parent, tip))
             self.in_tree(parent, depth - 1)
 
-    def build(self) -> Structure:
-        return Structure(
-            self.base.domain + tuple(self.new),
-            {s: frozenset(pairs) for s, pairs in self.rels.items()},
-        )
+    def build(self, label: str) -> Extension:
+        return label, self.count, tuple(tuple(self.edges[s]) for s in self.symbols)
 
 
-def _extensions(t: NeighborhoodType, base: Structure, root: str, probe_depth: int):
+def _extensions(
+    t: NeighborhoodType, base: dict[str, frozenset[tuple[int, int]]], probe_depth: int
+) -> tuple[Extension, ...]:
     """Ball-preserving extensions of the realization, labelled for reports.
 
     At frontier nodes, every grouping of the missing outgoing symbols gets
@@ -504,101 +557,161 @@ def _extensions(t: NeighborhoodType, base: Structure, root: str, probe_depth: in
     coordinated edges at several distinct frontier nodes are not probed;
     the independent validation pass is the backstop for those.
     """
-    elements = base.domain
-    ext = _Extender(base, t.symbols)
-    ext.fresh()
-    yield "a fresh isolated element", ext.build()
-
-    frontier = [i for i, d in enumerate(t.depths) if d == t.radius]
-    names = {i: f"v{i:02d}" for i in range(t.node_count())}
-    for i in frontier:
-        u = names[i]
-        missing_out = tuple(
-            s for s in t.symbols if u not in {a for a, _ in base.relations[s]}
+    frontier = tuple(
+        (
+            i,
+            tuple(s for s in t.symbols if all(a != i for a, _ in base[s])),
+            tuple(s for s in t.symbols if all(b != i for _, b in base[s])) if t.oriented else (),
         )
-        for grouping in _symbol_groupings(missing_out):
-            for depth in range(probe_depth + 1):
-                ext = _Extender(base, t.symbols)
-                for group in grouping:
-                    tip = ext.fresh()
-                    for s in group:
-                        ext.rels[s].add((u, tip))
-                    ext.out_tree(tip, depth)
-                label = (
-                    "outgoing "
-                    + ", ".join("=".join(g) for g in grouping)
-                    + f" at {u}, looking {depth} deeper"
-                )
-                yield label, ext.build()
-        if t.oriented:
-            missing_in = tuple(
-                s for s in t.symbols if u not in {b for _, b in base.relations[s]}
-            )
-            for grouping in _symbol_groupings(missing_in):
+        for i, d in enumerate(t.depths)
+        if d == t.radius
+    )
+    return _extension_family(t.node_count(), t.symbols, t.oriented, probe_depth, frontier)
+
+
+@lru_cache(maxsize=1024)
+def _extension_family(
+    n: int,
+    symbols: tuple[str, ...],
+    oriented: bool,
+    probe_depth: int,
+    frontier: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...],
+) -> tuple[Extension, ...]:
+    """`_extensions` for a realization with n nodes and these frontier nodes,
+    each with its missing outgoing and incoming symbols; many types share
+    one family, so it is built once and shared (immutable)."""
+    ext = _Extender(n, symbols)
+    ext.fresh()
+    out = [ext.build("a fresh isolated element")]
+    for i, missing_out, missing_in in frontier:
+        u = _element_name(i, n)
+        for direction, missing in (("outgoing", missing_out), ("incoming", missing_in)):
+            outgoing = direction == "outgoing"
+            for grouping in _symbol_groupings(missing):
                 for depth in range(probe_depth + 1):
-                    ext = _Extender(base, t.symbols)
+                    ext = _Extender(n, symbols)
                     for group in grouping:
                         tip = ext.fresh()
                         for s in group:
-                            ext.rels[s].add((tip, u))
-                        ext.in_tree(tip, depth)
-                    label = (
-                        "incoming "
+                            ext.edges[s].append((i, tip) if outgoing else (tip, i))
+                        (ext.out_tree if outgoing else ext.in_tree)(tip, depth)
+                    out.append(ext.build(
+                        f"{direction} "
                         + ", ".join("=".join(g) for g in grouping)
                         + f" at {u}, looking {depth} deeper"
-                    )
-                    yield label, ext.build()
-
-    if not t.oriented:
-        for s in t.symbols:
-            for u in elements:
+                    ))
+    if not oriented:
+        for s in symbols:
+            for i in range(n):
                 for depth in range(probe_depth + 1):
-                    ext = _Extender(base, t.symbols)
+                    ext = _Extender(n, symbols)
                     tip = ext.fresh()
-                    ext.rels[s].add((tip, u))
+                    ext.edges[s].append((tip, i))
                     ext.in_tree(tip, depth)
-                    yield (
-                        f"an incoming {s}-chain at {u}, {depth} deeper",
-                        ext.build(),
-                    )
+                    out.append(ext.build(
+                        f"an incoming {s}-chain at {_element_name(i, n)}, {depth} deeper"
+                    ))
+    return tuple(out)
+
+
+def _edge_mask(edges, k: int) -> int:
+    mask = 0
+    for a, b in edges:
+        mask |= 1 << (a * k + b)
+    return mask
+
+
+def _row_reader(oracle: tm.Term | Oracle, t: NeighborhoodType, base):
+    """`row(fresh, added)`: the oracle's root row, as a bit set over element
+    indices, on the realization plus `fresh` elements and the `added` edges
+    (one tuple per symbol).
+
+    A term oracle is evaluated on bit masks built straight from the edges,
+    the realization's nodes at indices 0..n-1 and the fresh elements after
+    them; the root is element 0, so its row is the mask's first k bits
+    whatever k is.  A callable oracle gets the named structure.
+    """
+    n = t.node_count()
+    if isinstance(oracle, tm.Term):
+        base_masks: dict[int, dict[str, int]] = {}
+
+        def row(fresh: int, added: tuple) -> int:
+            k = n + fresh
+            masks = base_masks.get(k)
+            if masks is None:
+                masks = base_masks[k] = {s: _edge_mask(base[s], k) for s in t.symbols}
+            if fresh:
+                masks = {s: m | _edge_mask(e, k) for (s, m), e in zip(masks.items(), added)}
+            return tm.evaluate(oracle, masks, int_ops(k).value) & ((1 << k) - 1)
+
+        return row
+    if not callable(oracle):
+        raise SynthesisError("oracle must be a term or a callable on structures")
+    root = _element_name(0, n)
+
+    def row(fresh: int, added: tuple) -> int:
+        index = {_element_name(j, n): j for j in range(n + fresh)}
+        out = 0
+        for a, b in oracle(_structure(n, base, fresh, added)):
+            if a == root:
+                if b not in index:
+                    raise SynthesisError(f"oracle maps the root to {b!r}, outside the structure")
+                out |= 1 << index[b]
+        return out
+
+    return row
 
 
 def _probe_type(
     t: NeighborhoodType,
-    base: Structure,
-    root: str,
-    fn: Oracle,
+    oracle: tm.Term | Oracle,
     type_index: int,
     probe_depth: int,
-) -> frozenset[str]:
-    """The oracle's root row on the realization, after stability checks."""
+) -> tuple[int | None, int]:
+    """The oracle's root target on the realization (a node index, None for
+    an empty row), after stability checks, and the number of oracle
+    evaluations that took."""
+    n = t.node_count()
+    root = _element_name(0, n)
+    base = _realization_edges(t)
+    row_of = _row_reader(oracle, t, base)
 
-    def checked_row(structure: Structure, label: str | None) -> frozenset[str]:
-        row = _root_row(fn(structure), root)
-        if len(row) > 1:
+    def names(row: int) -> list[str]:
+        return sorted(_element_name(j, n) for j in range(row.bit_length()) if row >> j & 1)
+
+    def checked_row(fresh: int, added: tuple, label: str | None) -> int:
+        row = row_of(fresh, added)
+        if row & (row - 1):
             where = f" under {label}" if label else ""
             raise SynthesisError(
                 f"oracle is not function-preserving at type {type_index}{where}: "
-                f"the root maps to {sorted(row)}",
-                details={"realization": structure_to_json(structure), "root": root},
-            )
-        return row
-
-    base_row = checked_row(base, None)
-    for label, ext in _extensions(t, base, root, probe_depth):
-        row = checked_row(ext, label)
-        if row != base_row:
-            raise SynthesisError(
-                f"oracle is not {t.radius}-bounded: {label} changes the root row "
-                f"from {sorted(base_row)} to {sorted(row)} at type {type_index}",
+                f"the root maps to {names(row)}",
                 details={
-                    "realization": structure_to_json(base),
-                    "extension": structure_to_json(ext),
+                    "realization": structure_to_json(_structure(n, base, fresh, added)),
                     "root": root,
                 },
             )
-    return base_row
+        return row
 
+    base_row = checked_row(0, (), None)
+    family = _extensions(t, base, probe_depth)
+    for label, fresh, added in family:
+        row = checked_row(fresh, added, label)
+        if row != base_row:
+            raise SynthesisError(
+                f"oracle is not {t.radius}-bounded: {label} changes the root row "
+                f"from {names(base_row)} to {names(row)} at type {type_index}",
+                details={
+                    "realization": structure_to_json(_structure(n, base)),
+                    "extension": structure_to_json(_structure(n, base, fresh, added)),
+                    "root": root,
+                },
+            )
+    target = base_row.bit_length() - 1 if base_row else None
+    return target, 1 + len(family)
+
+
+# --- synthesis ---------------------------------------------------------------------------
 
 @dataclass
 class SynthesisResult:
@@ -608,6 +721,8 @@ class SynthesisResult:
     symbols: tuple[str, ...]
     types_considered: int
     positive: int
+    nodes: int  # distinct DAG nodes of the term
+    probes: int  # oracle evaluations spent probing the types
 
     def to_json(self) -> dict:
         return {
@@ -617,7 +732,72 @@ class SynthesisResult:
             "symbols": list(self.symbols),
             "types_considered": self.types_considered,
             "positive": self.positive,
+            "nodes": self.nodes,
+            "probes": self.probes,
         }
+
+
+def _diagram(
+    t: NeighborhoodType,
+    probed: list[tuple[dict[tuple[int, ...], int], int | None]],
+    oriented: bool,
+) -> tm.Term:
+    """The reduced ordered decision diagram over the atom table for the
+    probed types, each given as (existing words, root target or None); t is
+    any one of them, for the letters.
+
+    A set of types is a leaf when every type in it is negative (the empty
+    term), or when one word reaches the target in every positive type and
+    exists in no negative one (that word's path).  Otherwise it splits on
+    the first atom that separates it into the types where the atom holds
+    (hi) and the rest (lo), giving `(test ; hi) <+ (antitest ; lo)`.  The
+    node collapses to hi when hi is lo, and an empty branch drops out.
+
+    A node's term is exact on its own types only; elsewhere it may follow
+    some word.  `<+` never looks at those stray pairs, but `<#` drops a lo
+    pair whose target some hi pair reaches, so oriented nodes guard hi by
+    the cube, the intersection of every test on the way down to it, which
+    is the identity on exactly hi's types.
+    """
+    words = _words(len(t.letters), t.radius)
+    atoms = _atoms(len(t.letters), t.radius)
+    empty, identity = _empty(t.symbols), _identity(t.symbols)
+    combine = "injunion" if oriented else "prefunion"
+
+    def restrict(guard: tm.Term, term: tm.Term) -> tm.Term:
+        return guard if term is identity else tm.compose(guard, term)
+
+    def build(group, cube: tm.Term | None) -> tm.Term:
+        positive = [(existing, target) for existing, target in group if target is not None]
+        if not positive:
+            return empty
+        for word in words:
+            if all(existing.get(word) == target for existing, target in positive) and all(
+                word not in existing for existing, target in group if target is None
+            ):
+                return _path(t, word)
+        for atom in atoms:
+            hi = [item for item in group if _holds(item[0], atom)]
+            if 0 < len(hi) < len(group):
+                break
+        else:
+            raise AssertionError("two distinct types agree on every atom")
+        lo = [item for item in group if not _holds(item[0], atom)]
+        antitest = _fails(t, atom)
+        test = tm.antidom(antitest)
+        hi_cube = test if cube is None else tm.inter(cube, test)
+        lo_cube = antitest if cube is None else tm.inter(cube, antitest)
+        hi_term, lo_term = build(hi, hi_cube), build(lo, lo_cube)
+        if hi_term is lo_term:
+            return hi_term
+        if hi_term is empty:
+            return restrict(antitest, lo_term)
+        hi_part = restrict(hi_cube if oriented else test, hi_term)
+        if lo_term is empty:
+            return hi_part
+        return tm.Term(combine, (hi_part, restrict(antitest, lo_term)))
+
+    return build(probed, None)
 
 
 def _synthesize(
@@ -628,6 +808,15 @@ def _synthesize(
     budget: int,
     probe_depth: int = 1,
 ) -> SynthesisResult:
+    """Probe every type of the radius, then build the decision diagram.
+
+    Each abstract type's realization, and each of its ball-preserving
+    extensions, is handed to the oracle (a term oracle as bit masks, a
+    callable as a named structure); a row that changes under an extension,
+    or holds more than one element, stops synthesis with the witness.  The
+    probed types then feed `_diagram`, whose term agrees with the oracle on
+    every element whose type was probed.
+    """
     if symbols is None:
         if isinstance(oracle, tm.Term):
             symbols = tm.term_signature(oracle)
@@ -636,30 +825,19 @@ def _synthesize(
                 "symbols are required when the oracle does not name any"
             )
     symbols = tuple(sorted(symbols))
-    fn = _oracle_fn(oracle)
     types = enumerate_types(symbols, radius, oriented, budget)
-    combine = "injunion" if oriented else "prefunion"
-    pieces: list[tm.Term] = []
-    positive = 0
+    probed = []
+    probes = 0
     for k, t in enumerate(types):
-        base, root = realization(t)
-        row = _probe_type(t, base, root, fn, k, probe_depth)
-        if not row:
-            continue
-        positive += 1
-        (target,) = row
-        node = int(target[1:])
-        chi = characteristic_term(t)
-        word = t.words[node]
-        pieces.append(tm.compose(chi, _path(t, word)) if word else chi)
-    if not pieces:
-        first = tm.sym(symbols[0])
-        term = tm.compose(tm.antidom(first), first)
-    else:
-        term = pieces[0]
-        for p in pieces[1:]:
-            term = tm.Term(combine, (term, p))
-    return SynthesisResult(term, radius, oriented, symbols, len(types), positive)
+        target, spent = _probe_type(t, oracle, k, probe_depth)
+        probes += spent
+        probed.append((_existing_words(t), target))
+    term = _diagram(types[0], probed, oriented)
+    positive = sum(target is not None for _, target in probed)
+    nodes = sum(1 for _ in tm.iter_nodes(term))
+    return SynthesisResult(
+        term, radius, oriented, symbols, len(types), positive, nodes, probes
+    )
 
 
 def synthesize_forward(

@@ -147,6 +147,11 @@ class Term:
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("Term instances are immutable")
 
+    def __reduce__(self):
+        # Pickling and copying rebuild through the constructor, which
+        # returns the live node: a copy of a term is the term itself.
+        return Term, (self.op, self.args, self.name)
+
     def __hash__(self) -> int:
         return self._hash
 

@@ -219,7 +219,7 @@ def test_c07_forward_synthesis_catalogue():
         assert term_ops(result.term) <= BASES["forward"], source
         check = validate_synthesis(result, oracle, bounds=bounds, seed=0)
         assert check.equivalent, (source, check.counterexample)
-    report(7, "ten forward syntheses validated exhaustively to size 4", started, 900)
+    report(7, "ten forward syntheses validated exhaustively to size 4", started, 60)
 
 
 def test_c08_oriented_synthesis_catalogue():
@@ -244,7 +244,7 @@ def test_c08_oriented_synthesis_catalogue():
         assert term_ops(result.term) <= BASES["injective"], source
         check = validate_synthesis(result, oracle, bounds=bounds, seed=0)
         assert check.equivalent, (source, check.counterexample)
-    report(8, "ten oriented syntheses validated exhaustively to size 4", started, 900)
+    report(8, "ten oriented syntheses validated exhaustively to size 4", started, 60)
 
 
 def test_c09_lasso_locality():

@@ -20,7 +20,7 @@ from relalg.synth import (
     type_letters,
     validate_synthesis,
 )
-from relalg.terms import eval_term, parse_term, term_ops, term_size
+from relalg.terms import eval_term, iter_nodes, parse_term, term_ops, term_size
 
 PF = StructureClass.PARTIAL_FUNCTIONS
 IPF = StructureClass.INJECTIVE_PARTIAL_FUNCTIONS
@@ -112,7 +112,7 @@ def test_synthesize_dom():
     result = synthesize_forward(oracle, 1)
     assert result.types_considered == 3
     assert result.positive == 2
-    assert term_size(result.term) == 26
+    assert term_size(result.term) == 3
     assert term_ops(result.term) <= FORWARD_OPS
     report = validate_synthesis(result, oracle, bounds=Bounds(max_size=3, samples=80))
     assert report.equivalent
@@ -123,16 +123,91 @@ def test_synthesize_intersection_of_two_letters():
     result = synthesize_forward(oracle, 1)
     assert result.types_considered == 10
     assert result.positive == 2
-    assert term_size(result.term) == 67
+    assert term_size(result.term) == 53
     report = validate_synthesis(result, oracle, bounds=Bounds(max_size=3, samples=80))
     assert report.equivalent
 
 
 def test_synthesized_terms_are_interned():
-    # Pieces share their atoms, and a second synthesis returns the very node
-    # the first one built.
-    first = synthesize_forward(parse_term("f ; g"), 2).term
-    assert synthesize_forward(parse_term("f ; g"), 2).term is first
+    # A second synthesis returns the very node the first one built.
+    first = synthesize_forward(parse_term("f <+ (g ; g)"), 2).term
+    assert synthesize_forward(parse_term("f <+ (g ; g)"), 2).term is first
+
+
+def test_radius_two_composition_is_a_few_nodes():
+    # Every positive type reaches its target by the word f g, and no
+    # negative type has that word, so the whole diagram is one leaf.
+    result = synthesize_forward(parse_term("f ; g"), 2)
+    assert result.nodes == len(list(iter_nodes(result.term))) <= 16
+    assert result.term is parse_term("f ; g")
+    assert result.probes > result.types_considered
+
+
+C07 = (
+    ("dom(f)", 1), ("~g ; f", 1), ("f ; g", 2), ("f |> g", 2), ("f & g", 1),
+    ("f <+ (g ; g)", 2), ("~f", 1), ("(f & g) <+ g", 1), ("f ; f", 2), ("f <+ id", 1),
+)
+C08 = (
+    ("f^", 1), ("ran(f)", 1), ("dom(f) ; g^", 1), ("f^ ; f", 1), ("f & g", 1),
+    ("~f", 1), ("f^ ; f^", 2), ("f <# id", 1), ("dom(f)", 1), ("f <# f^", 2),
+)
+
+
+@pytest.mark.parametrize(
+    "source,radius,oriented",
+    [(s, r, False) for s, r in C07] + [(s, r, True) for s, r in C08],
+)
+def test_catalogue_diagrams_agree_exhaustively_to_size_three(source, radius, oriented):
+    oracle = parse_term(source)
+    synthesize = synthesize_local_injective if oriented else synthesize_forward
+    result = synthesize(oracle, radius)
+    assert term_ops(result.term) <= (ORIENTED_OPS if oriented else FORWARD_OPS)
+    report = validate_synthesis(result, oracle, bounds=Bounds(max_size=3, samples=0))
+    assert report.equivalent, (source, report.counterexample)
+    assert [c.mode for c in report.coverage] == ["exhaustive"] * 3
+
+
+@pytest.mark.parametrize("source,radius,oriented", [("f |> g", 2, False), ("f & g", 1, True)])
+def test_callable_and_term_oracles_give_the_same_term(source, radius, oriented):
+    target = parse_term(source)
+    synthesize = synthesize_local_injective if oriented else synthesize_forward
+
+    def oracle(s):
+        return eval_term(target, s)
+
+    by_term = synthesize(target, radius)
+    by_call = synthesize(oracle, radius, symbols=by_term.symbols)
+    assert by_call.term is by_term.term
+    assert (by_call.positive, by_call.probes) == (by_term.positive, by_term.probes)
+
+
+def _follow(structure, x, t, word):
+    for j in word:
+        s, inv = t.letters[j]
+        x = next(b if not inv else a for a, b in structure.relations[s] if (b if inv else a) == x)
+    return x
+
+
+def test_oriented_diagrams_guard_what_the_injective_union_sees():
+    # A radius-2 injective oracle given type by type (positive type index to
+    # target node).  Unguarded, the hi branch of an inner node follows some
+    # word on elements of other types, and `<#` then drops a lo pair that
+    # has the same target: on f = {e1 -> e3, e2 -> e1} that loses a pair.
+    types = enumerate_types(("f",), 2, oriented=True)
+    answer = {types[7]: 0, types[8]: 3, types[10]: 1}
+
+    def oracle(s):
+        out = set()
+        for x in s.domain:
+            t = neighborhood_type(s, x, 2, oriented=True)
+            if t in answer:
+                out.add((x, _follow(s, x, t, t.words[answer[t]])))
+        return frozenset(out)
+
+    result = synthesize_local_injective(oracle, 2, symbols=("f",))
+    assert term_ops(result.term) <= ORIENTED_OPS
+    for s in enumerate_structures(("f",), 5, IPF):
+        assert eval_term(result.term, s) == oracle(s), s
 
 
 def test_synthesize_oriented_converse():
@@ -153,6 +228,26 @@ def test_probes_reject_an_undersized_radius():
     assert "not 1-bounded" in str(err.value)
 
 
+def test_oriented_probe_rejection_keeps_its_message_and_details():
+    with pytest.raises(SynthesisError) as err:
+        synthesize_local_injective(parse_term("f^ ; f^ ; f^"), 2)
+    assert str(err.value) == (
+        "oracle is not 2-bounded: incoming f at v02, looking 0 deeper changes the "
+        "root row from [] to ['p00'] at type 2"
+    )
+    assert err.value.details == {
+        "realization": {
+            "domain": ["v00", "v01", "v02"],
+            "relations": {"f": [["v01", "v00"], ["v02", "v01"]]},
+        },
+        "extension": {
+            "domain": ["p00", "v00", "v01", "v02"],
+            "relations": {"f": [["p00", "v02"], ["v01", "v00"], ["v02", "v01"]]},
+        },
+        "root": "v00",
+    }
+
+
 def test_probes_reject_backward_looking_oracles():
     with pytest.raises(SynthesisError) as err:
         synthesize_forward(parse_term("f^"), 1, symbols=("f",))
@@ -167,6 +262,12 @@ def test_probes_reject_non_functional_oracles():
     with pytest.raises(SynthesisError) as err:
         synthesize_forward(fan_out, 1, symbols=("f",))
     assert "function-preserving" in str(err.value)
+
+
+def test_probes_reject_answers_outside_the_structure():
+    with pytest.raises(SynthesisError) as err:
+        synthesize_forward(lambda s: frozenset({("v00", "elsewhere")}), 1, symbols=("f",))
+    assert "outside the structure" in str(err.value)
 
 
 def test_callable_oracle_synthesis():
@@ -215,4 +316,5 @@ def test_synthesis_result_to_json():
     assert doc["radius"] == 1
     assert doc["oriented"] is False
     assert doc["symbols"] == ["f"]
+    assert (doc["nodes"], doc["probes"]) == (result.nodes, result.probes) == (3, 16)
     assert parse_term(doc["term"]) == result.term

@@ -273,6 +273,19 @@ def test_terms_are_interned():
     assert simplify_term(parse_term("f ; g & g")) is parse_term("f ; g & g")
 
 
+def test_pickle_and_copy_return_the_interned_node():
+    import copy
+    import pickle
+
+    t = parse_term("f ; g")
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    nested = parse_term("(f <+ ~g) <# g^")
+    back = pickle.loads(pickle.dumps([nested, nested]))
+    assert back[0] is back[1] is nested
+
+
 def test_hash_is_structural_across_lifetimes():
     import gc
     import weakref
