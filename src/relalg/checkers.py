@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -20,11 +20,13 @@ from .structures import (
     Structure,
     StructureClass,
     ball,
+    converse,
     count_structures,
     drawn_structure,
     enumerate_structures,
     homomorphisms,
     induced,
+    int_ops,
     is_homomorphism,
     isomorphism,
     masks_to_structure,
@@ -36,15 +38,19 @@ from .structures import (
     _reach_depths,
 )
 
-_CANON_BALL_LIMIT = 6
-
 
 @dataclass(frozen=True)
 class Bounds:
     """Search effort knobs shared by all checkers.
 
     max_size None lets each checker pick its default: exhaustive to size 3
-    for two-symbol terms and size 4 otherwise.
+    for two-symbol terms and size 4 otherwise.  `pair_size` bounds the
+    homomorphism check's exhaustive phase, which tries every map between
+    every pair of structures up to that size; `hom_limit` caps only the
+    homomorphisms tried per pair in its sampled phase, and the verdict
+    counts the searches it cut short as `hom_searches_truncated`.  The
+    forward and local checks compare every ball they meet: `balls_skipped`
+    is always 0.
     """
 
     max_size: int | None = None
@@ -203,16 +209,76 @@ def check_injective_function_preserving(
 
 # --- homomorphism safety --------------------------------------------------------
 
+# Cells per block of the source x target grid.
+_GRID = 1 << 16
+
+
+def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...], pair_size: int):
+    """Yield (source size, source index, target size, target index) for every
+    pair of structures up to `pair_size` with a homomorphism that moves a
+    pair of the term's value outside it, sources then targets in
+    enumeration order.
+
+    Every structure of each size is decoded and evaluated once.  Each of
+    the kt**ks maps moves the source bits as `_move_bits` does.  Over a
+    grid of sources by targets the map is a homomorphism where no moved
+    symbol bit falls outside the target's mask, and it breaks safety where
+    a moved value bit falls outside the target's value.  The grid runs in
+    blocks of at most `_GRID` cells.
+    """
+    sizes = range(1, pair_size + 1)
+    batches = {}
+    for size in sizes:
+        total = count_structures(symbols, size, StructureClass.ALL)
+        indices = np.arange(total, dtype=np.uint64)
+        masks = bulk.decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
+        # An empty signature has no masks to give the batch its length.
+        batches[size] = masks, bulk.bulk_eval_term(term, size, masks or {"": indices})
+    rows = max(1, _GRID // max([1] + [len(v) for _, v in batches.values()]))
+    cols = max(1, _GRID // rows)
+    for ks in sizes:
+        smasks, svalue = batches[ks]
+        for s0 in range(0, len(svalue), rows):
+            s1 = min(s0 + rows, len(svalue))
+            found: list[tuple[int, int, int]] = []
+            for kt in sizes:
+                tmasks, tvalue = batches[kt]
+                for t0 in range(0, len(tvalue), cols):
+                    t1 = min(t0 + cols, len(tvalue))
+                    bad = np.zeros((s1 - s0, t1 - t0), dtype=bool)
+                    for h in product(range(kt), repeat=ks):
+                        moves = [
+                            (i * ks + j, h[i] * kt + h[j])
+                            for i in range(ks)
+                            for j in range(ks)
+                        ]
+                        moved = _move_bits(svalue[s0:s1], moves)
+                        hit = (moved[:, None] & ~tvalue[None, t0:t1]) != 0
+                        for name, mask in smasks.items():
+                            moved = _move_bits(mask[s0:s1], moves)
+                            hit &= (moved[:, None] & ~tmasks[name][None, t0:t1]) == 0
+                        bad |= hit
+                    found.extend((s0 + s, kt, t0 + t) for s, t in np.argwhere(bad).tolist())
+            for s, kt, t in sorted(found):
+                yield ks, s, kt, t
+
+
 def check_homomorphism_safe(
     term: tm.Term, bounds: Bounds | None = None, seed: int = 0
 ) -> Verdict:
     """Images of term pairs under any homomorphism stay in the term's value.
 
-    Exhaustive over all structure pairs up to `pair_size`, then sampled
-    random pairs (sizes capped at 6, hom search capped at hom_limit).
+    Exhaustive over all structure pairs up to `pair_size` and every map
+    between them, swept in bulk as a bit-mask grid (`_homsafe_hits`); each
+    hit is rebuilt and examined through `homomorphisms` and `eval_term`,
+    which pick the reported map and pair.  Then sampled random pairs
+    (sizes capped at 6), trying at most `hom_limit` homomorphisms each; the
+    verdict's `hom_searches_truncated` counts the sampled searches that
+    had more.
     """
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
+    truncated = 0
 
     value_cache: dict[Structure, frozenset] = {}
 
@@ -223,12 +289,19 @@ def check_homomorphism_safe(
             value_cache[structure] = got
         return got
 
-    def examine(source: Structure, target: Structure) -> Verdict | None:
+    def examine(
+        source: Structure, target: Structure, limit: int | None
+    ) -> Verdict | None:
+        nonlocal truncated
         sval = value(source)
         if not sval:
             return None
         tval = value(target)
-        for h in homomorphisms(source, target, limit=bounds.hom_limit):
+        homs = homomorphisms(source, target, None if limit is None else limit + 1)
+        if limit is not None and len(homs) > limit:
+            truncated += 1
+            del homs[limit:]
+        for h in homs:
             for a, b in sorted(sval):
                 if (h[a], h[b]) not in tval:
                     counterexample = {
@@ -248,22 +321,32 @@ def check_homomorphism_safe(
                     )
         return None
 
-    pool = list(enumerate_structures(symbols, bounds.pair_size, StructureClass.ALL))
-    for source in pool:
-        for target in pool:
-            verdict = examine(source, target)
-            if verdict is not None and verify_counterexample(verdict):
-                return verdict
+    def counted(verdict: Verdict) -> Verdict:
+        verdict.bounds["hom_searches_truncated"] = truncated
+        return verdict
+
+    for ks, s, kt, t in _homsafe_hits(term, symbols, bounds.pair_size):
+        source = structure_from_index(symbols, ks, StructureClass.ALL, s)
+        target = structure_from_index(symbols, kt, StructureClass.ALL, t)
+        verdict = examine(source, target, None)
+        if verdict is None:
+            raise AssertionError(
+                "bulk and scalar evaluation disagree on a homomorphism"
+            )
+        if verify_counterexample(verdict):
+            return counted(verdict)
     rng = random.Random(seed)
     for _ in range(min(bounds.samples, 200)):
         size_a = rng.randint(1, min(bounds.sample_size, 6))
         size_b = rng.randint(1, min(bounds.sample_size, 6))
         source = random_structure(rng, size_a, symbols, StructureClass.ALL)
         target = random_structure(rng, size_b, symbols, StructureClass.ALL)
-        verdict = examine(source, target)
+        verdict = examine(source, target, bounds.hom_limit)
         if verdict is not None and verify_counterexample(verdict):
-            return verdict
-    return Verdict("homomorphism-safe", "pass-bounded", None, bounds.to_json(), seed)
+            return counted(verdict)
+    return counted(
+        Verdict("homomorphism-safe", "pass-bounded", None, bounds.to_json(), seed)
+    )
 
 
 # --- induced-substructure safety ------------------------------------------------
@@ -411,74 +494,108 @@ def check_subseteq_safe(
 
 # --- forward / local boundedness ------------------------------------------------
 
-def _anchored_canonical(
-    ball: Structure, anchor: str, row: frozenset[str]
-) -> tuple | None:
-    """Canonical encoding of (ball, anchor) plus the row, or None when the
-    ball is too large to canonicalise by brute force."""
-    elems = [anchor] + [x for x in ball.domain if x != anchor]
-    n = len(elems)
-    if n > _CANON_BALL_LIMIT:
-        return None
-    best = None
-    for perm in permutations(range(1, n)):
-        position = {anchor: 0}
-        for src_idx, dst in zip(range(1, n), perm):
-            position[elems[src_idx]] = dst
-        encoded = (n,) + tuple(
-            tuple(sorted((position[a], position[b]) for a, b in ball.relations[name]))
-            for name in ball.signature
-        )
-        row_encoded = tuple(sorted(position[x] for x in row))
-        key = (encoded, row_encoded)
-        if best is None or key < best:
-            best = key
-    return best
+def _letters(structure: Structure, mode: str) -> list[list[int]]:
+    """The structure's symbols, then in undirected mode their converses, each
+    as the list of every element's successor, all by domain position, with
+    the domain size standing for no successor.
+
+    Raises ValueError when one is not a partial function: only then does
+    every anchored isomorphism preserve the order of `_anchored_key`'s BFS.
+    """
+    position = {x: i for i, x in enumerate(structure.domain)}
+    size = len(position)
+    named = list(structure.relations.items())
+    if mode == "undirected":
+        named += [(f"{name}^", converse(rel)) for name, rel in named]
+    letters = []
+    for name, rel in named:
+        letter = [size] * size
+        for a, b in rel:
+            if letter[position[a]] != size:
+                raise ValueError(
+                    f"letter {name!r} of a pooled structure is not a partial function;"
+                    " forward balls need a class of partial functions and undirected"
+                    " balls one of injective partial functions"
+                )
+            letter[position[a]] = position[b]
+        letters.append(letter)
+    return letters
+
+
+def _anchored_key(
+    letters: list[list[int]], symbol_count: int, size: int, anchor: int, radius: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """The access-word key of the ball of `radius` around the anchor, and
+    the BFS index of each domain position (-1 outside the ball).
+
+    BFS from the anchor tries the letters in order.  Every letter is a
+    partial function, so every anchored isomorphism preserves the order in
+    which the BFS visits the ball, and the ball's size plus each visited
+    element's in-ball successor index per symbol (-1 for none) is a
+    complete invariant of the anchored ball.
+    """
+    index = [-1] * (size + 1)  # index[size], for "no successor", stays -1
+    index[anchor] = 0
+    order = [anchor]
+    depth = [0]
+    for i, x in enumerate(order):
+        if depth[i] < radius:
+            for letter in letters:
+                y = letter[x]
+                if index[y] < 0 and y < size:
+                    index[y] = len(order)
+                    order.append(y)
+                    depth.append(depth[i] + 1)
+    key = (len(order),) + tuple(
+        index[letter[x]] for x in order for letter in letters[:symbol_count]
+    )
+    return key, index
 
 
 def _bounded_rows_check(
     term: tm.Term,
-    pool: list[Structure],
+    pool: list[tuple[Structure, list[list[int]]]],
+    values: list[int | None],
     radius: int,
     mode: str,
     bounds: Bounds,
     seed: int,
     name: str,
-) -> tuple[Verdict | None, int]:
+) -> Verdict | None:
     """One radius attempt: rows must stay inside their balls and agree on
-    isomorphic anchored balls.  Returns a failure verdict or None, and the
-    number of balls too large to canonicalise, which were not compared."""
+    isomorphic anchored balls.  Returns a failure verdict or None.
+
+    Every ball is compared: balls and rows are keyed exactly by
+    `_anchored_key`, the row as the sorted BFS indices of its elements.
+    `values[i]` holds the term's value on `pool[i]` as a bit mask,
+    evaluated on first use and kept for the later radii.
+    """
     buckets: dict[tuple, tuple[tuple, Structure, str]] = {}
-    skipped = 0
-    for structure in pool:
-        value = tm.eval_term(term, structure)
-        rows: dict[str, set[str]] = {}
-        for a, b in value:
-            rows.setdefault(a, set()).add(b)
-        for anchor in structure.domain:
-            row = frozenset(rows.get(anchor, ()))
-            depths = _reach_depths(structure, anchor, radius, mode)
-            outside = sorted(row - set(depths))
+    for i, (structure, letters) in enumerate(pool):
+        size = len(structure.domain)
+        if values[i] is None:
+            values[i] = tm.evaluate(term, structure.masks, int_ops(size).value)
+        for anchor in range(size):
+            row = [b for b in range(size) if values[i] >> (anchor * size + b) & 1]
+            ball_key, index = _anchored_key(
+                letters, len(structure.relations), size, anchor, radius
+            )
+            outside = [b for b in row if index[b] < 0]
             if outside:
                 counterexample = {
                     "kind": "row-outside-ball",
                     "term": tm.print_term(term),
                     "mode": mode,
                     "structure": structure_to_json(structure),
-                    "anchor": anchor,
+                    "anchor": structure.domain[anchor],
                     "radius": radius,
-                    "element": outside[0],
+                    "element": structure.domain[outside[0]],
                 }
-                return Verdict(name, "fail", counterexample, bounds.to_json(), seed), skipped
-            ball = induced(structure, depths)
-            canon = _anchored_canonical(ball, anchor, row)
-            if canon is None:
-                skipped += 1
-                continue
-            ball_key, row_key = canon
+                return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
+            row_key = tuple(sorted(index[b] for b in row))
             seen = buckets.get(ball_key)
             if seen is None:
-                buckets[ball_key] = (row_key, structure, anchor)
+                buckets[ball_key] = (row_key, structure, structure.domain[anchor])
             elif seen[0] != row_key:
                 counterexample = {
                     "kind": "ball-row-mismatch",
@@ -488,10 +605,10 @@ def _bounded_rows_check(
                     "left": structure_to_json(seen[1]),
                     "left_anchor": seen[2],
                     "right": structure_to_json(structure),
-                    "right_anchor": anchor,
+                    "right_anchor": structure.domain[anchor],
                 }
-                return Verdict(name, "fail", counterexample, bounds.to_json(), seed), skipped
-    return None, skipped
+                return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
+    return None
 
 
 def _check_bounded(
@@ -505,21 +622,23 @@ def _check_bounded(
 ) -> Verdict:
     symbols = tm.term_signature(term)
     max_size = bounds.resolved_size(len(symbols))
-    pool = list(enumerate_structures(symbols, max_size, cls))
+    structures = list(enumerate_structures(symbols, max_size, cls))
     rng = random.Random(seed)
     for size in _random_sizes(rng, bounds):
-        pool.append(random_structure(rng, size, symbols, cls))
+        structures.append(random_structure(rng, size, symbols, cls))
+    pool = [(structure, _letters(structure, mode)) for structure in structures]
+    values: list[int | None] = [None] * len(pool)
 
     last_failure: Verdict | None = None
     for radius in range(max_radius + 1):
-        failure, skipped = _bounded_rows_check(term, pool, radius, mode, bounds, seed, name)
+        failure = _bounded_rows_check(term, pool, values, radius, mode, bounds, seed, name)
         if failure is None:
             verdict = Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
             verdict.bounds["radius"] = radius
             verdict.bounds["max_radius"] = max_radius
-            verdict.bounds["balls_skipped"] = skipped
+            verdict.bounds["balls_skipped"] = 0
             return verdict
-        failure.bounds["balls_skipped"] = skipped
+        failure.bounds["balls_skipped"] = 0
         if verify_counterexample(failure):
             last_failure = failure
     assert last_failure is not None
@@ -534,7 +653,11 @@ def check_forward(
     max_radius: int = 3,
     cls: StructureClass = StructureClass.PARTIAL_FUNCTIONS,
 ) -> Verdict:
-    """Bounded check that the term's rows are determined by forward balls."""
+    """Bounded check that the term's rows are determined by forward balls.
+
+    Raises ValueError when `cls` pools a structure whose relations are not
+    partial functions.
+    """
     return _check_bounded(
         term, cls, "forward", "forward-bounded", bounds or Bounds(), seed, max_radius
     )
@@ -547,7 +670,11 @@ def check_local(
     max_radius: int = 3,
     cls: StructureClass = StructureClass.INJECTIVE_PARTIAL_FUNCTIONS,
 ) -> Verdict:
-    """Bounded check against balls that follow edges in both directions."""
+    """Bounded check against balls that follow edges in both directions.
+
+    Raises ValueError when `cls` pools a structure whose relations or their
+    converses are not partial functions.
+    """
     return _check_bounded(
         term, cls, "undirected", "local-bounded", bounds or Bounds(), seed, max_radius
     )

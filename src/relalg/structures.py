@@ -1,9 +1,9 @@
 """Finite structures over signatures of named binary relations.
 
 Everything downstream evaluates against the `Structure` type defined here:
-substructures, homomorphism and isomorphism search, automorphism orbits,
-deterministic bounded-exhaustive enumeration, seeded random generation, and
-a small JSON file format.  The bit-matrix codec and `BulkOps`, the one
+substructures, homomorphism and isomorphism search, deterministic
+bounded-exhaustive enumeration, seeded random generation, and a small JSON
+file format.  The bit-matrix codec and `BulkOps`, the one
 kernel table of the catalogue operations, live here too, so that the term
 evaluators (`terms`, `bulk`) depend on this module and not on each other.
 """
@@ -420,61 +420,6 @@ def isomorphism(
         _require_element(right, b)
     search = _IsoSearch(left, right, node_budget)
     return search.extend(list(zip(anchors_left, anchors_right)))
-
-
-def automorphism_orbits(
-    structure: Structure,
-    max_domain: int = 64,
-    node_budget: int = 2_000_000,
-) -> tuple[tuple[Pair, ...], ...]:
-    """Partition of domain pairs into orbits under the automorphism group.
-
-    Generators are collected along a stabilizer chain: for each prefix of
-    the domain, one automorphism per reachable image of the next element.
-    The union of those transversal sets generates the full group, so orbit
-    connectivity under them equals orbit connectivity under the group.
-    """
-    n = len(structure.domain)
-    if n > max_domain:
-        raise StructureError(
-            f"domain size {n} exceeds the bound {max_domain}; "
-            "pass a larger max_domain to override"
-        )
-    dom = list(structure.domain)
-    generators: list[dict[str, str]] = []
-    for i, x in enumerate(dom):
-        fixed = [(dom[j], dom[j]) for j in range(i)]
-        for y in dom:
-            if y == x:
-                continue
-            search = _IsoSearch(structure, structure, node_budget)
-            auto = search.extend(fixed + [(x, y)])
-            if auto is not None:
-                generators.append(auto)
-
-    pairs = [(a, b) for a in dom for b in dom]
-    parent: dict[Pair, Pair] = {p: p for p in pairs}
-
-    def find(p: Pair) -> Pair:
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(p: Pair, q: Pair) -> None:
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rp] = rq
-
-    for g in generators:
-        for p in pairs:
-            union(p, (g[p[0]], g[p[1]]))
-
-    buckets: dict[Pair, list[Pair]] = {}
-    for p in pairs:
-        buckets.setdefault(find(p), []).append(p)
-    orbits = [tuple(sorted(members)) for members in buckets.values()]
-    return tuple(sorted(orbits))
 
 
 # --- bounded-exhaustive enumeration -----------------------------------------

@@ -1,9 +1,12 @@
 """Bounded property checkers and the operation-by-property matrix."""
 
+import random
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
-from relalg import bulk, logic
+from relalg import bulk, checkers, logic
 from relalg.checkers import (
     EXPECTED_MATRIX,
     MATRIX_COLUMNS,
@@ -20,10 +23,29 @@ from relalg.checkers import (
     equivalence_report,
     term_for_operation,
     verify_counterexample,
+    _anchored_key,
+    _letters,
 )
 from relalg.logic import eval_formula, parse_formula
-from relalg.structures import Structure, StructureClass, structure_to_json
-from relalg.terms import CATALOGUE, eval_term, expand_injunion, parse_term
+from relalg.structures import (
+    Structure,
+    StructureClass,
+    ball,
+    enumerate_structures,
+    homomorphisms,
+    isomorphism,
+    random_structure,
+    structure_to_json,
+)
+from relalg.terms import (
+    CATALOGUE,
+    eval_term,
+    expand_injunion,
+    parse_term,
+    print_term,
+    random_term,
+    term_signature,
+)
 
 LIGHT = Bounds(max_size=2, samples=60, sample_size=5)
 
@@ -181,6 +203,130 @@ def test_mismatches_are_rechecked_through_the_second_route(monkeypatch):
 
 def test_bounded_checks_count_the_balls_they_could_not_compare():
     passed = check_forward(parse_term("f ; g"))
-    assert passed.passed and passed.bounds["balls_skipped"] > 0
+    assert passed.passed and passed.bounds["balls_skipped"] == 0
+    local = check_local(parse_term("f ; g"))
+    assert local.passed and local.bounds["balls_skipped"] == 0
     failed = check_forward(parse_term("f^"), LIGHT, 0)
     assert not failed.passed and failed.bounds["balls_skipped"] == 0
+
+
+def test_bounded_checks_refuse_letters_that_are_not_partial_functions():
+    with pytest.raises(ValueError, match="'f' of a pooled structure is not a partial function"):
+        check_forward(parse_term("f"), LIGHT, 0, cls=StructureClass.ALL)
+    # Converses of partial functions need not be partial functions.
+    with pytest.raises(ValueError, match="'f\\^' of a pooled structure"):
+        check_local(parse_term("f"), LIGHT, 0, cls=StructureClass.PARTIAL_FUNCTIONS)
+
+
+def test_homomorphism_check_counts_truncated_searches():
+    bounds = Bounds(max_size=3, samples=200, sample_size=6)
+    # id holds on every pair, and the sampled pairs of larger sizes have
+    # more than hom_limit maps, all of them homomorphisms.
+    identity = check_homomorphism_safe(term_for_operation("id"), bounds, 1)
+    assert identity.passed and identity.bounds["hom_searches_truncated"] > 0
+    compose = check_homomorphism_safe(term_for_operation("compose"), bounds, 1)
+    assert compose.passed and compose.bounds["hom_searches_truncated"] == 0
+
+
+def row_marked_ball(structure, anchor, radius, mode, row):
+    b = ball(structure, anchor, radius, mode)
+    rels = dict(b.relations)
+    rels["row"] = {(anchor, x) for x in row}
+    return Structure(b.domain, rels)
+
+
+@pytest.mark.parametrize(
+    "cls, mode",
+    [
+        (StructureClass.PARTIAL_FUNCTIONS, "forward"),
+        (StructureClass.INJECTIVE_PARTIAL_FUNCTIONS, "undirected"),
+    ],
+)
+def test_access_word_keys_are_equal_exactly_on_isomorphic_marked_balls(cls, mode):
+    rng = random.Random(f"access-words-{mode}")
+    outcomes = {True: 0, False: 0}
+    for _ in range(12):
+        structures = [
+            random_structure(rng, rng.randint(1, 7), ("f", "g"), cls) for _ in range(2)
+        ]
+        for radius in range(4):
+            anchored = []
+            for structure in structures:
+                letters = _letters(structure, mode)
+                size = len(structure.domain)
+                for anchor in range(size):
+                    key, index = _anchored_key(letters, 2, size, anchor, radius)
+                    inside = [x for x in range(size) if index[x] >= 0]
+                    # Rows every isomorphism keeps, and random ones it may not.
+                    row = rng.choice(
+                        [(), (anchor,), inside, rng.sample(inside, rng.randint(0, len(inside)))]
+                    )
+                    row_key = tuple(sorted(index[x] for x in row))
+                    a = structure.domain[anchor]
+                    marked = row_marked_ball(
+                        structure, a, radius, mode, [structure.domain[x] for x in row]
+                    )
+                    anchored.append(((key, row_key), marked, a))
+            for (lkey, left, la), (rkey, right, ra) in combinations_with_replacement(
+                anchored, 2
+            ):
+                iso = isomorphism(left, [la], right, [ra]) is not None
+                assert (lkey == rkey) == iso, (left, la, right, ra)
+                outcomes[iso] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def scalar_homsafe_exhaustive(term, bounds, seed):
+    """The exhaustive homomorphism phase as the plain pair loop it replaces."""
+    pool = list(enumerate_structures(term_signature(term), bounds.pair_size))
+    values = [eval_term(term, s) for s in pool]
+    for source, sval in zip(pool, values):
+        if not sval:
+            continue
+        for target, tval in zip(pool, values):
+            for h in homomorphisms(source, target):
+                for a, b in sorted(sval):
+                    if (h[a], h[b]) not in tval:
+                        counterexample = {
+                            "kind": "homomorphism",
+                            "term": print_term(term),
+                            "source": structure_to_json(source),
+                            "target": structure_to_json(target),
+                            "map": h,
+                            "pair": [a, b],
+                        }
+                        return Verdict(
+                            "homomorphism-safe",
+                            "fail",
+                            counterexample,
+                            dict(bounds.to_json(), hom_searches_truncated=0),
+                            seed,
+                        )
+    return Verdict(
+        "homomorphism-safe",
+        "pass-bounded",
+        None,
+        dict(bounds.to_json(), hom_searches_truncated=0),
+        seed,
+    )
+
+
+def test_bulk_homomorphism_phase_matches_the_scalar_pair_loop(monkeypatch):
+    rng = random.Random("homsafe-grid")
+    exhaustive_only = Bounds(samples=0)
+    statuses = set()
+    constants = {"id", "empty", "top"}
+    for n in range(30):
+        # Every other term leaves out the constants, so that more of them
+        # read both symbols.
+        basis = set(CATALOGUE) - (constants if n % 2 else set())
+        term = random_term(rng, basis, ("R", "S"), rng.randint(2, 7))
+        expected = scalar_homsafe_exhaustive(term, exhaustive_only, 3).to_json()
+        got = check_homomorphism_safe(term, exhaustive_only, 3)
+        statuses.add(got.status)
+        assert got.to_json() == expected, print_term(term)
+        # Blocks of 100 cells split the grids into rows and columns.
+        with monkeypatch.context() as m:
+            m.setattr(checkers, "_GRID", 100)
+            assert check_homomorphism_safe(term, exhaustive_only, 3).to_json() == expected
+    assert statuses == {"pass-bounded", "fail"}

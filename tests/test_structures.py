@@ -9,7 +9,6 @@ from relalg.structures import (
     Structure,
     StructureClass,
     StructureError,
-    automorphism_orbits,
     ball,
     count_structures,
     disjoint_union,
@@ -101,18 +100,6 @@ def test_isomorphism_respects_anchors():
     asym = Structure(("a", "b"), {"f": {("a", "b")}})
     assert isomorphism(asym, ("a",), asym, ("b",)) is None
     assert isomorphism(c2, (), asym, ()) is None
-
-
-def test_automorphism_orbits_partition_pairs():
-    c2 = Structure(("a", "b"), {"f": {("a", "b"), ("b", "a")}})
-    orbits = automorphism_orbits(c2)
-    # swapping a and b is an automorphism, so diagonal pairs share an orbit
-    # and the two off-diagonal pairs share another
-    as_sets = {frozenset(orbit) for orbit in orbits}
-    assert frozenset({("a", "a"), ("b", "b")}) in as_sets
-    assert frozenset({("a", "b"), ("b", "a")}) in as_sets
-    rigid = Structure(("a", "b"), {"f": {("a", "b")}})
-    assert len(automorphism_orbits(rigid)) == 4
 
 
 def test_enumeration_counts_cumulative_size_2():
