@@ -8,27 +8,25 @@ arrays of such words; `terms.eval_term` runs the same kernels on Python ints
 for one structure.  The batch form is what makes bounded-exhaustive sweeps
 over hundreds of thousands of structures affordable.
 
-The bit layout matches `structures.structure_from_index` exactly, so a
-mismatch index found here can be decoded back into an ordinary `Structure`
-for reporting.
+Enumeration indices are decoded into such batches by
+`structures.decode_symbol_masks`, re-exported here, the one enumeration
+codec: the same function decodes a single index for
+`structures.structure_from_index`, so a mismatch index found here names
+the ordinary `Structure` reported for it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from . import logic, terms as tm
-from .structures import MAX_BULK_SIZE  # noqa: F401  (re-exported)
-from .structures import BulkOps, StructureClass, injective_codes, space_size
+from .structures import MAX_BULK_SIZE, decode_symbol_masks  # noqa: F401  (re-exported)
+from .structures import BulkOps, StructureClass, _digit_masks
 
 _U0 = np.uint64(0)
 _U1 = np.uint64(1)
-
-
-def _u(value: int) -> np.uint64:
-    return np.uint64(value)
 
 
 def bulk_eval_term(
@@ -78,53 +76,7 @@ def bulk_masks(
     return bulk_eval_formula(obj, k, symbol_masks)
 
 
-# --- decoding enumeration indices into mask batches ----------------------------
-
-def _digit_masks(columns: Iterable[np.ndarray], k: int, partial: bool) -> np.ndarray:
-    """Function masks from digit columns, column p giving the image of e_{p+1}:
-    digit d is an edge to e_{d+1}, or with `partial` to e_d, 0 meaning none.
-    One shift places each digit."""
-    masks = _U0
-    for p, digit in enumerate(columns):
-        bits = _U1 << digit
-        if partial:
-            bits >>= _U1
-        masks = masks | (bits << _u(p * k))
-    return masks
-
-
-def _function_codes_to_masks(codes: np.ndarray, k: int, base: int) -> np.ndarray:
-    columns = ((codes // _u(base**p)) % _u(base) for p in range(k))
-    return _digit_masks(columns, k, base == k + 1)
-
-
-def decode_symbol_masks(
-    indices: np.ndarray,
-    k: int,
-    cls: StructureClass,
-    symbols: Sequence[str],
-) -> dict[str, np.ndarray]:
-    """Per-symbol mask arrays for global enumeration indices.
-
-    Mirrors `structures.structure_from_index`: symbols in sorted order, the
-    first varying slowest.
-    """
-    ordered = sorted(symbols)
-    per = space_size(k, cls)
-    out: dict[str, np.ndarray] = {}
-    for pos, name in enumerate(ordered):
-        codes = (indices // _u(per ** (len(ordered) - 1 - pos))) % _u(per)
-        if cls is StructureClass.ALL:
-            out[name] = codes
-        elif cls is StructureClass.PARTIAL_FUNCTIONS:
-            out[name] = _function_codes_to_masks(codes, k, k + 1)
-        elif cls is StructureClass.TOTAL_FUNCTIONS:
-            out[name] = _function_codes_to_masks(codes, k, k)
-        else:
-            table = np.asarray(injective_codes(k), dtype=np.uint64)
-            out[name] = _function_codes_to_masks(table[codes.astype(np.int64)], k, k + 1)
-    return out
-
+# --- random mask batches ------------------------------------------------------
 
 def random_symbol_masks(
     rng: np.random.Generator,
@@ -140,7 +92,7 @@ def random_symbol_masks(
         if cls is StructureClass.ALL:
             lo = rng.integers(0, 1 << 32, n, dtype=np.uint64)
             hi = rng.integers(0, 1 << 32, n, dtype=np.uint64)
-            out[name] = ((hi << _u(32)) | lo) & ops.mask_all
+            out[name] = ((hi << np.uint64(32)) | lo) & ops.mask_all
         elif cls is StructureClass.TOTAL_FUNCTIONS:
             digits = rng.integers(0, k, (n, k), dtype=np.uint64)
             out[name] = _digit_masks(digits.T, k, partial=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -20,10 +21,9 @@ from .structures import (
     Structure,
     StructureClass,
     ball,
-    converse,
     count_structures,
+    decode_symbol_masks,
     drawn_structure,
-    enumerate_structures,
     homomorphisms,
     induced,
     int_ops,
@@ -49,6 +49,8 @@ class Bounds:
     every pair of structures up to that size; `hom_limit` caps only the
     homomorphisms tried per pair in its sampled phase, and the verdict
     counts the searches it cut short as `hom_searches_truncated`.  The
+    homomorphism and subset checks cap their sampled phases at 200 draws of
+    sizes up to 6 and 8, and record what they ran with in the verdict.  The
     forward and local checks compare every ball they meet: `balls_skipped`
     is always 0.
     """
@@ -98,8 +100,21 @@ class Verdict:
         }
 
 
-def _random_sizes(rng: random.Random, bounds: Bounds) -> list[int]:
-    return [rng.randint(1, max(1, bounds.sample_size)) for _ in range(bounds.samples)]
+def _pool(symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: int):
+    """The (size, masks) entries the fp/tfp/ifp, forward and local checks
+    scan: every index of every size up to the resolved bound, then
+    `samples` seeded draws of sizes 1..sample_size.  The masks lie over
+    e1..e_size, as `drawn_structure` reads them.  ALL-class codes lie over
+    the string-sorted domain, which differs from size 10 on; the forward
+    and local checks would refuse an ALL pool at size 2 before that."""
+    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
+        for index in range(count_structures(symbols, size, cls)):
+            yield size, decode_symbol_masks(index, size, cls, symbols)
+    rng = random.Random(seed)
+    # Every size is drawn before the first structure: the seed pins that order.
+    sizes = [rng.randint(1, max(1, bounds.sample_size)) for _ in range(bounds.samples)]
+    for size in sizes:
+        yield size, random_masks(rng, size, symbols, cls)
 
 
 # --- class-invariant properties (fp / tfp / ifp) -------------------------------
@@ -152,37 +167,21 @@ def _check_invariant(
     name: str, term: tm.Term, bounds: Bounds, seed: int
 ) -> Verdict:
     cls, offence = _INVARIANTS[name]
-    symbols = tm.term_signature(term)
-    max_size = bounds.resolved_size(len(symbols))
-
-    def examine(structure: Structure) -> Verdict | None:
-        value = tm.eval_term(term, structure)
-        bad = offence(value, structure)
+    for size, masks in _pool(tm.term_signature(term), cls, bounds, seed):
+        if cls.contains(tm.evaluate(term, masks, int_ops(size).value), size):
+            continue
+        structure = drawn_structure(masks, size)
+        bad = offence(tm.eval_term(term, structure), structure)
         if bad is None:
-            return None
+            raise AssertionError("mask and scalar evaluation disagree on an invariant")
         counterexample = {
             "kind": "invariant",
             "term": tm.print_term(term),
             "structure": structure_to_json(structure),
             "offence": bad,
         }
-        return Verdict(
-            property=name,
-            status="fail",
-            counterexample=counterexample,
-            bounds=bounds.to_json(),
-            seed=seed,
-        )
-
-    for structure in enumerate_structures(symbols, max_size, cls):
-        verdict = examine(structure)
-        if verdict is not None and verify_counterexample(verdict):
-            return verdict
-    rng = random.Random(seed)
-    for size in _random_sizes(rng, bounds):
-        structure = random_structure(rng, size, symbols, cls)
-        verdict = examine(structure)
-        if verdict is not None and verify_counterexample(verdict):
+        verdict = Verdict(name, "fail", counterexample, bounds.to_json(), seed)
+        if verify_counterexample(verdict):
             return verdict
     return Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
 
@@ -231,7 +230,7 @@ def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...], pair_size: int):
     for size in sizes:
         total = count_structures(symbols, size, StructureClass.ALL)
         indices = np.arange(total, dtype=np.uint64)
-        masks = bulk.decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
+        masks = decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
         # An empty signature has no masks to give the batch its length.
         batches[size] = masks, bulk.bulk_eval_term(term, size, masks or {"": indices})
     rows = max(1, _GRID // max([1] + [len(v) for _, v in batches.values()]))
@@ -271,13 +270,15 @@ def check_homomorphism_safe(
     Exhaustive over all structure pairs up to `pair_size` and every map
     between them, swept in bulk as a bit-mask grid (`_homsafe_hits`); each
     hit is rebuilt and examined through `homomorphisms` and `eval_term`,
-    which pick the reported map and pair.  Then sampled random pairs
-    (sizes capped at 6), trying at most `hom_limit` homomorphisms each; the
-    verdict's `hom_searches_truncated` counts the sampled searches that
-    had more.
+    which pick the reported map and pair.  Then `sampled_pairs` random
+    pairs of sizes up to `sampled_size_cap`, trying at most `hom_limit`
+    homomorphisms each; `hom_searches_truncated` counts the sampled
+    searches that had more.
     """
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
+    pairs = min(bounds.samples, 200)
+    size_cap = min(bounds.sample_size, 6)
     truncated = 0
 
     value_cache: dict[Structure, frozenset] = {}
@@ -323,6 +324,8 @@ def check_homomorphism_safe(
 
     def counted(verdict: Verdict) -> Verdict:
         verdict.bounds["hom_searches_truncated"] = truncated
+        verdict.bounds["sampled_pairs"] = pairs
+        verdict.bounds["sampled_size_cap"] = size_cap
         return verdict
 
     for ks, s, kt, t in _homsafe_hits(term, symbols, bounds.pair_size):
@@ -336,9 +339,9 @@ def check_homomorphism_safe(
         if verify_counterexample(verdict):
             return counted(verdict)
     rng = random.Random(seed)
-    for _ in range(min(bounds.samples, 200)):
-        size_a = rng.randint(1, min(bounds.sample_size, 6))
-        size_b = rng.randint(1, min(bounds.sample_size, 6))
+    for _ in range(pairs):
+        size_a = rng.randint(1, size_cap)
+        size_b = rng.randint(1, size_cap)
         source = random_structure(rng, size_a, symbols, StructureClass.ALL)
         target = random_structure(rng, size_b, symbols, StructureClass.ALL)
         verdict = examine(source, target, bounds.hom_limit)
@@ -406,7 +409,7 @@ def _subsafe_exhaustive(
         for start in range(0, budget, _CHUNK):
             stop = min(start + _CHUNK, budget)
             indices = np.arange(start, stop, dtype=np.uint64)
-            masks = bulk.decode_symbol_masks(
+            masks = decode_symbol_masks(
                 indices, size, StructureClass.ALL, symbols
             )
             whole = bulk.bulk_eval_term(term, size, masks)
@@ -448,10 +451,18 @@ def check_subseteq_safe(
     term: tm.Term, bounds: Bounds | None = None, seed: int = 0
 ) -> Verdict:
     """The term's value on an induced substructure embeds into its value
-    on the whole structure."""
+    on the whole structure.  The sampled phase's count and size cap are
+    reported as `sampled_structures` and `sampled_size_cap`."""
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
     max_size = bounds.resolved_size(len(symbols))
+    draws = min(bounds.samples, 200)
+    size_cap = min(bounds.sample_size, 8)
+
+    def reported(verdict: Verdict) -> Verdict:
+        verdict.bounds["sampled_structures"] = draws
+        verdict.bounds["sampled_size_cap"] = size_cap
+        return verdict
 
     def examine(structure: Structure, subsets) -> Verdict | None:
         whole = tm.eval_term(term, structure)
@@ -477,10 +488,10 @@ def check_subseteq_safe(
 
     verdict = _subsafe_exhaustive(term, symbols, max_size, bounds, examine)
     if verdict is not None:
-        return verdict
+        return reported(verdict)
     rng = random.Random(seed)
-    for _ in range(min(bounds.samples, 200)):
-        size = rng.randint(1, min(bounds.sample_size, 8))
+    for _ in range(draws):
+        size = rng.randint(1, size_cap)
         structure = random_structure(rng, size, symbols, StructureClass.ALL)
         picked = []
         for _ in range(32):
@@ -488,36 +499,38 @@ def check_subseteq_safe(
             picked.append(tuple(sorted(rng.sample(structure.domain, r))))
         verdict = examine(structure, set(picked))
         if verdict is not None and verify_counterexample(verdict):
-            return verdict
-    return Verdict("subseteq-safe", "pass-bounded", None, bounds.to_json(), seed)
+            return reported(verdict)
+    return reported(
+        Verdict("subseteq-safe", "pass-bounded", None, bounds.to_json(), seed)
+    )
 
 
 # --- forward / local boundedness ------------------------------------------------
 
-def _letters(structure: Structure, mode: str) -> list[list[int]]:
-    """The structure's symbols, then in undirected mode their converses, each
-    as the list of every element's successor, all by domain position, with
-    the domain size standing for no successor.
+def _letters(size: int, masks: dict[str, int], mode: str) -> list[list[int]]:
+    """The symbols' masks, then in undirected mode their converses, each as
+    the list of every element's successor by mask position, with `size`
+    standing for no successor.
 
     Raises ValueError when one is not a partial function: only then does
     every anchored isomorphism preserve the order of `_anchored_key`'s BFS.
     """
-    position = {x: i for i, x in enumerate(structure.domain)}
-    size = len(position)
-    named = list(structure.relations.items())
+    named = list(masks.items())
     if mode == "undirected":
-        named += [(f"{name}^", converse(rel)) for name, rel in named]
+        named += [(f"{name}^", int_ops(size).converse(mask)) for name, mask in named]
+    row = (1 << size) - 1
     letters = []
-    for name, rel in named:
-        letter = [size] * size
-        for a, b in rel:
-            if letter[position[a]] != size:
+    for name, mask in named:
+        letter = []
+        for p in range(size):
+            bits = mask >> (p * size) & row
+            if bits & (bits - 1):
                 raise ValueError(
                     f"letter {name!r} of a pooled structure is not a partial function;"
                     " forward balls need a class of partial functions and undirected"
                     " balls one of injective partial functions"
                 )
-            letter[position[a]] = position[b]
+            letter.append(bits.bit_length() - 1 if bits else size)
         letters.append(letter)
     return letters
 
@@ -552,9 +565,16 @@ def _anchored_key(
     return key, index
 
 
+@cache
+def _domain_order(size: int) -> list[int]:
+    """Mask positions in the order a `Structure` stores e1..e_size, sorted
+    as strings: e1, e10, e11, e2, ... past nine elements."""
+    return sorted(range(size), key=lambda p: f"e{p + 1}")
+
+
 def _bounded_rows_check(
     term: tm.Term,
-    pool: list[tuple[Structure, list[list[int]]]],
+    pool: list[tuple[int, dict[str, int], list[list[int]]]],
     values: list[int | None],
     radius: int,
     mode: str,
@@ -567,45 +587,49 @@ def _bounded_rows_check(
 
     Every ball is compared: balls and rows are keyed exactly by
     `_anchored_key`, the row as the sorted BFS indices of its elements.
+    Anchors and row elements are visited in `Structure` domain order.
     `values[i]` holds the term's value on `pool[i]` as a bit mask,
     evaluated on first use and kept for the later radii.
     """
-    buckets: dict[tuple, tuple[tuple, Structure, str]] = {}
-    for i, (structure, letters) in enumerate(pool):
-        size = len(structure.domain)
+
+    def structure_json(i: int) -> dict:
+        size, masks, _ = pool[i]
+        return structure_to_json(drawn_structure(masks, size))
+
+    buckets: dict[tuple, tuple[tuple, int, str]] = {}
+    for i, (size, masks, letters) in enumerate(pool):
         if values[i] is None:
-            values[i] = tm.evaluate(term, structure.masks, int_ops(size).value)
-        for anchor in range(size):
-            row = [b for b in range(size) if values[i] >> (anchor * size + b) & 1]
-            ball_key, index = _anchored_key(
-                letters, len(structure.relations), size, anchor, radius
-            )
+            values[i] = tm.evaluate(term, masks, int_ops(size).value)
+        order = _domain_order(size)
+        for anchor in order:
+            row = [b for b in order if values[i] >> (anchor * size + b) & 1]
+            ball_key, index = _anchored_key(letters, len(masks), size, anchor, radius)
             outside = [b for b in row if index[b] < 0]
             if outside:
                 counterexample = {
                     "kind": "row-outside-ball",
                     "term": tm.print_term(term),
                     "mode": mode,
-                    "structure": structure_to_json(structure),
-                    "anchor": structure.domain[anchor],
+                    "structure": structure_json(i),
+                    "anchor": f"e{anchor + 1}",
                     "radius": radius,
-                    "element": structure.domain[outside[0]],
+                    "element": f"e{outside[0] + 1}",
                 }
                 return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
             row_key = tuple(sorted(index[b] for b in row))
             seen = buckets.get(ball_key)
             if seen is None:
-                buckets[ball_key] = (row_key, structure, structure.domain[anchor])
+                buckets[ball_key] = (row_key, i, f"e{anchor + 1}")
             elif seen[0] != row_key:
                 counterexample = {
                     "kind": "ball-row-mismatch",
                     "term": tm.print_term(term),
                     "mode": mode,
                     "radius": radius,
-                    "left": structure_to_json(seen[1]),
+                    "left": structure_json(seen[1]),
                     "left_anchor": seen[2],
-                    "right": structure_to_json(structure),
-                    "right_anchor": structure.domain[anchor],
+                    "right": structure_json(i),
+                    "right_anchor": f"e{anchor + 1}",
                 }
                 return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
     return None
@@ -620,13 +644,10 @@ def _check_bounded(
     seed: int,
     max_radius: int,
 ) -> Verdict:
-    symbols = tm.term_signature(term)
-    max_size = bounds.resolved_size(len(symbols))
-    structures = list(enumerate_structures(symbols, max_size, cls))
-    rng = random.Random(seed)
-    for size in _random_sizes(rng, bounds):
-        structures.append(random_structure(rng, size, symbols, cls))
-    pool = [(structure, _letters(structure, mode)) for structure in structures]
+    pool = [
+        (size, masks, _letters(size, masks, mode))
+        for size, masks in _pool(tm.term_signature(term), cls, bounds, seed)
+    ]
     values: list[int | None] = [None] * len(pool)
 
     last_failure: Verdict | None = None
@@ -905,7 +926,7 @@ def equivalence_report(
             for start in range(0, total, _CHUNK):
                 stop = min(start + _CHUNK, total)
                 indices = np.arange(start, stop, dtype=np.uint64)
-                masks = bulk.decode_symbol_masks(indices, size, cls, signature)
+                masks = decode_symbol_masks(indices, size, cls, signature)
                 found = bulk_compare(size, masks, start, True)
                 if found is not None:
                     coverage.append(SizeCoverage(size, total, "exhaustive", stop))

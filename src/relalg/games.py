@@ -12,27 +12,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache, reduce
+from operator import or_
 
 from .structures import Structure, disjoint_union, random_structure, structure_to_json
 
 
 class GameError(ValueError):
     pass
-
-
-def _pairs_ok(left: Structure, right: Structure, pairs: tuple) -> bool:
-    for a, b in pairs:
-        for c, d in pairs:
-            if (a == c) != (b == d):
-                return False
-    for name in left.signature:
-        lrel = left.relations[name]
-        rrel = right.relations[name]
-        for a, b in pairs:
-            for c, d in pairs:
-                if ((a, c) in lrel) != ((b, d) in rrel):
-                    return False
-    return True
 
 
 def ef_equiv(
@@ -63,28 +50,74 @@ def ef_equiv(
     ):
         raise GameError("pebbled element not in domain")
 
-    memo: dict[tuple, bool] = {}
+    # Elements are mask positions.  A position is its pebbled pairs (a, b)
+    # as bits a * n + b, with its answers: for each left element a, the
+    # right elements b, as a bit mask, such that (a, b) extends the
+    # position's partial isomorphism.
+    m, n = left.size(), right.size()
+    every = (1 << n) - 1
+    letters = []
+    for name in left.signature:
+        succ = [right.masks[name] >> (d * n) & every for d in range(n)]
+        pred = [sum((succ[b] >> d & 1) << b for b in range(n)) for d in range(n)]
+        letters.append((left.masks[name], succ, pred))
 
-    def play(pairs: frozenset, r: int) -> bool:
-        key = (r, tuple(sorted(pairs)))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        ok = _pairs_ok(left, right, tuple(pairs))
-        if ok and r > 0:
-            for a in left.domain:
-                if not any(play(pairs | {(a, b)}, r - 1) for b in right.domain):
-                    ok = False
-                    break
-            if ok:
-                for b in right.domain:
-                    if not any(play(pairs | {(a, b)}, r - 1) for a in left.domain):
-                        ok = False
-                        break
+    def agree(bit: int, mask: int) -> int:
+        return mask if bit else every & ~mask
+
+    @cache
+    def cut(a0: int, b0: int) -> list[int]:
+        """For each a, the b that match a's equality with a0 and R-edges to
+        and from a0 by b's with b0, for every relation R."""
+        cuts = []
+        for a in range(m):
+            bits = 1 << b0 if a == a0 else every & ~(1 << b0)
+            for mask, succ, pred in letters:
+                bits &= agree(mask >> (a * m + a0) & 1, pred[b0])
+                bits &= agree(mask >> (a0 * m + a) & 1, succ[b0])
+            cuts.append(bits)
+        return cuts
+
+    memo: dict[tuple[int, int], bool] = {}
+
+    def answer(held: int, answers: list[int], a: int, b: int, r: int) -> bool:
+        bit = 1 << (a * n + b)
+        if not held & bit:
+            held, answers = held | bit, [x & y for x, y in zip(answers, cut(a, b))]
+        return play(held, answers, r)
+
+    def play(held: int, answers: list[int], r: int) -> bool:
+        """Whether the duplicator survives r rounds from this position."""
+        key = (r, held)
+        if key in memo:
+            return memo[key]
+        # One round is survived exactly when every element has an answer.
+        ok = r == 0 or all(answers) and reduce(or_, answers, 0) == every
+        if ok and r > 1:
+            ok = all(
+                any(answer(held, answers, a, b, r - 1) for b in range(n) if answers[a] >> b & 1)
+                for a in range(m)
+            ) and all(
+                any(answer(held, answers, a, b, r - 1) for a in range(m) if answers[a] >> b & 1)
+                for b in range(n)
+            )
         memo[key] = ok
         return ok
 
-    return play(frozenset(zip(left_tuple, right_tuple)), rank)
+    # At the start, b answers a when they agree on loops: R(a, a) and R(b, b).
+    answers = [every] * m
+    for mask, succ, _ in letters:
+        loops = sum((succ[b] >> b & 1) << b for b in range(n))
+        answers = [x & agree(mask >> (a * m + a) & 1, loops) for a, x in enumerate(answers)]
+    held = 0
+    lpos = {e: i for i, e in enumerate(left.domain)}
+    rpos = {e: i for i, e in enumerate(right.domain)}
+    for x, y in zip(left_tuple, right_tuple):
+        a, b = lpos[x], rpos[y]
+        if not answers[a] >> b & 1:
+            return False
+        held, answers = held | 1 << (a * n + b), [u & v for u, v in zip(answers, cut(a, b))]
+    return play(held, answers, rank)
 
 
 def min_distinguishing_rank(

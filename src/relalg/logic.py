@@ -425,7 +425,6 @@ def term_to_fo3(t: tm.Term, x: str = "x", y: str = "y") -> Formula:
 # --- concrete syntax -------------------------------------------------------------
 
 _OPERATORS = ("->", "!", "&", "|", "(", ")", ",", "=", ".")
-_KEYWORDS = {"true", "false", "exists", "forall"}
 
 
 def _parse_implies(stream: TokenStream) -> Formula:

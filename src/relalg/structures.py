@@ -29,7 +29,7 @@ MODES = ("forward", "undirected")
 
 
 class StructureError(ValueError):
-    """Malformed structure, bad argument, or exceeded search budget."""
+    """Malformed structure or bad argument."""
 
 
 def relation(pairs: Iterable[Sequence[str]]) -> Relation:
@@ -83,19 +83,20 @@ class StructureClass(Enum):
         known = ", ".join(member.value for member in cls)
         raise StructureError(f"unknown structure class {name!r} (known: {known})")
 
-    def contains(self, structure: "Structure") -> bool:
+    def contains(self, mask: int, k: int) -> bool:
+        """Whether a relation, as a mask over k elements, lies in the class."""
+        ops = int_ops(k)
+
+        def functional(r: int) -> bool:
+            return ops.diff(ops.compose(ops.converse(r), r), ops.diag) == 0
+
         if self is StructureClass.ALL:
             return True
-        for rel in structure.relations.values():
-            if self is StructureClass.TOTAL_FUNCTIONS:
-                if not is_total_function(rel, structure.domain):
-                    return False
-            elif self is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
-                if not is_injective_partial_function(rel):
-                    return False
-            elif not is_partial_function(rel):
-                return False
-        return True
+        if self is StructureClass.TOTAL_FUNCTIONS:
+            return functional(mask) and ops.dom(mask) == ops.diag
+        if self is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
+            return functional(mask) and functional(ops.converse(mask))
+        return functional(mask)
 
 
 @dataclass(frozen=True)
@@ -291,13 +292,11 @@ def _degree_profile(structure: Structure) -> dict[str, tuple]:
 class _IsoSearch:
     """Backtracking partial-isomorphism extension with functional forcing."""
 
-    def __init__(self, left: Structure, right: Structure, node_budget: int | None = None):
+    def __init__(self, left: Structure, right: Structure):
         self.left = left
         self.right = right
         self.profile_left = _degree_profile(left)
         self.profile_right = _degree_profile(right)
-        self.node_budget = node_budget
-        self.nodes = 0
         # Per-symbol successor/predecessor maps, used for forcing when the
         # relation (or its converse) is functional on both sides.
         self.maps: list[tuple[dict, dict, dict, dict, bool, bool]] = []
@@ -380,12 +379,6 @@ class _IsoSearch:
         return self._search(fwd, bwd)
 
     def _search(self, fwd: dict, bwd: dict) -> dict[str, str] | None:
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise StructureError(
-                "isomorphism search exceeded its node budget; "
-                "raise node_budget to override"
-            )
         pending = [x for x in self.left.domain if x not in fwd]
         if not pending:
             return dict(fwd)
@@ -407,7 +400,6 @@ def isomorphism(
     anchors_left: Sequence[str] = (),
     right: Structure | None = None,
     anchors_right: Sequence[str] = (),
-    node_budget: int | None = None,
 ) -> dict[str, str] | None:
     """A pointed isomorphism mapping anchors pointwise, or None."""
     if right is None:
@@ -418,7 +410,7 @@ def isomorphism(
         _require_element(left, a)
     for b in anchors_right:
         _require_element(right, b)
-    search = _IsoSearch(left, right, node_budget)
+    search = _IsoSearch(left, right)
     return search.extend(list(zip(anchors_left, anchors_right)))
 
 
@@ -621,57 +613,70 @@ def int_ops(k: int) -> BulkOps:
     return BulkOps(k, batch=False)
 
 
-def _function_digits(code: int, size: int, base: int) -> list[int]:
-    """The digits of a partial/total-function code, element e1's first."""
-    return [code // base**p % base for p in range(size)]
-
-
-_INJECTIVE_CODE_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def injective_codes(size: int) -> tuple[int, ...]:
     """Partial-function codes whose decoded relation is injective, ascending:
     those whose nonzero digits are distinct."""
-    cached = _INJECTIVE_CODE_CACHE.get(size)
-    if cached is not None:
-        return cached
+    base = size + 1
     found = []
-    for code in range((size + 1) ** size):
-        targets = [d for d in _function_digits(code, size, size + 1) if d]
+    for code in range(base**size):
+        digits = [code // base**p % base for p in range(size)]
+        targets = [d for d in digits if d]
         if len(set(targets)) == len(targets):
             found.append(code)
-    codes = _INJECTIVE_CODE_CACHE[size] = tuple(found)
-    return codes
+    return tuple(found)
 
 
-def relation_from_code(code: int, size: int, cls: StructureClass) -> Relation:
-    """Decode one symbol's code.  A function code has a digit per element,
-    e1's least significant: with base size + 1 a digit of 0 means
-    "undefined" and digit d an edge to e_d; with base size (total
-    functions) digit d is an edge to e_(d+1).  As in `bulk._digit_masks`,
-    one shift places each digit in the mask."""
-    if cls is StructureClass.ALL:
-        return _mask_pairs(code, _sorted_domain(size))
-    if cls is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
-        code = injective_codes(size)[code]
+def _digit_masks(digits: Iterable, k: int, partial: bool):
+    """Function masks over e1..ek from digits, the p-th giving the image of
+    e_{p+1}: digit d is an edge to e_{d+1}, or with `partial` to e_d, 0
+    meaning none.  One shift places each digit.  The digits are Python ints
+    or uint64 arrays, and so are the masks."""
+    masks = 0
+    for p, digit in enumerate(digits):
+        masks = masks | (1 << digit >> partial) << p * k
+    return masks
+
+
+def decode_symbol_masks(
+    indices, k: int, cls: StructureClass, symbols: Sequence[str]
+) -> dict:
+    """Each symbol's mask for one int index (any k) or, as arrays, for a
+    uint64 array of indices (k <= MAX_BULK_SIZE).
+
+    Symbols go in sorted order, the first varying slowest.  An ALL-class
+    code is the mask itself, over `_sorted_domain(k)`.  A function code has
+    a digit per element, e1's least significant, in base k + 1 (partial) or
+    k (total), placed over `_domain_of(k)`; an injective code indexes
+    `injective_codes(k)`.  The two domains differ from size 10 on.
+    """
+    ordered = sorted(symbols)
+    per = space_size(k, cls)
     partial = cls is not StructureClass.TOTAL_FUNCTIONS
-    mask = 0
-    for p, digit in enumerate(_function_digits(code, size, size + partial)):
-        mask |= (1 << digit >> partial) << p * size
-    return _mask_pairs(mask, _domain_of(size))
+    base = k + partial
+    out = {}
+    for pos, name in enumerate(ordered):
+        codes = indices // per ** (len(ordered) - 1 - pos) % per
+        if cls is StructureClass.ALL:
+            out[name] = codes
+            continue
+        if cls is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
+            table = injective_codes(k)
+            if not isinstance(codes, int):
+                table = np.asarray(table, dtype=np.uint64)
+            codes = table[codes]
+        out[name] = _digit_masks((codes // base**p % base for p in range(k)), k, partial)
+    return out
 
 
 def structure_from_index(
     signature: Sequence[str], size: int, cls: StructureClass, index: int
 ) -> Structure:
-    """The index-th structure of the given size, first symbol most significant."""
-    symbols = sorted(signature)
-    per = space_size(size, cls)
-    rels: dict[str, Relation] = {}
-    for pos, name in enumerate(symbols):
-        code = index // per ** (len(symbols) - 1 - pos) % per
-        rels[name] = relation_from_code(code, size, cls)
-    return Structure(_domain_of(size), rels)
+    """The index-th structure of the given size (see `decode_symbol_masks`)."""
+    masks = decode_symbol_masks(index, size, cls, signature)
+    if cls is StructureClass.ALL:
+        return masks_to_structure(masks, size)
+    return drawn_structure(masks, size)
 
 
 def count_structures(signature: Sequence[str], size: int, cls: StructureClass) -> int:
@@ -705,27 +710,20 @@ def random_masks(
     """One seeded random structure as a mask per symbol, bits laid out over
     `_domain_of(size)` (e1..e_size in numeric order); `drawn_structure`
     decodes it.  This is the one Python-RNG generator: `random_structure`
-    and `equivalence_report`'s sampled phase both draw through it."""
+    and the checkers' sampled phases all draw through it."""
+    partial = cls is not StructureClass.TOTAL_FUNCTIONS
     out: dict[str, int] = {}
     for name in sorted(signature):
-        mask = 0
         if cls is StructureClass.ALL:
-            mask = rng.getrandbits(size * size) if size else 0
-        elif cls is StructureClass.PARTIAL_FUNCTIONS:
-            for p in range(size):
-                digit = rng.randrange(size + 1)
-                if digit:
-                    mask |= 1 << (p * size + digit - 1)
-        elif cls is StructureClass.TOTAL_FUNCTIONS:
-            for p in range(size):
-                mask |= 1 << (p * size + rng.randrange(size))
-        else:
-            targets = list(range(size))
+            out[name] = rng.getrandbits(size * size) if size else 0
+            continue
+        if cls is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
+            targets = list(range(1, size + 1))
             rng.shuffle(targets)
-            for p in range(size):
-                if rng.random() < 0.5:
-                    mask |= 1 << (p * size + targets[p])
-        out[name] = mask
+            digits = [d if rng.random() < 0.5 else 0 for d in targets]
+        else:
+            digits = [rng.randrange(size + partial) for _ in range(size)]
+        out[name] = _digit_masks(digits, size, partial)
     return out
 
 

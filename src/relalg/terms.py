@@ -134,6 +134,11 @@ class Term:
         key = (op, name, args)
         node = _INTERNED.get(key)
         if node is None:
+            if name is not None and not _is_symbol_name(name):
+                raise TermError(
+                    f"{name!r} cannot name a relation symbol: term text reads only"
+                    " identifiers other than id, T, dom and ran"
+                )
             node = object.__new__(cls)
             object.__setattr__(node, "op", op)
             object.__setattr__(node, "args", args)
@@ -378,6 +383,19 @@ _INFIX: dict[str, tuple[str, int]] = {
 }
 
 _RESERVED = {"id", "T", "dom", "ran"}
+
+
+def _is_symbol_name(name: object) -> bool:
+    """Whether term text reads `name` back as a symbol: one name token, not
+    a reserved one."""
+    if not isinstance(name, str) or name in _RESERVED:
+        return False
+    try:
+        tokens = [(t.kind, t.text) for t in tokenize(name, ())]
+    except ParseError:
+        return False
+    return tokens == [("name", name), ("end", "")]
+
 
 _PRECEDENCE: dict[str, int] = {
     "prefunion": 1,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from relalg.bulk import (
     MAX_BULK_SIZE,
-    _function_codes_to_masks,
     bulk_eval_formula,
     bulk_eval_term,
     decode_symbol_masks,
@@ -105,11 +104,12 @@ def reference_random_symbol_masks(rng, n, k, cls, symbols):
 
 def test_digit_placement_matches_the_value_by_value_decoder():
     for k in range(1, MAX_BULK_SIZE + 1):
-        for base, partial in ((k + 1, True), (k, False)):
+        for cls, base, partial in ((PF, k + 1, True), (TF, k, False)):
             codes = np.random.default_rng(k).integers(0, base**k, 4096, dtype=np.uint64)
             digits = np.stack([(codes // np.uint64(base**p)) % np.uint64(base) for p in range(k)], 1)
             assert np.array_equal(
-                _function_codes_to_masks(codes, k, base), reference_digit_masks(digits, k, partial)
+                decode_symbol_masks(codes, k, cls, ("f",))["f"],
+                reference_digit_masks(digits, k, partial),
             ), (k, base)
         for cls in (ALL, PF, TF, IPF):
             got = random_symbol_masks(np.random.default_rng(k), 2048, k, cls, ("f", "g"))

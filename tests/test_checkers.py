@@ -24,17 +24,21 @@ from relalg.checkers import (
     term_for_operation,
     verify_counterexample,
     _anchored_key,
+    _fp_offence,
     _letters,
+    _pool,
 )
 from relalg.logic import eval_formula, parse_formula
 from relalg.structures import (
     Structure,
     StructureClass,
     ball,
+    drawn_structure,
     enumerate_structures,
     homomorphisms,
     isomorphism,
     random_structure,
+    structure_from_json,
     structure_to_json,
 )
 from relalg.terms import (
@@ -252,7 +256,7 @@ def test_access_word_keys_are_equal_exactly_on_isomorphic_marked_balls(cls, mode
         for radius in range(4):
             anchored = []
             for structure in structures:
-                letters = _letters(structure, mode)
+                letters = _letters(structure.size(), structure.masks, mode)
                 size = len(structure.domain)
                 for anchor in range(size):
                     key, index = _anchored_key(letters, 2, size, anchor, radius)
@@ -278,6 +282,12 @@ def test_access_word_keys_are_equal_exactly_on_isomorphic_marked_balls(cls, mode
 
 def scalar_homsafe_exhaustive(term, bounds, seed):
     """The exhaustive homomorphism phase as the plain pair loop it replaces."""
+    reported = dict(
+        bounds.to_json(),
+        hom_searches_truncated=0,
+        sampled_pairs=min(bounds.samples, 200),
+        sampled_size_cap=min(bounds.sample_size, 6),
+    )
     pool = list(enumerate_structures(term_signature(term), bounds.pair_size))
     values = [eval_term(term, s) for s in pool]
     for source, sval in zip(pool, values):
@@ -299,14 +309,14 @@ def scalar_homsafe_exhaustive(term, bounds, seed):
                             "homomorphism-safe",
                             "fail",
                             counterexample,
-                            dict(bounds.to_json(), hom_searches_truncated=0),
+                            reported,
                             seed,
                         )
     return Verdict(
         "homomorphism-safe",
         "pass-bounded",
         None,
-        dict(bounds.to_json(), hom_searches_truncated=0),
+        reported,
         seed,
     )
 
@@ -330,3 +340,113 @@ def test_bulk_homomorphism_phase_matches_the_scalar_pair_loop(monkeypatch):
             m.setattr(checkers, "_GRID", 100)
             assert check_homomorphism_safe(term, exhaustive_only, 3).to_json() == expected
     assert statuses == {"pass-bounded", "fail"}
+
+
+def old_pool(symbols, cls, bounds, seed):
+    """The pool as the checks built it before `_pool`: every enumerated
+    structure, then, once all sizes are drawn, one `random_structure` each."""
+    pool = list(enumerate_structures(symbols, bounds.resolved_size(len(symbols)), cls))
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, max(1, bounds.sample_size)) for _ in range(bounds.samples)]
+    pool += [random_structure(rng, size, symbols, cls) for size in sizes]
+    return pool
+
+
+@pytest.mark.parametrize(
+    "cls, max_size",
+    [
+        (StructureClass.PARTIAL_FUNCTIONS, None),
+        (StructureClass.TOTAL_FUNCTIONS, None),
+        (StructureClass.INJECTIVE_PARTIAL_FUNCTIONS, None),
+        (StructureClass.ALL, 2),
+    ],
+)
+def test_pool_decodes_to_the_structures_the_old_pool_built(cls, max_size):
+    bounds = Bounds(max_size=max_size, samples=150, sample_size=12)
+    symbols = ("f", "g")
+    pooled = [drawn_structure(masks, size) for size, masks in _pool(symbols, cls, bounds, 5)]
+    assert pooled == old_pool(symbols, cls, bounds, 5)
+    assert max(len(s.domain) for s in pooled) >= 10
+
+
+# Relates x to f^9(x) when x's first ten iterates are distinct, so it is
+# nonempty only on structures of at least ten elements.
+TEN_CHAIN = (
+    "(f;f;f;f;f;f;f;f;f) \\ (id | f | f;f | f;f;f | f;f;f;f | f;f;f;f;f"
+    " | f;f;f;f;f;f | f;f;f;f;f;f;f | f;f;f;f;f;f;f;f)"
+)
+
+
+def test_invariant_failing_first_on_a_large_draw_reports_as_before():
+    term = parse_term(f"({TEN_CHAIN}) ; T")
+    pool = old_pool(("f",), StructureClass.PARTIAL_FUNCTIONS, Bounds(), 1)
+    first = next(s for s in pool if _fp_offence(eval_term(term, s), s) is not None)
+    assert 10 <= len(first.domain) <= 12
+    verdict = check_function_preserving(term, Bounds(), 1)
+    assert verdict.counterexample == {
+        "kind": "invariant",
+        "term": print_term(term),
+        "structure": structure_to_json(first),
+        "offence": _fp_offence(eval_term(term, first), first),
+    }
+
+
+def test_forward_visits_anchors_in_structure_domain_order_on_large_draws():
+    term = parse_term(TEN_CHAIN)
+    cls = StructureClass.TOTAL_FUNCTIONS
+    pool = old_pool(("f",), cls, Bounds(), 3)
+    first = next(s for s in pool if eval_term(term, s))
+    value = eval_term(term, first)
+    anchors = [a for a in first.domain if any(x == a for x, _ in value)]
+    # e11 precedes e3 in domain order, though not in numeric order.
+    assert len(first.domain) == 12 and anchors[:2] == ["e11", "e12"] and "e3" in anchors
+    inside = set(ball(first, anchors[0], 3).domain)
+    row = [b for b in first.domain if (anchors[0], b) in value]
+    verdict = check_forward(term, Bounds(), 3, cls=cls)
+    assert verdict.counterexample == {
+        "kind": "row-outside-ball",
+        "term": print_term(term),
+        "mode": "forward",
+        "structure": structure_to_json(first),
+        "anchor": anchors[0],
+        "radius": 3,
+        "element": next(b for b in row if b not in inside),
+    }
+
+
+def test_pooled_checks_build_a_structure_only_for_a_counterexample(monkeypatch):
+    built = []
+    post_init = Structure.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Structure, "__post_init__", counted)
+    checks = (
+        check_function_preserving,
+        check_total_function_preserving,
+        check_injective_function_preserving,
+        check_forward,
+        check_local,
+    )
+    for check in checks:
+        built.clear()
+        # f & id passes at radius 0, so the bounded checks meet no failure.
+        verdict = check(parse_term("f ; g" if check in checks[:3] else "f & id"), Bounds(), 0)
+        assert verdict.passed and verdict.bounds.get("radius", 0) == 0
+        assert built == [], check.__name__
+    # A failure builds its counterexample and re-verifies it: a handful of
+    # structures per failing attempt, against a pool of over a thousand.
+    for check, text in (
+        (check_function_preserving, "f | g"),
+        (check_total_function_preserving, "~f"),
+        (check_injective_function_preserving, "f | g"),
+    ):
+        built.clear()
+        verdict = check(parse_term(text), Bounds(), 0)
+        assert not verdict.passed and len(built) == 2, (check.__name__, len(built))
+    for check, text in ((check_forward, "f^"), (check_local, "ran(f) ; T")):
+        built.clear()
+        verdict = check(parse_term(text), Bounds(), 0)
+        assert not verdict.passed and len(built) <= 8 * 4, (check.__name__, len(built))

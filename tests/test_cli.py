@@ -156,3 +156,9 @@ def test_usage_and_input_errors_exit_two(chain_file, tmp_path):
     for argv in cases:
         code, _, err = run(*argv)
         assert code == 2, (argv, code, err)
+
+
+def test_translate_refuses_a_relation_no_term_can_name():
+    # T(x,y) would compile to the symbol T, which term text reads as top.
+    code, _, err = run("translate", "T(x,y)")
+    assert code == 2 and "'T' cannot name a relation symbol" in err

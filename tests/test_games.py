@@ -97,3 +97,56 @@ def test_rank_two_equivalence_matches_sentence_verdicts():
                 continue
             for phi in RANK2_SENTENCES:
                 assert eval_formula(phi, a) == eval_formula(phi, b), (a, b, phi)
+
+
+def reference_ef_equiv(left, left_tuple, right, right_tuple, rank):
+    """The game played on sets of element pairs, each position checked
+    from scratch: the textbook definition `ef_equiv` must agree with."""
+
+    def partial_iso(pairs):
+        return all(
+            (a == c) == (b == d)
+            and all(((a, c) in left.relations[s]) == ((b, d) in right.relations[s]) for s in left.signature)
+            for a, b in pairs
+            for c, d in pairs
+        )
+
+    def play(pairs, r):
+        if not partial_iso(pairs):
+            return False
+        return r == 0 or (
+            all(any(play(pairs | {(a, b)}, r - 1) for b in right.domain) for a in left.domain)
+            and all(any(play(pairs | {(a, b)}, r - 1) for a in left.domain) for b in right.domain)
+        )
+
+    return play(frozenset(zip(left_tuple, right_tuple)), rank)
+
+
+def test_game_matches_the_pair_set_reference():
+    rng = random.Random(11)
+    agreed = won = 0
+    for _ in range(400):
+        signature = rng.choice([("f",), ("f", "g"), ("R", "S")])
+        cls = rng.choice(list(StructureClass))
+        left = random_structure(rng, rng.randint(1, 3), signature, cls)
+        if rng.random() < 0.5:
+            right = random_structure(rng, rng.randint(1, 3), signature, cls)
+        else:
+            # A renamed copy, so that the deeper ranks are won too.
+            right = Structure(
+                [f"{x}'" for x in left.domain],
+                {s: {(f"{x}'", f"{y}'") for x, y in rel} for s, rel in left.relations.items()},
+            )
+        pebbles = rng.randint(0, 2)
+        left_tuple = tuple(rng.choice(left.domain) for _ in range(pebbles))
+        right_tuple = tuple(rng.choice(right.domain) for _ in range(pebbles))
+        rank = rng.randint(0, 3)
+        expected = reference_ef_equiv(left, left_tuple, right, right_tuple, rank)
+        assert ef_equiv(left, left_tuple, right, right_tuple, rank) == expected
+        agreed += 1
+        won += expected
+    assert agreed == 400 and 50 < won < 350
+    empty = Structure((), {"f": set()})
+    assert ef_equiv(empty, (), empty, (), 2)
+    assert not ef_equiv(empty, (), LOOP, (), 1)
+    assert not ef_equiv(LOOP, (), empty, (), 1)

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read in that module."""
+"""Every name a module of the package imports is read in that module, and
+every module-level private name it defines is read by some module."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,58 @@ def test_the_scan_sees_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level `_function`, `_Class` and `_CONSTANT` names, by line."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names a module loads, reads as attributes or imports by name."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module of `sources` reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(names_read, trees.values()))
+    return [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_the_private_name_scan_sees_what_no_module_reads():
+    sources = {
+        "a": "_USED = 1\n_SPARE = 2\ndef _helper(): return _USED\nclass _Gone: pass\n",
+        "b": "from a import _helper\n_helper()\n",
+    }
+    assert unused_private_names(sources) == ["a line 2: _SPARE", "a line 4: _Gone"]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.name: p.read_text() for p in MODULES}) == []

@@ -131,11 +131,11 @@ def test_injective_count_is_closed_form():
 
 
 def test_injective_count_builds_no_code_table():
-    from relalg.structures import _INJECTIVE_CODE_CACHE
+    from relalg.structures import injective_codes
 
-    _INJECTIVE_CODE_CACHE.pop(8, None)
+    injective_codes.cache_clear()
     assert count_structures(("f", "g"), 8, IPF) == 1441729**2  # OEIS A002720
-    assert 8 not in _INJECTIVE_CODE_CACHE
+    assert injective_codes.cache_info().currsize == 0
 
 
 def reference_function_code_pairs(code, size, base):
@@ -189,6 +189,62 @@ def test_function_codes_decode_as_the_digit_reference():
         )
 
 
+def digit_decoder_masks(index, size, cls, symbols):
+    """The decoder the codec replaced: each symbol's code split into digits,
+    each digit placed by its own shift."""
+    from relalg.structures import injective_codes, space_size
+
+    ordered = sorted(symbols)
+    per = space_size(size, cls)
+    masks = {}
+    for pos, name in enumerate(ordered):
+        code = index // per ** (len(ordered) - 1 - pos) % per
+        if cls is ALL:
+            masks[name] = code
+            continue
+        if cls is IPF:
+            code = injective_codes(size)[code]
+        partial = cls is not TF
+        digits = [code // (size + partial) ** p % (size + partial) for p in range(size)]
+        mask = 0
+        for p, digit in enumerate(digits):
+            mask |= (1 << digit >> partial) << p * size
+        masks[name] = mask
+    return masks
+
+
+def test_codec_int_and_uint64_paths_agree_with_the_digit_decoder():
+    import numpy as np
+
+    from relalg.structures import decode_symbol_masks, space_size
+
+    for cls in StructureClass:
+        for symbols in (("f",), ("g", "f")):
+            for size in range(5 if len(symbols) == 1 else 3):
+                total = space_size(size, cls) ** len(symbols)
+                want = [digit_decoder_masks(i, size, cls, symbols) for i in range(total)]
+                got = [decode_symbol_masks(i, size, cls, symbols) for i in range(total)]
+                assert got == want, (cls, symbols, size)
+                assert all(type(m) is int for masks in got for m in masks.values())
+                if size:
+                    batch = decode_symbol_masks(
+                        np.arange(total, dtype=np.uint64), size, cls, symbols
+                    )
+                    for name in symbols:
+                        assert batch[name].dtype == np.uint64
+                        assert batch[name].tolist() == [m[name] for m in want], (cls, size)
+    # Past eight elements only the int path applies, and past nine the
+    # function codes' e1..ek order is not the string-sorted one.  The
+    # injective code table at these sizes has billions of entries.
+    rng = random.Random(23)
+    for cls in (ALL, PF, TF):
+        for size in (9, 10, 11):
+            for _ in range(40):
+                index = rng.randrange(space_size(size, cls) ** 2)
+                want = digit_decoder_masks(index, size, cls, ("f", "g"))
+                assert decode_symbol_masks(index, size, cls, ("f", "g")) == want
+
+
 def test_mask_decoding_matches_bit_layout():
     from relalg.structures import _domain_of, _mask_pairs
 
@@ -226,6 +282,19 @@ def test_enumeration_agrees_with_indexing():
         for index in range(total):
             assert listed[offset + index] == structure_from_index(sig, size, PF, index)
         offset += total
+
+
+def test_class_membership_on_masks_matches_the_pair_predicates():
+    from relalg.structures import _domain_of, _mask_pairs
+
+    for k in range(4):
+        dom = _domain_of(k)
+        for mask in range(1 << (k * k)):
+            rel = _mask_pairs(mask, dom)
+            assert ALL.contains(mask, k)
+            assert PF.contains(mask, k) == is_partial_function(rel), (k, mask)
+            assert TF.contains(mask, k) == is_total_function(rel, dom), (k, mask)
+            assert IPF.contains(mask, k) == is_injective_partial_function(rel), (k, mask)
 
 
 def test_enumerated_structures_lie_in_their_class():

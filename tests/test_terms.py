@@ -300,3 +300,13 @@ def test_hash_is_structural_across_lifetimes():
     # The intern table holds terms weakly.
     assert ref() is None
     assert hash(parse_term(text)) == first_hash
+
+
+def test_symbol_names_must_read_back_from_term_text():
+    # T, id, dom and ran read back as constants or operators; the others are
+    # not one name token.
+    for name in ("T", "id", "dom", "ran", "a b", "0", "", " f", "f;g"):
+        with pytest.raises(TermError):
+            sym(name)
+    for name in ("f", "R_1", "_x", "exists", "Top"):
+        assert parse_term(print_term(sym(name))) is sym(name)
