@@ -9,8 +9,8 @@ concrete counterexample was found and re-verified before being reported.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import asdict, dataclass, field
+from functools import cache, partial
 from itertools import combinations, product
 
 import numpy as np
@@ -24,18 +24,17 @@ from .structures import (
     count_structures,
     decode_symbol_masks,
     drawn_structure,
-    homomorphisms,
     induced,
     int_ops,
     is_homomorphism,
     isomorphism,
     masks_to_structure,
     random_masks,
-    random_structure,
     structure_from_index,
     structure_from_json,
     structure_to_json,
     _reach_depths,
+    _sorted_domain,
 )
 
 
@@ -44,22 +43,17 @@ class Bounds:
     """Search effort knobs shared by all checkers.
 
     max_size None lets each checker pick its default: exhaustive to size 3
-    for two-symbol terms and size 4 otherwise.  `pair_size` bounds the
-    homomorphism check's exhaustive phase, which tries every map between
-    every pair of structures up to that size; `hom_limit` caps only the
-    homomorphisms tried per pair in its sampled phase, and the verdict
-    counts the searches it cut short as `hom_searches_truncated`.  The
-    homomorphism and subset checks cap their sampled phases at 200 draws of
-    sizes up to 6 and 8, and record what they ran with in the verdict.  The
-    forward and local checks compare every ball they meet: `balls_skipped`
-    is always 0.
+    for two-symbol terms and size 4 otherwise.  No check cuts a search
+    short.  The homomorphism and subset checks cap their sampled phases at
+    200 draws of sizes up to 6 and 8, and record what they ran with in the
+    verdict, the homomorphism check with its exhaustive `pair_size` (2).
+    The forward and local checks compare every ball they meet:
+    `balls_skipped` is always 0.
     """
 
     max_size: int | None = None
     samples: int = 1000
     sample_size: int = 12
-    pair_size: int = 2
-    hom_limit: int = 200
     exhaustive_budget: int = 600_000
 
     def resolved_size(self, symbol_count: int) -> int:
@@ -68,14 +62,7 @@ class Bounds:
         return 4 if symbol_count <= 1 else 3
 
     def to_json(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "samples": self.samples,
-            "sample_size": self.sample_size,
-            "pair_size": self.pair_size,
-            "hom_limit": self.hom_limit,
-            "exhaustive_budget": self.exhaustive_budget,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -91,13 +78,7 @@ class Verdict:
         return self.status == "pass-bounded"
 
     def to_json(self) -> dict:
-        return {
-            "property": self.property,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "bounds": self.bounds,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _pool(symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: int):
@@ -180,9 +161,7 @@ def _check_invariant(
             "structure": structure_to_json(structure),
             "offence": bad,
         }
-        verdict = Verdict(name, "fail", counterexample, bounds.to_json(), seed)
-        if verify_counterexample(verdict):
-            return verdict
+        return _confirmed(Verdict(name, "fail", counterexample, bounds.to_json(), seed))
     return Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
 
 
@@ -210,13 +189,15 @@ def check_injective_function_preserving(
 
 # Cells per block of the source x target grid.
 _GRID = 1 << 16
+# The exhaustive phase tries every map between structures up to this size.
+_PAIR_SIZE = 2
 
 
-def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...], pair_size: int):
-    """Yield (source size, source index, target size, target index) for every
-    pair of structures up to `pair_size` with a homomorphism that moves a
-    pair of the term's value outside it, sources then targets in
-    enumeration order.
+def _first_homsafe_hit(term: tm.Term, symbols: tuple[str, ...]):
+    """The first (source size, source index, target size, target index),
+    sources then targets in enumeration order, of a pair of structures up
+    to `_PAIR_SIZE` with a homomorphism that moves a pair of the term's
+    value outside it; None when no pair has one.
 
     Every structure of each size is decoded and evaluated once.  Each of
     the kt**ks maps moves the source bits as `_move_bits` does.  Over a
@@ -225,12 +206,11 @@ def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...], pair_size: int):
     a moved value bit falls outside the target's value.  The grid runs in
     blocks of at most `_GRID` cells.
     """
-    sizes = range(1, pair_size + 1)
+    sizes = range(1, _PAIR_SIZE + 1)
     batches = {}
     for size in sizes:
-        total = count_structures(symbols, size, StructureClass.ALL)
-        indices = np.arange(total, dtype=np.uint64)
-        masks = decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
+        indices = np.arange(count_structures(symbols, size, StructureClass.ALL), dtype=np.uint64)
+        masks = _all_masks(indices, size, symbols)
         # An empty signature has no masks to give the batch its length.
         batches[size] = masks, bulk.bulk_eval_term(term, size, masks or {"": indices})
     rows = max(1, _GRID // max([1] + [len(v) for _, v in batches.values()]))
@@ -246,11 +226,7 @@ def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...], pair_size: int):
                     t1 = min(t0 + cols, len(tvalue))
                     bad = np.zeros((s1 - s0, t1 - t0), dtype=bool)
                     for h in product(range(kt), repeat=ks):
-                        moves = [
-                            (i * ks + j, h[i] * kt + h[j])
-                            for i in range(ks)
-                            for j in range(ks)
-                        ]
+                        moves = [(p, h[p // ks] * kt + h[p % ks]) for p in range(ks * ks)]
                         moved = _move_bits(svalue[s0:s1], moves)
                         hit = (moved[:, None] & ~tvalue[None, t0:t1]) != 0
                         for name, mask in smasks.items():
@@ -258,8 +234,80 @@ def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...], pair_size: int):
                             hit &= (moved[:, None] & ~tmasks[name][None, t0:t1]) == 0
                         bad |= hit
                     found.extend((s0 + s, kt, t0 + t) for s, t in np.argwhere(bad).tolist())
-            for s, kt, t in sorted(found):
-                yield ks, s, kt, t
+            if found:
+                return (ks, *min(found))
+    return None
+
+
+def _violating_hom(ks: int, smasks: dict, svalue: int, kt: int, tmasks: dict, tvalue: int):
+    """The first homomorphism moving a pair of `svalue` outside `tvalue`,
+    as the image position of each source position, with the first such
+    pair; None if none does.  Positions run in domain order, so maps come
+    in the order `structures.homomorphisms` lists them and pairs sorted.
+
+    Each later position keeps only the candidates that agree with the
+    assigned ones (forward checking).  A branch ends once a position has
+    none left or no value pair has candidate images outside `tvalue`; for
+    id and top that happens at the root.
+    """
+    row = (1 << kt) - 1
+    pairs = [divmod(p, ks) for p in range(ks * ks) if svalue >> p & 1]
+    # outside[x]: the positions y with (x, y) outside the target's value.
+    outside = [~tvalue >> (x * kt) & row for x in range(kt)]
+    unlooped = sum(1 << x for x in range(kt) if outside[x] >> x & 1)
+    candidates = [row] * ks
+    # links[v]: (u, table) per edge to a later u, whose candidates shrink
+    # to table[c] once v maps to c.
+    links: list[list[tuple[int, list[int]]]] = [[] for _ in range(ks)]
+    for name, smask in smasks.items():
+        succ = [tmasks[name] >> (c * kt) & row for c in range(kt)]
+        pred = [sum((succ[d] >> c & 1) << d for d in range(kt)) for c in range(kt)]
+        for a, b in (divmod(p, ks) for p in range(ks * ks) if smask >> p & 1):
+            if a == b:
+                candidates[a] &= sum((succ[c] >> c & 1) << c for c in range(kt))
+            else:
+                links[min(a, b)].append((max(a, b), succ if a < b else pred))
+
+    def violable(cand: list[int]) -> bool:
+        return any(
+            cand[a] & unlooped
+            if a == b
+            else any(outside[x] & cand[b] for x in range(kt) if cand[a] >> x & 1)
+            for a, b in pairs
+        )
+
+    def search(v: int, cand: list[int]):
+        if not violable(cand):
+            return None
+        if v == ks:
+            h = [c.bit_length() - 1 for c in cand]
+            return h, next((a, b) for a, b in pairs if outside[h[a]] >> h[b] & 1)
+        for c in range(kt):
+            if cand[v] >> c & 1:
+                narrowed = [*cand[:v], 1 << c, *cand[v + 1 :]]
+                for u, table in links[v]:
+                    narrowed[u] &= table[c]
+                if all(narrowed[v + 1 :]) and (found := search(v + 1, narrowed)):
+                    return found
+        return None
+
+    return search(0, candidates)
+
+
+def _confirmed(verdict: Verdict) -> Verdict:
+    """A failure found on masks, re-established by `verify_counterexample`."""
+    if not verify_counterexample(verdict):
+        raise AssertionError(f"a {verdict.property} counterexample does not re-verify")
+    return verdict
+
+
+def _int_value(term: tm.Term, k: int, masks: dict[str, int]) -> int:
+    """`bulk.bulk_eval_term` on one structure held in Python ints."""
+    return tm.evaluate(term, masks, int_ops(k).value)
+
+
+def _all_masks(indices, size: int, symbols: tuple[str, ...]) -> dict:
+    return decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
 
 
 def check_homomorphism_safe(
@@ -267,85 +315,55 @@ def check_homomorphism_safe(
 ) -> Verdict:
     """Images of term pairs under any homomorphism stay in the term's value.
 
-    Exhaustive over all structure pairs up to `pair_size` and every map
-    between them, swept in bulk as a bit-mask grid (`_homsafe_hits`); each
-    hit is rebuilt and examined through `homomorphisms` and `eval_term`,
-    which pick the reported map and pair.  Then `sampled_pairs` random
-    pairs of sizes up to `sampled_size_cap`, trying at most `hom_limit`
-    homomorphisms each; `hom_searches_truncated` counts the sampled
-    searches that had more.
+    Exhaustive over every map between structures of at most `pair_size`
+    (2) elements as a bit-mask grid (`_first_homsafe_hit`), then
+    `sampled_pairs` random pairs of sizes up to `sampled_size_cap`.
+    `_violating_hom` searches each sampled pair to the end and re-derives
+    a grid hit's map and pair.
     """
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
     pairs = min(bounds.samples, 200)
     size_cap = min(bounds.sample_size, 6)
-    truncated = 0
 
-    value_cache: dict[Structure, frozenset] = {}
-
-    def value(structure: Structure) -> frozenset:
-        got = value_cache.get(structure)
-        if got is None:
-            got = tm.eval_term(term, structure)
-            value_cache[structure] = got
-        return got
-
-    def examine(
-        source: Structure, target: Structure, limit: int | None
-    ) -> Verdict | None:
-        nonlocal truncated
-        sval = value(source)
-        if not sval:
+    def failure(ks: int, smasks: dict, kt: int, tmasks: dict) -> Verdict | None:
+        svalue, tvalue = _int_value(term, ks, smasks), _int_value(term, kt, tmasks)
+        found = svalue and _violating_hom(ks, smasks, svalue, kt, tmasks, tvalue)
+        if not found:
             return None
-        tval = value(target)
-        homs = homomorphisms(source, target, None if limit is None else limit + 1)
-        if limit is not None and len(homs) > limit:
-            truncated += 1
-            del homs[limit:]
-        for h in homs:
-            for a, b in sorted(sval):
-                if (h[a], h[b]) not in tval:
-                    counterexample = {
-                        "kind": "homomorphism",
-                        "term": tm.print_term(term),
-                        "source": structure_to_json(source),
-                        "target": structure_to_json(target),
-                        "map": h,
-                        "pair": [a, b],
-                    }
-                    return Verdict(
-                        "homomorphism-safe",
-                        "fail",
-                        counterexample,
-                        bounds.to_json(),
-                        seed,
-                    )
-        return None
+        (h, (a, b)), sd = found, _sorted_domain(ks)
+        counterexample = {
+            "kind": "homomorphism",
+            "term": tm.print_term(term),
+            "source": structure_to_json(masks_to_structure(smasks, ks)),
+            "target": structure_to_json(masks_to_structure(tmasks, kt)),
+            "map": {x: _sorted_domain(kt)[c] for x, c in zip(sd, h)},
+            "pair": [sd[a], sd[b]],
+        }
+        return _confirmed(
+            Verdict("homomorphism-safe", "fail", counterexample, bounds.to_json(), seed)
+        )
 
     def counted(verdict: Verdict) -> Verdict:
-        verdict.bounds["hom_searches_truncated"] = truncated
-        verdict.bounds["sampled_pairs"] = pairs
-        verdict.bounds["sampled_size_cap"] = size_cap
+        verdict.bounds.update(
+            pair_size=_PAIR_SIZE, sampled_pairs=pairs, sampled_size_cap=size_cap
+        )
         return verdict
 
-    for ks, s, kt, t in _homsafe_hits(term, symbols, bounds.pair_size):
-        source = structure_from_index(symbols, ks, StructureClass.ALL, s)
-        target = structure_from_index(symbols, kt, StructureClass.ALL, t)
-        verdict = examine(source, target, None)
+    hit = _first_homsafe_hit(term, symbols)
+    if hit is not None:
+        ks, s, kt, t = hit
+        verdict = failure(ks, _all_masks(s, ks, symbols), kt, _all_masks(t, kt, symbols))
         if verdict is None:
-            raise AssertionError(
-                "bulk and scalar evaluation disagree on a homomorphism"
-            )
-        if verify_counterexample(verdict):
-            return counted(verdict)
+            raise AssertionError("bulk and mask evaluation disagree on a homomorphism")
+        return counted(verdict)
     rng = random.Random(seed)
     for _ in range(pairs):
-        size_a = rng.randint(1, size_cap)
-        size_b = rng.randint(1, size_cap)
-        source = random_structure(rng, size_a, symbols, StructureClass.ALL)
-        target = random_structure(rng, size_b, symbols, StructureClass.ALL)
-        verdict = examine(source, target, bounds.hom_limit)
-        if verdict is not None and verify_counterexample(verdict):
+        size_a, size_b = rng.randint(1, size_cap), rng.randint(1, size_cap)
+        # Draws' e1..ek order is their sorted domain: sizes stay below ten.
+        source = random_masks(rng, size_a, symbols)
+        verdict = failure(size_a, source, size_b, random_masks(rng, size_b, symbols))
+        if verdict is not None:
             return counted(verdict)
     return counted(
         Verdict("homomorphism-safe", "pass-bounded", None, bounds.to_json(), seed)
@@ -354,96 +372,87 @@ def check_homomorphism_safe(
 
 # --- induced-substructure safety ------------------------------------------------
 
-def _move_bits(masks: np.ndarray, moves: list[tuple[int, int]]) -> np.ndarray:
-    out = np.zeros_like(masks)
-    one = np.uint64(1)
+def _move_bits(masks, moves: list[tuple[int, int]]):
+    """Bit `dst` of the result is bit `src` of `masks`, for each move, on a
+    Python int or a uint64 array."""
+    out = masks & 0
     for src, dst in moves:
-        out |= ((masks >> np.uint64(src)) & one) << np.uint64(dst)
+        out |= (masks >> src & 1) << dst
     return out
 
 
+def _subset_moves(size: int, subset: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Moves onto the restriction of a matrix to the positions in `subset`."""
+    k = len(subset)
+    return [
+        (i * size + j, a * k + b) for a, i in enumerate(subset) for b, j in enumerate(subset)
+    ]
+
+
+@cache
+def _proper_subsets(size: int) -> list[tuple[int, ...]]:
+    """The nonempty proper subsets of the positions, by size, each size in
+    `combinations` order: the empty one has no pairs, the whole one is the
+    structure, so no other subset can break ⊆-safety."""
+    return [c for r in range(1, size) for c in combinations(range(size), r)]
+
+
+def _subset_bad(evaluate, size: int, masks: dict, whole, subset: tuple[int, ...]):
+    """The pairs of the value on the substructure induced by `subset` that
+    the whole structure's value lacks; `evaluate(k, masks)` gives a value."""
+    moves = _subset_moves(size, subset)
+    part = evaluate(len(subset), {name: _move_bits(m, moves) for name, m in masks.items()})
+    return _move_bits(part, [(dst, src) for src, dst in moves]) & ~whole
+
+
+def _subset_hit(term: tm.Term, size: int, masks: dict[str, int], subsets):
+    """The first of `subsets` (sorted position tuples) whose induced value
+    has a pair outside the structure's value, and the first such pair, or
+    None."""
+    evaluate = partial(_int_value, term)
+    whole = evaluate(size, masks)
+    for subset in subsets:
+        bad = 0 < len(subset) < size and _subset_bad(evaluate, size, masks, whole, subset)
+        if bad:
+            return subset, divmod((bad & -bad).bit_length() - 1, size)
+    return None
+
+
 def _subsafe_exhaustive(
-    term: tm.Term,
-    symbols: tuple[str, ...],
-    max_size: int,
-    bounds: Bounds,
-    examine,
+    term: tm.Term, symbols: tuple[str, ...], max_size: int, bounds: Bounds, failure
 ) -> Verdict | None:
     """Exhaustive phase of the induced-substructure check.
 
-    Vectorised whenever the bulk engine applies; sizes whose census exceeds
-    the exhaustive budget are covered up to the budget and left to the
-    random phase beyond it.  Any hit is rebuilt and re-checked through the
-    scalar route before being reported.
+    Sizes up to `bulk.MAX_BULK_SIZE` with symbols are swept in uint64
+    chunks for the first structure with a hit, which `failure` re-derives;
+    the empty signature and larger sizes go to `failure` one structure at
+    a time.  A size whose census exceeds the exhaustive budget is covered
+    up to the budget and left to the random phase beyond it.
     """
+    evaluate = partial(bulk.bulk_eval_term, term)
     for size in range(1, max_size + 1):
+        subsets = _proper_subsets(size)
         total = count_structures(symbols, size, StructureClass.ALL)
+        budget = min(total, bounds.exhaustive_budget)
         if not symbols or size > bulk.MAX_BULK_SIZE:
-            for index in range(min(total, bounds.exhaustive_budget)):
-                structure = structure_from_index(
-                    symbols, size, StructureClass.ALL, index
-                )
-                subsets = (
-                    c
-                    for r in range(size + 1)
-                    for c in combinations(structure.domain, r)
-                )
-                verdict = examine(structure, subsets)
-                if verdict is not None and verify_counterexample(verdict):
+            for index in range(budget):
+                verdict = failure(size, _all_masks(index, size, symbols), subsets)
+                if verdict is not None:
                     return verdict
             continue
-
-        subsets = [
-            c for r in range(1, size) for c in combinations(range(size), r)
-        ]
-        moves = {
-            subset: [
-                (i * size + j, i2 * len(subset) + j2)
-                for i2, i in enumerate(subset)
-                for j2, j in enumerate(subset)
-            ]
-            for subset in subsets
-        }
-        budget = min(total, bounds.exhaustive_budget)
-        hit: tuple[int, tuple[int, ...]] | None = None
         for start in range(0, budget, _CHUNK):
-            stop = min(start + _CHUNK, budget)
-            indices = np.arange(start, stop, dtype=np.uint64)
-            masks = decode_symbol_masks(
-                indices, size, StructureClass.ALL, symbols
-            )
-            whole = bulk.bulk_eval_term(term, size, masks)
-            pending = np.ones(stop - start, dtype=bool)
-            found: list[tuple[int, int]] = []
-            for rank, subset in enumerate(subsets):
-                mv = moves[subset]
-                comp = {
-                    name: _move_bits(mask, mv) for name, mask in masks.items()
-                }
-                part = bulk.bulk_eval_term(term, len(subset), comp)
-                back = _move_bits(part, [(d, s) for s, d in mv])
-                bad = (back & ~whole) != 0
-                fresh = bad & pending
-                if fresh.any():
-                    for off in np.nonzero(fresh)[0]:
-                        found.append((int(off), rank))
-                    pending &= ~fresh
-            if found:
-                off, rank = min(found)
-                hit = (start + off, subsets[rank])
-                break
-        if hit is None:
-            continue
-        index, positions = hit
-        structure = structure_from_index(symbols, size, StructureClass.ALL, index)
-        subset = tuple(structure.domain[i] for i in positions)
-        verdict = examine(structure, [subset])
-        if verdict is None:
-            raise AssertionError(
-                "bulk and scalar evaluation disagree on an induced substructure"
-            )
-        if verify_counterexample(verdict):
-            return verdict
+            indices = np.arange(start, min(start + _CHUNK, budget), dtype=np.uint64)
+            masks = _all_masks(indices, size, symbols)
+            whole = evaluate(size, masks)
+            bad = np.zeros(len(indices), dtype=bool)
+            for subset in subsets:
+                bad |= _subset_bad(evaluate, size, masks, whole, subset) != 0
+            if bad.any():
+                index = start + int(np.argmax(bad))
+                verdict = failure(size, _all_masks(index, size, symbols), subsets)
+                if verdict is None:
+                    raise AssertionError("bulk and mask evaluation disagree on a subset")
+                return verdict
     return None
 
 
@@ -452,7 +461,8 @@ def check_subseteq_safe(
 ) -> Verdict:
     """The term's value on an induced substructure embeds into its value
     on the whole structure.  The sampled phase's count and size cap are
-    reported as `sampled_structures` and `sampled_size_cap`."""
+    reported as `sampled_structures` and `sampled_size_cap`; each draw's
+    32 random subsets are tried in draw order, repeats dropped."""
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
     max_size = bounds.resolved_size(len(symbols))
@@ -460,45 +470,38 @@ def check_subseteq_safe(
     size_cap = min(bounds.sample_size, 8)
 
     def reported(verdict: Verdict) -> Verdict:
-        verdict.bounds["sampled_structures"] = draws
-        verdict.bounds["sampled_size_cap"] = size_cap
+        verdict.bounds.update(sampled_structures=draws, sampled_size_cap=size_cap)
         return verdict
 
-    def examine(structure: Structure, subsets) -> Verdict | None:
-        whole = tm.eval_term(term, structure)
-        for subset in subsets:
-            part = induced(structure, subset)
-            for pair in sorted(tm.eval_term(term, part)):
-                if pair not in whole:
-                    counterexample = {
-                        "kind": "subset",
-                        "term": tm.print_term(term),
-                        "structure": structure_to_json(structure),
-                        "subset": sorted(subset),
-                        "pair": list(pair),
-                    }
-                    return Verdict(
-                        "subseteq-safe",
-                        "fail",
-                        counterexample,
-                        bounds.to_json(),
-                        seed,
-                    )
-        return None
+    def failure(size: int, masks: dict, subsets) -> Verdict | None:
+        hit = _subset_hit(term, size, masks, subsets)
+        if hit is None:
+            return None
+        (subset, (a, b)), names = hit, _sorted_domain(size)
+        counterexample = {
+            "kind": "subset",
+            "term": tm.print_term(term),
+            "structure": structure_to_json(masks_to_structure(masks, size)),
+            "subset": [names[p] for p in subset],
+            "pair": [names[a], names[b]],
+        }
+        return _confirmed(
+            Verdict("subseteq-safe", "fail", counterexample, bounds.to_json(), seed)
+        )
 
-    verdict = _subsafe_exhaustive(term, symbols, max_size, bounds, examine)
+    verdict = _subsafe_exhaustive(term, symbols, max_size, bounds, failure)
     if verdict is not None:
         return reported(verdict)
     rng = random.Random(seed)
     for _ in range(draws):
         size = rng.randint(1, size_cap)
-        structure = random_structure(rng, size, symbols, StructureClass.ALL)
-        picked = []
-        for _ in range(32):
-            r = rng.randint(0, size)
-            picked.append(tuple(sorted(rng.sample(structure.domain, r))))
-        verdict = examine(structure, set(picked))
-        if verdict is not None and verify_counterexample(verdict):
+        # Draws' e1..ek order is their sorted domain: sizes stay below ten.
+        masks = random_masks(rng, size, symbols)
+        picked = [
+            tuple(sorted(rng.sample(range(size), rng.randint(0, size)))) for _ in range(32)
+        ]
+        verdict = failure(size, masks, dict.fromkeys(picked))
+        if verdict is not None:
             return reported(verdict)
     return reported(
         Verdict("subseteq-safe", "pass-bounded", None, bounds.to_json(), seed)
@@ -798,12 +801,7 @@ class SizeCoverage:
     checked: int
 
     def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "total": self.total,
-            "mode": self.mode,
-            "checked": self.checked,
-        }
+        return asdict(self)
 
 
 @dataclass

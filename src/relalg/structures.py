@@ -227,13 +227,11 @@ def is_homomorphism(source: Structure, target: Structure, mapping: Mapping[str, 
     return True
 
 
-def homomorphisms(
-    source: Structure, target: Structure, limit: int | None = None
-) -> list[dict[str, str]]:
+def homomorphisms(source: Structure, target: Structure) -> list[dict[str, str]]:
     """All homomorphisms source -> target, in deterministic order.
 
     Elements are assigned in domain order and candidates tried in the
-    target's domain order, so truncation by `limit` is reproducible.
+    target's domain order.
     """
     if source.signature != target.signature:
         raise StructureError(
@@ -249,22 +247,19 @@ def homomorphisms(
     results: list[dict[str, str]] = []
     assignment: dict[str, str] = {}
 
-    def backtrack(step: int) -> bool:
+    def backtrack(step: int) -> None:
         if step == len(order):
             results.append(dict(assignment))
-            return limit is not None and len(results) >= limit
+            return
         v = order[step]
         for c in target.domain:
             assignment[v] = c
-            ok = True
-            for name, a, b in by_step[step]:
-                if (assignment[a], assignment[b]) not in target.relations[name]:
-                    ok = False
-                    break
-            if ok and backtrack(step + 1):
-                return True
+            if all(
+                (assignment[a], assignment[b]) in target.relations[name]
+                for name, a, b in by_step[step]
+            ):
+                backtrack(step + 1)
         del assignment[v]
-        return False
 
     if not order:
         return [{}]
@@ -654,9 +649,11 @@ def decode_symbol_masks(
     per = space_size(k, cls)
     partial = cls is not StructureClass.TOTAL_FUNCTIONS
     base = k + partial
-    out = {}
-    for pos, name in enumerate(ordered):
-        codes = indices // per ** (len(ordered) - 1 - pos) % per
+    out, rest = {}, indices
+    for name in reversed(ordered):
+        # uint64 indices lie below a space of 2**64 (ALL at k = 8): no reduction.
+        wide = per >> 64 and not isinstance(rest, int)
+        codes, rest = (rest, rest & 0) if wide else (rest % per, rest // per)
         if cls is StructureClass.ALL:
             out[name] = codes
             continue
@@ -666,7 +663,7 @@ def decode_symbol_masks(
                 table = np.asarray(table, dtype=np.uint64)
             codes = table[codes]
         out[name] = _digit_masks((codes // base**p % base for p in range(k)), k, partial)
-    return out
+    return {name: out[name] for name in ordered}
 
 
 def structure_from_index(

@@ -33,11 +33,16 @@ from relalg.structures import (
     Structure,
     StructureClass,
     ball,
+    decode_symbol_masks,
     drawn_structure,
     enumerate_structures,
     homomorphisms,
+    induced,
     isomorphism,
+    masks_to_structure,
+    random_masks,
     random_structure,
+    structure_from_index,
     structure_from_json,
     structure_to_json,
 )
@@ -222,14 +227,139 @@ def test_bounded_checks_refuse_letters_that_are_not_partial_functions():
         check_local(parse_term("f"), LIGHT, 0, cls=StructureClass.PARTIAL_FUNCTIONS)
 
 
-def test_homomorphism_check_counts_truncated_searches():
+def first_violation_by_scan(term, source, target):
+    """The first homomorphism an unlimited `homomorphisms` scan lists that
+    moves a value pair outside the target's value, with the first such pair
+    in sorted order, or None."""
+    svalue, tvalue = eval_term(term, source), eval_term(term, target)
+    for h in homomorphisms(source, target):
+        for a, b in sorted(svalue):
+            if (h[a], h[b]) not in tvalue:
+                return h, (a, b)
+    return None
+
+
+def biased_masks(rng, size, symbols, sparse):
+    """Masks of about 1/8 density (sparse sources have many maps) or 7/8."""
+    out = {}
+    for name in symbols:
+        bits = [rng.getrandbits(size * size) for _ in range(3)]
+        out[name] = bits[0] & bits[1] & bits[2] if sparse else bits[0] | bits[1] | bits[2]
+    return out
+
+
+def test_violation_search_finds_what_an_unlimited_scan_finds_first():
+    rng = random.Random("violating-hom")
+    terms = [term_for_operation(op) for op in CATALOGUE] + [
+        parse_term(t) for t in ("R ; R^", "dom(R) ; S^", "R <+ (S ; S)", "-(R ; S)")
+    ]
+    outcomes = {"fail": 0, "pass": 0, "over 200 maps": 0}
+    for n in range(560):
+        term = terms[n % len(terms)]
+        symbols = term_signature(term)
+        ks, kt = rng.randint(1, 6), rng.randint(1, 6)
+        smasks = biased_masks(rng, ks, symbols, sparse=rng.random() < 0.7)
+        tmasks = biased_masks(rng, kt, symbols, sparse=rng.random() < 0.3)
+        source, target = masks_to_structure(smasks, ks), masks_to_structure(tmasks, kt)
+        svalue = checkers._int_value(term, ks, smasks)
+        tvalue = checkers._int_value(term, kt, tmasks)
+        found = checkers._violating_hom(ks, smasks, svalue, kt, tmasks, tvalue)
+        if found is not None:
+            h, (a, b) = found
+            sd, td = source.domain, target.domain
+            found = {x: td[c] for x, c in zip(sd, h)}, (sd[a], sd[b])
+        assert found == first_violation_by_scan(term, source, target), (print_term(term), n)
+        outcomes["pass" if found is None else "fail"] += 1
+        outcomes["over 200 maps"] += len(homomorphisms(source, target)) > 200
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_homomorphism_check_searches_sampled_pairs_to_the_end():
     bounds = Bounds(max_size=3, samples=200, sample_size=6)
-    # id holds on every pair, and the sampled pairs of larger sizes have
-    # more than hom_limit maps, all of them homomorphisms.
-    identity = check_homomorphism_safe(term_for_operation("id"), bounds, 1)
-    assert identity.passed and identity.bounds["hom_searches_truncated"] > 0
-    compose = check_homomorphism_safe(term_for_operation("compose"), bounds, 1)
-    assert compose.passed and compose.bounds["hom_searches_truncated"] == 0
+    for op in ("id", "top", "compose"):
+        verdict = check_homomorphism_safe(term_for_operation(op), bounds, 1)
+        assert verdict.passed
+        assert "hom_searches_truncated" not in verdict.bounds
+        assert verdict.bounds["pair_size"] == 2 and verdict.bounds["sampled_pairs"] == 200
+    assert "pair_size" not in check_subseteq_safe(term_for_operation("id"), bounds, 1).bounds
+
+
+def test_mask_hits_the_structure_route_rejects_raise(monkeypatch):
+    monkeypatch.setattr(checkers, "verify_counterexample", lambda verdict: False)
+    sampled_only = Bounds(max_size=1, samples=50, sample_size=5)
+    with pytest.raises(AssertionError, match="does not re-verify"):
+        check_homomorphism_safe(parse_term("-R"), LIGHT, 0)
+    with pytest.raises(AssertionError, match="does not re-verify"):
+        check_subseteq_safe(parse_term("~R"), LIGHT, 0)
+    with pytest.raises(AssertionError, match="does not re-verify"):
+        check_subseteq_safe(parse_term("~R"), sampled_only, 3)
+
+
+def first_subset_by_reference(term, structure, subsets):
+    whole = eval_term(term, structure)
+    for subset in subsets:
+        for pair in sorted(eval_term(term, induced(structure, subset))):
+            if pair not in whole:
+                return list(subset), list(pair)
+    return None
+
+
+def subset_hit_by_name(term, size, masks, subsets):
+    hit = checkers._subset_hit(term, size, masks, subsets)
+    if hit is None:
+        return None
+    names = masks_to_structure(masks, size).domain
+    subset, pair = hit
+    return [names[p] for p in subset], [names[p] for p in pair]
+
+
+def test_subset_search_matches_induced_substructures():
+    rng = random.Random("subset-hit")
+    terms = [term_for_operation(op) for op in CATALOGUE] + [
+        parse_term(t) for t in ("-id", "~(R ; S)", "R <+ (S ; S)", "~T ; R")
+    ]
+    hits = 0
+    for n in range(300):
+        term = terms[n % len(terms)]
+        size = rng.randint(1, 9 if not term_signature(term) else 8)
+        masks = random_masks(rng, size, term_signature(term))
+        subsets = [
+            tuple(sorted(rng.sample(range(size), rng.randint(0, size)))) for _ in range(12)
+        ]
+        if rng.random() < 0.3:
+            subsets = checkers._proper_subsets(size)
+        structure = masks_to_structure(masks, size)
+        named = [[structure.domain[p] for p in subset] for subset in subsets]
+        expected = first_subset_by_reference(term, structure, named)
+        assert subset_hit_by_name(term, size, masks, subsets) == expected, (print_term(term), n)
+        hits += expected is not None
+    assert 30 <= hits <= 270
+
+
+def test_subset_search_on_a_size_nine_slice():
+    # Above the bulk sizes the exhaustive phase runs `_subset_hit` on every
+    # proper subset of each structure; these indices reach every row.
+    rng = random.Random("subset-nine")
+    term = parse_term("R <+ (S ; R)")
+    indices = list(range(8)) + [rng.getrandbits(162) for _ in range(4)]
+    hits = 0
+    for index in indices:
+        masks = decode_symbol_masks(index, 9, StructureClass.ALL, ("R", "S"))
+        structure = structure_from_index(("R", "S"), 9, StructureClass.ALL, index)
+        subsets = checkers._proper_subsets(9)
+        named = [[structure.domain[p] for p in subset] for subset in subsets]
+        expected = first_subset_by_reference(term, structure, named)
+        assert subset_hit_by_name(term, 9, masks, subsets) == expected, index
+        hits += expected is not None
+    assert 0 < hits < len(indices)
+
+
+def test_subset_check_decodes_a_size_eight_batch():
+    # One ALL-class symbol at size 8 spans all 2**64 uint64 codes.
+    verdict = check_subseteq_safe(
+        parse_term("R"), Bounds(max_size=8, exhaustive_budget=1, samples=0)
+    )
+    assert verdict.passed
 
 
 def row_marked_ball(structure, anchor, radius, mode, row):
@@ -284,11 +414,11 @@ def scalar_homsafe_exhaustive(term, bounds, seed):
     """The exhaustive homomorphism phase as the plain pair loop it replaces."""
     reported = dict(
         bounds.to_json(),
-        hom_searches_truncated=0,
+        pair_size=2,
         sampled_pairs=min(bounds.samples, 200),
         sampled_size_cap=min(bounds.sample_size, 6),
     )
-    pool = list(enumerate_structures(term_signature(term), bounds.pair_size))
+    pool = list(enumerate_structures(term_signature(term), 2))
     values = [eval_term(term, s) for s in pool]
     for source, sval in zip(pool, values):
         if not sval:

@@ -13,7 +13,7 @@ import relalg
 ENVELOPE_KEYS = ["bounds", "command", "payload", "schema", "seed", "verdict", "wall_time"]
 
 
-def run(*argv):
+def run(*argv, **env):
     # The child imports the relalg this test imported, whether that came
     # from PYTHONPATH, pytest's own `pythonpath` setting or an install.
     source = str(Path(relalg.__file__).parents[1])
@@ -23,7 +23,7 @@ def run(*argv):
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -66,6 +66,34 @@ def test_check_pass_and_fail_exit_codes():
     code, out, _ = run("check", "fp", "f | g", "--max-size", "2", "--samples", "15")
     assert code == 1
     assert "counterexample" in out
+
+
+# A failing term per property; at one element the subset check's verdict
+# comes from its sampled phase.
+FAILING_CHECKS = {
+    "fp": "f | g",
+    "tfp": "f | g",
+    "ifp": "f | g",
+    "homsafe": "R \\ S",
+    "subsafe": "~R",
+    "forward": "f^",
+    "local": "ran(f) ; T",
+}
+
+
+def test_check_reports_do_not_depend_on_string_hashing():
+    for prop, term in FAILING_CHECKS.items():
+        docs = []
+        for hash_seed in ("1", "2"):
+            code, out, err = run(
+                "check", prop, term, "--max-size", "1", "--samples", "30",
+                "--seed", "3", "--report", "json", PYTHONHASHSEED=hash_seed,
+            )
+            assert code == 1, (prop, err)
+            doc = json.loads(out)
+            del doc["wall_time"]
+            docs.append(doc)
+        assert docs[0] == docs[1], prop
 
 
 def test_matrix_json_envelope():
