@@ -9,7 +9,7 @@ concrete counterexample was found and re-verified before being reported.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations, product
 
@@ -62,7 +62,12 @@ class Bounds:
         return 4 if symbol_count <= 1 else 3
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "max_size": self.max_size,
+            "samples": self.samples,
+            "sample_size": self.sample_size,
+            "exhaustive_budget": self.exhaustive_budget,
+        }
 
 
 @dataclass
@@ -78,7 +83,13 @@ class Verdict:
         return self.status == "pass-bounded"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "property": self.property,
+            "status": self.status,
+            "counterexample": self.counterexample,
+            "bounds": self.bounds,
+            "seed": self.seed,
+        }
 
 
 def _pool(symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: int):
@@ -193,11 +204,11 @@ _GRID = 1 << 16
 _PAIR_SIZE = 2
 
 
-def _first_homsafe_hit(term: tm.Term, symbols: tuple[str, ...]):
-    """The first (source size, source index, target size, target index),
-    sources then targets in enumeration order, of a pair of structures up
-    to `_PAIR_SIZE` with a homomorphism that moves a pair of the term's
-    value outside it; None when no pair has one.
+def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...]):
+    """Yield (source size, source index, target size, target index) for every
+    pair of structures up to `_PAIR_SIZE` with a homomorphism that moves a
+    pair of the term's value outside it, sources then targets in
+    enumeration order.
 
     Every structure of each size is decoded and evaluated once.  Each of
     the kt**ks maps moves the source bits as `_move_bits` does.  Over a
@@ -209,8 +220,9 @@ def _first_homsafe_hit(term: tm.Term, symbols: tuple[str, ...]):
     sizes = range(1, _PAIR_SIZE + 1)
     batches = {}
     for size in sizes:
-        indices = np.arange(count_structures(symbols, size, StructureClass.ALL), dtype=np.uint64)
-        masks = _all_masks(indices, size, symbols)
+        total = count_structures(symbols, size, StructureClass.ALL)
+        indices = np.arange(total, dtype=np.uint64)
+        masks = decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
         # An empty signature has no masks to give the batch its length.
         batches[size] = masks, bulk.bulk_eval_term(term, size, masks or {"": indices})
     rows = max(1, _GRID // max([1] + [len(v) for _, v in batches.values()]))
@@ -226,7 +238,11 @@ def _first_homsafe_hit(term: tm.Term, symbols: tuple[str, ...]):
                     t1 = min(t0 + cols, len(tvalue))
                     bad = np.zeros((s1 - s0, t1 - t0), dtype=bool)
                     for h in product(range(kt), repeat=ks):
-                        moves = [(p, h[p // ks] * kt + h[p % ks]) for p in range(ks * ks)]
+                        moves = [
+                            (i * ks + j, h[i] * kt + h[j])
+                            for i in range(ks)
+                            for j in range(ks)
+                        ]
                         moved = _move_bits(svalue[s0:s1], moves)
                         hit = (moved[:, None] & ~tvalue[None, t0:t1]) != 0
                         for name, mask in smasks.items():
@@ -234,9 +250,8 @@ def _first_homsafe_hit(term: tm.Term, symbols: tuple[str, ...]):
                             hit &= (moved[:, None] & ~tmasks[name][None, t0:t1]) == 0
                         bad |= hit
                     found.extend((s0 + s, kt, t0 + t) for s, t in np.argwhere(bad).tolist())
-            if found:
-                return (ks, *min(found))
-    return None
+            for s, kt, t in sorted(found):
+                yield ks, s, kt, t
 
 
 def _violating_hom(ks: int, smasks: dict, svalue: int, kt: int, tmasks: dict, tvalue: int):
@@ -255,18 +270,15 @@ def _violating_hom(ks: int, smasks: dict, svalue: int, kt: int, tmasks: dict, tv
     # outside[x]: the positions y with (x, y) outside the target's value.
     outside = [~tvalue >> (x * kt) & row for x in range(kt)]
     unlooped = sum(1 << x for x in range(kt) if outside[x] >> x & 1)
-    candidates = [row] * ks
-    # links[v]: (u, table) per edge to a later u, whose candidates shrink
-    # to table[c] once v maps to c.
+    # links[v]: (u, table) per edge between v and u, whose candidates
+    # shrink to table[c] once v maps to c.
     links: list[list[tuple[int, list[int]]]] = [[] for _ in range(ks)]
     for name, smask in smasks.items():
         succ = [tmasks[name] >> (c * kt) & row for c in range(kt)]
         pred = [sum((succ[d] >> c & 1) << d for d in range(kt)) for c in range(kt)]
         for a, b in (divmod(p, ks) for p in range(ks * ks) if smask >> p & 1):
-            if a == b:
-                candidates[a] &= sum((succ[c] >> c & 1) << c for c in range(kt))
-            else:
-                links[min(a, b)].append((max(a, b), succ if a < b else pred))
+            links[a].append((b, succ))
+            links[b].append((a, pred))
 
     def violable(cand: list[int]) -> bool:
         return any(
@@ -287,11 +299,11 @@ def _violating_hom(ks: int, smasks: dict, svalue: int, kt: int, tmasks: dict, tv
                 narrowed = [*cand[:v], 1 << c, *cand[v + 1 :]]
                 for u, table in links[v]:
                     narrowed[u] &= table[c]
-                if all(narrowed[v + 1 :]) and (found := search(v + 1, narrowed)):
+                if all(narrowed) and (found := search(v + 1, narrowed)):
                     return found
         return None
 
-    return search(0, candidates)
+    return search(0, [row] * ks)
 
 
 def _confirmed(verdict: Verdict) -> Verdict:
@@ -306,17 +318,13 @@ def _int_value(term: tm.Term, k: int, masks: dict[str, int]) -> int:
     return tm.evaluate(term, masks, int_ops(k).value)
 
 
-def _all_masks(indices, size: int, symbols: tuple[str, ...]) -> dict:
-    return decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
-
-
 def check_homomorphism_safe(
     term: tm.Term, bounds: Bounds | None = None, seed: int = 0
 ) -> Verdict:
     """Images of term pairs under any homomorphism stay in the term's value.
 
     Exhaustive over every map between structures of at most `pair_size`
-    (2) elements as a bit-mask grid (`_first_homsafe_hit`), then
+    (2) elements as a bit-mask grid (`_homsafe_hits`), then
     `sampled_pairs` random pairs of sizes up to `sampled_size_cap`.
     `_violating_hom` searches each sampled pair to the end and re-derives
     a grid hit's map and pair.
@@ -345,21 +353,22 @@ def check_homomorphism_safe(
         )
 
     def counted(verdict: Verdict) -> Verdict:
-        verdict.bounds.update(
-            pair_size=_PAIR_SIZE, sampled_pairs=pairs, sampled_size_cap=size_cap
-        )
+        verdict.bounds["pair_size"] = _PAIR_SIZE
+        verdict.bounds["sampled_pairs"] = pairs
+        verdict.bounds["sampled_size_cap"] = size_cap
         return verdict
 
-    hit = _first_homsafe_hit(term, symbols)
-    if hit is not None:
-        ks, s, kt, t = hit
-        verdict = failure(ks, _all_masks(s, ks, symbols), kt, _all_masks(t, kt, symbols))
+    for ks, s, kt, t in _homsafe_hits(term, symbols):
+        source = decode_symbol_masks(s, ks, StructureClass.ALL, symbols)
+        target = decode_symbol_masks(t, kt, StructureClass.ALL, symbols)
+        verdict = failure(ks, source, kt, target)
         if verdict is None:
             raise AssertionError("bulk and mask evaluation disagree on a homomorphism")
         return counted(verdict)
     rng = random.Random(seed)
     for _ in range(pairs):
-        size_a, size_b = rng.randint(1, size_cap), rng.randint(1, size_cap)
+        size_a = rng.randint(1, size_cap)
+        size_b = rng.randint(1, size_cap)
         # Draws' e1..ek order is their sorted domain: sizes stay below ten.
         source = random_masks(rng, size_a, symbols)
         verdict = failure(size_a, source, size_b, random_masks(rng, size_b, symbols))
@@ -381,27 +390,21 @@ def _move_bits(masks, moves: list[tuple[int, int]]):
     return out
 
 
-def _subset_moves(size: int, subset: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Moves onto the restriction of a matrix to the positions in `subset`."""
-    k = len(subset)
-    return [
-        (i * size + j, a * k + b) for a, i in enumerate(subset) for b, j in enumerate(subset)
-    ]
-
-
-@cache
-def _proper_subsets(size: int) -> list[tuple[int, ...]]:
+def _proper_subsets(size: int):
     """The nonempty proper subsets of the positions, by size, each size in
     `combinations` order: the empty one has no pairs, the whole one is the
     structure, so no other subset can break ⊆-safety."""
-    return [c for r in range(1, size) for c in combinations(range(size), r)]
+    return (c for r in range(1, size) for c in combinations(range(size), r))
 
 
 def _subset_bad(evaluate, size: int, masks: dict, whole, subset: tuple[int, ...]):
     """The pairs of the value on the substructure induced by `subset` that
     the whole structure's value lacks; `evaluate(k, masks)` gives a value."""
-    moves = _subset_moves(size, subset)
-    part = evaluate(len(subset), {name: _move_bits(m, moves) for name, m in masks.items()})
+    k = len(subset)
+    moves = [
+        (i * size + j, a * k + b) for a, i in enumerate(subset) for b, j in enumerate(subset)
+    ]
+    part = evaluate(k, {name: _move_bits(m, moves) for name, m in masks.items()})
     return _move_bits(part, [(dst, src) for src, dst in moves]) & ~whole
 
 
@@ -431,25 +434,27 @@ def _subsafe_exhaustive(
     """
     evaluate = partial(bulk.bulk_eval_term, term)
     for size in range(1, max_size + 1):
-        subsets = _proper_subsets(size)
         total = count_structures(symbols, size, StructureClass.ALL)
         budget = min(total, bounds.exhaustive_budget)
         if not symbols or size > bulk.MAX_BULK_SIZE:
             for index in range(budget):
-                verdict = failure(size, _all_masks(index, size, symbols), subsets)
+                masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
+                verdict = failure(size, masks, _proper_subsets(size))
                 if verdict is not None:
                     return verdict
             continue
         for start in range(0, budget, _CHUNK):
-            indices = np.arange(start, min(start + _CHUNK, budget), dtype=np.uint64)
-            masks = _all_masks(indices, size, symbols)
+            stop = min(start + _CHUNK, budget)
+            indices = np.arange(start, stop, dtype=np.uint64)
+            masks = decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
             whole = evaluate(size, masks)
-            bad = np.zeros(len(indices), dtype=bool)
-            for subset in subsets:
+            bad = np.zeros(stop - start, dtype=bool)
+            for subset in _proper_subsets(size):
                 bad |= _subset_bad(evaluate, size, masks, whole, subset) != 0
             if bad.any():
                 index = start + int(np.argmax(bad))
-                verdict = failure(size, _all_masks(index, size, symbols), subsets)
+                masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
+                verdict = failure(size, masks, _proper_subsets(size))
                 if verdict is None:
                     raise AssertionError("bulk and mask evaluation disagree on a subset")
                 return verdict
@@ -470,7 +475,8 @@ def check_subseteq_safe(
     size_cap = min(bounds.sample_size, 8)
 
     def reported(verdict: Verdict) -> Verdict:
-        verdict.bounds.update(sampled_structures=draws, sampled_size_cap=size_cap)
+        verdict.bounds["sampled_structures"] = draws
+        verdict.bounds["sampled_size_cap"] = size_cap
         return verdict
 
     def failure(size: int, masks: dict, subsets) -> Verdict | None:
@@ -801,7 +807,12 @@ class SizeCoverage:
     checked: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "size": self.size,
+            "total": self.total,
+            "mode": self.mode,
+            "checked": self.checked,
+        }
 
 
 @dataclass

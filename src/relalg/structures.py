@@ -254,10 +254,12 @@ def homomorphisms(source: Structure, target: Structure) -> list[dict[str, str]]:
         v = order[step]
         for c in target.domain:
             assignment[v] = c
-            if all(
-                (assignment[a], assignment[b]) in target.relations[name]
-                for name, a, b in by_step[step]
-            ):
+            ok = True
+            for name, a, b in by_step[step]:
+                if (assignment[a], assignment[b]) not in target.relations[name]:
+                    ok = False
+                    break
+            if ok:
                 backtrack(step + 1)
         del assignment[v]
 

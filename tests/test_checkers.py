@@ -327,7 +327,7 @@ def test_subset_search_matches_induced_substructures():
             tuple(sorted(rng.sample(range(size), rng.randint(0, size)))) for _ in range(12)
         ]
         if rng.random() < 0.3:
-            subsets = checkers._proper_subsets(size)
+            subsets = list(checkers._proper_subsets(size))
         structure = masks_to_structure(masks, size)
         named = [[structure.domain[p] for p in subset] for subset in subsets]
         expected = first_subset_by_reference(term, structure, named)
@@ -346,7 +346,7 @@ def test_subset_search_on_a_size_nine_slice():
     for index in indices:
         masks = decode_symbol_masks(index, 9, StructureClass.ALL, ("R", "S"))
         structure = structure_from_index(("R", "S"), 9, StructureClass.ALL, index)
-        subsets = checkers._proper_subsets(9)
+        subsets = list(checkers._proper_subsets(9))
         named = [[structure.domain[p] for p in subset] for subset in subsets]
         expected = first_subset_by_reference(term, structure, named)
         assert subset_hit_by_name(term, 9, masks, subsets) == expected, index
