@@ -43,9 +43,12 @@ def bulk_eval_formula(
 ) -> np.ndarray:
     """Masks of the pairs (x, y) satisfying phi, batched like the term path.
 
-    Runs `logic.formula_tensor` on atoms unpacked from the masks.  Free
-    variables beyond {x, y} are rejected; a missing one is padded as
-    unconstrained, matching define_relation(..., pad_missing=True).
+    Runs `logic.formula_tensor` on uint64 words, 64 structures per word:
+    each symbol's masks are bit-transposed into a (words, k, k) table, one
+    pass per pair bit, and the (x, y) table is transposed back into one
+    mask per structure.  Free variables beyond {x, y} are rejected; a
+    missing one is padded as unconstrained, matching
+    define_relation(..., pad_missing=True).
     """
     fv = logic.free_vars(phi)
     if not fv <= {"x", "y"}:
@@ -53,19 +56,28 @@ def bulk_eval_formula(
             f"bulk evaluation needs free variables within x, y; got {sorted(fv)}"
         )
     n = len(next(iter(symbol_masks.values()), ()))
-    bit_index = np.arange(k * k, dtype=np.uint64)
+    words = -(-n // 64)
 
     def atom(name: str) -> np.ndarray:
         masks = symbol_masks.get(name)
         if masks is None:
             raise tm.TermError(f"unknown relation symbol {name!r}")
-        bits = (masks[:, None] >> bit_index[None, :]) & _U1
-        return bits.astype(bool).reshape(n, k, k)
+        octets = np.asarray(masks, dtype="<u8").view(np.uint8).reshape(n, 8)
+        table = np.zeros((k * k, 8 * words), dtype=np.uint8)
+        for p in range(k * k):
+            bits = octets[:, p >> 3] & (1 << (p & 7))
+            table[p, : -(-n // 8)] = np.packbits(bits, bitorder="little")
+        return table.view("<u8").T.reshape(words, k, k)
 
-    variables, tensor = logic.formula_tensor(phi, k, n, atom)
+    variables, tensor = logic.formula_tensor(phi, k, words, atom)
     tensor = logic.align_variables(tensor, variables, ("x", "y"), k)
-    flat = tensor.reshape(n, k * k).astype(np.uint64)
-    return np.bitwise_or.reduce(flat << bit_index[None, :], axis=1)
+    table = np.ascontiguousarray(tensor.reshape(words, k * k).T, dtype="<u8")
+    out = np.zeros(n, dtype=np.uint64)
+    for p in range(k * k):
+        # count=n drops the padding bits past the batch, which ~ sets.
+        bits = np.unpackbits(table[p].view(np.uint8), count=n, bitorder="little")
+        out |= bits.astype(np.uint64) << np.uint64(p)
+    return out
 
 
 def bulk_masks(

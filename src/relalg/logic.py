@@ -12,11 +12,11 @@ Syntax (binding from loosest to tightest):
 
 Formulas are plain immutable trees.  `eval_formula` is the direct Tarskian
 truth definition, kept as the independent oracle.  `formula_tensor` is the
-one formula-table evaluator: it computes phi's satisfying assignments as a
-boolean tensor over a batch of structures, one axis per free variable, which
-stays polynomial in the structure instead of exponential in quantifier
-depth.  `define_relation` runs it on one structure and
-`bulk.bulk_eval_formula` on a batch of bit masks.
+one formula-table evaluator: it computes phi's satisfying assignments over
+a batch of structures as a table of uint64 words, 64 structures per word,
+one axis per free variable, which stays polynomial in the structure instead
+of exponential in quantifier depth.  `define_relation` runs it on one
+structure and `bulk.bulk_eval_formula` on a batch of bit masks.
 """
 
 from __future__ import annotations
@@ -98,20 +98,30 @@ TRUE = Truth(True)
 FALSE = Truth(False)
 
 
+# free_vars, classify and formula_tensor walk formulas on explicit stacks, so
+# that formulas thousands of levels deep do not exhaust the recursion limit.
+def _children(node: Formula) -> tuple[Formula, ...]:
+    if isinstance(node, (Not, Exists, Forall)):
+        return (node.body,)
+    if isinstance(node, (And, Or, Implies)):
+        return (node.left, node.right)
+    return ()
+
+
 def free_vars(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Atom):
-        return frozenset({phi.left, phi.right})
-    if isinstance(phi, Eq):
-        return frozenset({phi.left, phi.right})
-    if isinstance(phi, Truth):
-        return frozenset()
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return free_vars(phi.body) - {phi.var}
-    raise LogicError(f"not a formula node: {phi!r}")
+    free: set[str] = set()
+    stack: list[tuple[Formula, frozenset[str]]] = [(phi, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, (Atom, Eq)):
+            free.update({node.left, node.right} - bound)
+        elif isinstance(node, (Exists, Forall)):
+            stack.append((node.body, bound | {node.var}))
+        elif isinstance(node, (Not, And, Or, Implies)):
+            stack.extend((child, bound) for child in _children(node))
+        elif not isinstance(node, Truth):
+            raise LogicError(f"not a formula node: {node!r}")
+    return frozenset(free)
 
 
 @dataclass(frozen=True)
@@ -128,37 +138,21 @@ def classify(phi: Formula) -> FormulaInfo:
     names: set[str] = set()
     symbols: set[str] = set()
     posex = True
-
-    def walk(node: Formula) -> None:
-        nonlocal posex
+    stack = [phi]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Atom):
             names.update((node.left, node.right))
             symbols.add(node.rel)
         elif isinstance(node, Eq):
             names.update((node.left, node.right))
-        elif isinstance(node, Truth):
-            pass
-        elif isinstance(node, Not):
-            posex = False
-            walk(node.body)
-        elif isinstance(node, Implies):
-            posex = False
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Forall):
-            posex = False
+        elif isinstance(node, (Exists, Forall)):
             names.add(node.var)
-            walk(node.body)
-        elif isinstance(node, Exists):
-            names.add(node.var)
-            walk(node.body)
-        else:
+        elif not isinstance(node, (Truth, Not, And, Or, Implies)):
             raise LogicError(f"not a formula node: {node!r}")
-
-    walk(phi)
+        if isinstance(node, (Not, Implies, Forall)):
+            posex = False
+        stack.extend(_children(node))
     return FormulaInfo(
         variables=frozenset(names),
         variable_count=len(names),
@@ -204,6 +198,9 @@ def eval_formula(
 
 # --- formula tables ---------------------------------------------------------------
 
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
 def _lift(
     tensor: np.ndarray, have: tuple[str, ...], want: tuple[str, ...], k: int
 ) -> np.ndarray:
@@ -225,13 +222,17 @@ def align_variables(
 
 
 def formula_tensor(
-    phi: Formula, k: int, n: int, atom: Callable[[str], np.ndarray]
+    phi: Formula, k: int, words: int, atom: Callable[[str], np.ndarray]
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """Truth table of phi over a batch of n structures with domain size k.
+    """Truth table of phi over a batch of structures with domain size k.
 
-    `atom(name)` returns the (n, k, k) bool table of a relation symbol.  The
-    result is phi's free variables, sorted, and a bool array of shape
-    (n,) + (k,) * len(variables) indexed by their values.
+    The batch is bit-sliced into uint64 words, 64 structures per word: bit s
+    of word w is structure 64 * w + s.  `atom(name)` returns the
+    (words, k, k) uint64 table of a relation symbol.  The result is phi's
+    free variables, sorted, and a uint64 array of shape
+    (words,) + (k,) * len(variables) indexed by their values.  Negation sets
+    the bits past the end of the batch too, so a caller reads only the bits
+    of its own structures.
     """
     atoms: dict[str, np.ndarray] = {}
 
@@ -241,7 +242,7 @@ def formula_tensor(
             table = atoms[name] = atom(name)
         return table
 
-    def go(node: Formula) -> tuple[tuple[str, ...], np.ndarray]:
+    def leaf(node: Formula) -> tuple[tuple[str, ...], np.ndarray]:
         if isinstance(node, Atom):
             table = base(node.rel)
             if node.left == node.right:
@@ -252,17 +253,22 @@ def formula_tensor(
             return variables, np.swapaxes(table, 1, 2)
         if isinstance(node, Eq):
             if node.left == node.right:
-                return (node.left,), np.ones((n, k), dtype=bool)
+                return (node.left,), np.full((words, k), _ONES)
             variables = tuple(sorted((node.left, node.right)))
-            return variables, np.broadcast_to(np.eye(k, dtype=bool), (n, k, k))
+            diagonal = np.where(np.eye(k, dtype=bool), _ONES, np.uint64(0))
+            return variables, np.broadcast_to(diagonal, (words, k, k))
         if isinstance(node, Truth):
-            return (), np.full(n, node.value, dtype=bool)
+            return (), np.full(words, _ONES if node.value else 0, dtype=np.uint64)
+        raise LogicError(f"not a formula node: {node!r}")
+
+    def combine(
+        node: Formula, args: list[tuple[tuple[str, ...], np.ndarray]]
+    ) -> tuple[tuple[str, ...], np.ndarray]:
         if isinstance(node, Not):
-            variables, tensor = go(node.body)
+            variables, tensor = args[0]
             return variables, ~tensor
         if isinstance(node, (And, Or, Implies)):
-            lvars, ltensor = go(node.left)
-            rvars, rtensor = go(node.right)
+            (lvars, ltensor), (rvars, rtensor) = args
             # Every variable has a full axis on one side, so numpy's
             # broadcasting yields full tables.
             variables = tuple(sorted(set(lvars) | set(rvars)))
@@ -273,22 +279,34 @@ def formula_tensor(
             if isinstance(node, Or):
                 return variables, ltensor | rtensor
             return variables, ~ltensor | rtensor
-        if isinstance(node, (Exists, Forall)):
-            bvars, tensor = go(node.body)
-            if node.var not in bvars:
-                # A vacuous quantifier still ranges over the domain, so on an
-                # empty domain exists is false and forall is true.
-                wider = tuple(sorted(bvars + (node.var,)))
-                tensor = align_variables(tensor, bvars, wider, k)
-                bvars = wider
-            axis = 1 + bvars.index(node.var)
-            keep = tuple(v for v in bvars if v != node.var)
-            if isinstance(node, Exists):
-                return keep, tensor.any(axis=axis)
-            return keep, tensor.all(axis=axis)
-        raise LogicError(f"not a formula node: {node!r}")
+        bvars, tensor = args[0]
+        if node.var not in bvars:
+            # A vacuous quantifier still ranges over the domain, so on an
+            # empty domain exists is false and forall is true.
+            wider = tuple(sorted(bvars + (node.var,)))
+            tensor = align_variables(tensor, bvars, wider, k)
+            bvars = wider
+        axis = 1 + bvars.index(node.var)
+        keep = tuple(v for v in bvars if v != node.var)
+        if isinstance(node, Exists):
+            return keep, np.bitwise_or.reduce(tensor, axis=axis)
+        return keep, np.bitwise_and.reduce(tensor, axis=axis)
 
-    return go(phi)
+    values: list[tuple[tuple[str, ...], np.ndarray]] = []
+    todo: list[tuple[Formula, bool]] = [(phi, False)]
+    while todo:
+        node, expanded = todo.pop()
+        children = _children(node)
+        if not children:
+            values.append(leaf(node))
+        elif not expanded:
+            todo.append((node, True))
+            todo.extend((child, False) for child in reversed(children))
+        else:
+            args = values[-len(children):]
+            del values[-len(children):]
+            values.append(combine(node, args))
+    return values[0]
 
 
 def define_relation(
@@ -321,19 +339,20 @@ def define_relation(
     position = {d: i for i, d in enumerate(dom)}
 
     def atom(name: str) -> np.ndarray:
-        table = np.zeros((1, k, k), dtype=bool)
+        table = np.zeros((1, k, k), dtype=np.uint64)
         pairs = structure.rel(name)
         if pairs:
             rows, cols = zip(*((position[a], position[b]) for a, b in pairs))
-            table[0, rows, cols] = True
+            table[0, rows, cols] = 1
         return table
 
+    # One word whose bit 0 is the structure; the other 63 bits are padding.
     variables, tensor = formula_tensor(phi, k, 1, atom)
     if x == y:
-        column = align_variables(tensor, variables, (x,), k)[0]
+        column = align_variables(tensor, variables, (x,), k)[0] & 1
         return frozenset((dom[i], dom[i]) for i in np.flatnonzero(column))
     target = tuple(sorted((x, y)))
-    table = align_variables(tensor, variables, target, k)[0]
+    table = align_variables(tensor, variables, target, k)[0] & 1
     if target != (x, y):
         table = table.T
     return frozenset((dom[i], dom[j]) for i, j in zip(*np.nonzero(table)))

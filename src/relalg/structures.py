@@ -75,14 +75,6 @@ class StructureClass(Enum):
     TOTAL_FUNCTIONS = "total-functions"
     INJECTIVE_PARTIAL_FUNCTIONS = "injective-partial-functions"
 
-    @classmethod
-    def from_name(cls, name: str) -> "StructureClass":
-        for member in cls:
-            if member.value == name:
-                return member
-        known = ", ".join(member.value for member in cls)
-        raise StructureError(f"unknown structure class {name!r} (known: {known})")
-
     def contains(self, mask: int, k: int) -> bool:
         """Whether a relation, as a mask over k elements, lies in the class."""
         ops = int_ops(k)

@@ -1,6 +1,7 @@
 """The vectorized evaluator must match the scalar one exactly."""
 
 import random
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,8 +14,20 @@ from relalg.bulk import (
     decode_symbol_masks,
     random_symbol_masks,
 )
-from relalg.logic import eval_formula, parse_formula, term_to_fo3
+from relalg.logic import (
+    And,
+    Atom,
+    Eq,
+    Exists,
+    classify,
+    define_relation,
+    eval_formula,
+    free_vars,
+    parse_formula,
+    term_to_fo3,
+)
 from relalg.structures import (
+    BulkOps,
     StructureClass,
     _mask_pairs,
     _sorted_domain,
@@ -179,6 +192,77 @@ def test_bulk_formula_eval_matches_scalar(seed):
             if eval_formula(phi, s, {"x": a, "y": b})
         }
         assert _mask_pairs(int(out[i]), _sorted_domain(k)) == expected
+
+
+# Negation, implication and forall set the padding bits past the end of the
+# last word; none of them may reach an output mask.
+WORD_BOUNDARY_FORMULAS = (
+    "!f(x,y) -> forall z. (g(x,z) | !f(z,y))",
+    "forall z. true",
+    "exists z. false | x = x",
+    "!(exists z. f(x,z) & g(z,y)) & y = y",
+    "forall y. !f(x,y) -> exists z. g(z,x)",
+    "forall x. forall y. f(x,y) -> !g(y,x)",
+    "!false",
+)
+
+
+def test_bulk_formula_eval_across_word_boundaries():
+    np_rng = np.random.default_rng(64)
+    for n in (1, 63, 64, 65, 130):
+        for k in range(1, MAX_BULK_SIZE + 1):
+            masks = random_symbol_masks(np_rng, n, k, ALL, ("f", "g"))
+            for text in WORD_BOUNDARY_FORMULAS:
+                phi = parse_formula(text)
+                out = bulk_eval_formula(phi, k, masks)
+                assert out.shape == (n,) and out.dtype == np.uint64
+                for i in sorted({0, 62, 63, n - 1} & set(range(n))):
+                    s = structure_from_masks_at(masks, k, i)
+                    expected = {
+                        (a, b)
+                        for a in s.domain
+                        for b in s.domain
+                        if eval_formula(phi, s, {"x": a, "y": b})
+                    }
+                    got = _mask_pairs(int(out[i]), _sorted_domain(k))
+                    assert got == expected, (text, n, k, i)
+
+
+def test_bulk_formula_eval_memory_stays_linear_in_the_batch():
+    # A three-variable formula at k = 8 over 65,536 structures: one bit per
+    # structure per table cell is 4 MB a table, where one bool per cell
+    # would take 32 MB.
+    phi = parse_formula("forall z. (f(x,z) -> exists y. g(z,y) & !f(y,x)) | x = y")
+    masks = random_symbol_masks(np.random.default_rng(8), 65536, 8, ALL, ("f", "g"))
+    tracemalloc.start()
+    try:
+        bulk_eval_formula(phi, 8, masks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, peak
+
+
+def test_deep_formulas_evaluate_without_recursion():
+    # phi_{i+1}(x, y) = exists z. f(x,z) & exists x. (x = z & phi_i(x, y)),
+    # so phi_m defines the m-fold composition f ; f ; ... ; f.
+    steps = 750
+    phi = Atom("f", "x", "y")
+    for _ in range(steps):
+        phi = Exists("z", And(Atom("f", "x", "z"), Exists("x", And(Eq("x", "z"), phi))))
+    assert free_vars(phi) == {"x", "y"}
+    assert classify(phi).is_posex
+    for k in (1, 3, 4):
+        masks = random_symbol_masks(np.random.default_rng(k), 70, k, ALL, ("f",))
+        ops = BulkOps(k)
+        expected = masks["f"]
+        for _ in range(steps):
+            expected = ops.compose(masks["f"], expected)
+        assert np.array_equal(bulk_eval_formula(phi, k, masks), expected)
+        for i in (0, 69):
+            s = structure_from_masks_at(masks, k, i)
+            got = define_relation(phi, "x", "y", s)
+            assert got == _mask_pairs(int(expected[i]), s.domain)
 
 
 def test_bulk_term_eval_exhaustive_size_two():

@@ -227,7 +227,7 @@ def test_define_relation_agrees_with_eval_formula():
 
 def test_formula_tensor_keeps_empty_domain_semantics():
     def none(name):
-        return np.zeros((1, 0, 0), dtype=bool)
+        return np.zeros((1, 0, 0), dtype=np.uint64)
 
     for text in ("exists v. true", "forall v. false", "exists v. R(v,v)",
                  "forall v. R(v,v)", "!(exists v. v = v)", "true"):
