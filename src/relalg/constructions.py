@@ -16,8 +16,10 @@ from .logic import And, Atom, Eq, Exists, Forall, Formula, Implies, Not
 from .structures import (
     Relation,
     Structure,
+    _bit_pairs,
     disjoint_union,
     induced,
+    relation_mask,
 )
 
 
@@ -146,6 +148,18 @@ class ClosureVerdict:
         }
 
 
+def _first_pairs(mask: int, domain: tuple[str, ...], count: int) -> list[list[str]]:
+    """The pairs of a mask's first `count` set bits: over a sorted domain,
+    its first pairs in sorted order."""
+    pairs = _bit_pairs(domain)
+    out = []
+    while mask and len(out) < count:
+        low = mask & -mask
+        out.append(list(pairs[low.bit_length() - 1]))
+        mask ^= low
+    return out
+
+
 def verify_closure_bound(
     bundle: SeparationBundle,
     basis: frozenset[str] | str = "fa",
@@ -160,32 +174,27 @@ def verify_closure_bound(
 
     ops = tm.BASES[basis] if isinstance(basis, str) else frozenset(basis)
     result = tm.semantic_closure(bundle.structure, ops, ("f", "g"), budget)
-    expected_rels = {rel: name for name, rel in bundle.expected_closure.items()}
-    escapees = []
-    for rel in result.order:
-        if rel not in expected_rels:
-            escapees.append(
-                {
-                    "witness": tm.print_term(result.relations[rel]),
-                    "pairs": [list(p) for p in sorted(rel)][:10],
-                    "pair_count": len(rel),
-                }
-            )
-    missing = [
-        name
-        for name, rel in bundle.expected_closure.items()
-        if rel not in result.relations
+    domain = result.domain
+    expected = {
+        name: relation_mask(rel, domain) for name, rel in bundle.expected_closure.items()
+    }
+    inside = set(expected.values())
+    escapees = [
+        {
+            "witness": tm.print_term(witness),
+            "pairs": _first_pairs(mask, domain, 10),
+            "pair_count": mask.bit_count(),
+        }
+        for mask, witness in result.masks.items()
+        if mask not in inside
     ]
-    fg_id = (
-        bundle.expected_closure["f"]
-        | bundle.expected_closure["g"]
-        | bundle.expected_closure["id"]
-    )
-    all_sub = all(rel <= fg_id for rel in result.relations)
+    missing = [name for name, mask in expected.items() if mask not in result.masks]
+    fg_id = expected["f"] | expected["g"] | expected["id"]
+    all_sub = all(mask | fg_id == fg_id for mask in result.masks)
     basis_fp = all(EXPECTED_MATRIX.get(op, (0, 0, True, 0))[2] for op in ops)
     return ClosureVerdict(
         passed=not escapees and not missing,
-        reached=len(result.relations),
+        reached=len(result.masks),
         expected=len(bundle.expected_closure),
         missing=missing,
         escapees=escapees,

@@ -16,8 +16,10 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, reduce
+from itertools import repeat
 from math import comb, factorial
+from operator import and_, mul, or_
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +507,17 @@ class BulkOps:
         self.constants = {"id": self.diag, "empty": word(0), "top": self.mask_all}
         # (b, b*k) for the columns and rows after the first.
         self._shifts = tuple((word(b), word(b * k)) for b in range(1, k))
+        # Each row's top bit, its other bits, and the shift from its top
+        # bit to its first.
+        self._high = word(sum(1 << (i * k + k - 1) for i in range(k)))
+        self._low = self.mask_all ^ self._high
+        self._top = word(max(k - 1, 0))
+        # Row shifts that fold the lower half of the rows left onto the upper.
+        halves, rows = [], k
+        while rows > 1:
+            rows = (rows + 1) // 2
+            halves.append(word(rows * k))
+        self._halves = tuple(halves)
         # Converse swaps the pairs d places off the diagonal: (i, i+d) moves
         # d*(k-1) bits up to (i+d, i), and back.
         self._swaps = tuple(
@@ -517,18 +530,16 @@ class BulkOps:
         )
 
     def _rowany(self, r):
-        """Bit i*k set where row i of r is nonempty."""
-        out = r
-        for b, _ in self._shifts:
-            out = out | (r >> b)
-        return out & self.col0
+        """Bit i*k set where row i of r is nonempty.  Adding the low bits to
+        themselves carries into a row's top bit exactly when one is set, and
+        never past it (Warren, *Hacker's Delight*, 2nd ed., section 6-1)."""
+        return ((((r & self._low) + self._low) | r) & self._high) >> self._top
 
     def _colany(self, r):
-        """Bit j set where column j of r is nonempty."""
-        out = r
-        for _, bk in self._shifts:
-            out = out | (r >> bk)
-        return out & self.row0
+        """Bit j set where column j of r is nonempty: the rows folded in halves."""
+        for shift in self._halves:
+            r = r | (r >> shift)
+        return r & self.row0
 
     def _diagonal(self, rows):
         """The identity restricted to the rows with an indicator bit at i*k."""
@@ -574,14 +585,43 @@ class BulkOps:
         sources = self._colany(self._diagonal(self._rowany(s)))
         return r & (sources * self.col0)
 
+    def _free(self, r):
+        """The rows where r is empty, filled."""
+        return (self._rowany(r) ^ self.col0) * self.row0
+
     def prefunion(self, r, s):
-        free = (self._rowany(r) ^ self.col0) * self.row0
-        return r | (s & free)
+        return r | (s & self._free(r))
 
     def injunion(self, r, s):
         straight = self.prefunion(r, s)
         reverse = self.prefunion(self.converse(r), self.converse(s))
         return straight & self.converse(reverse)
+
+    def grid(self, op: str, xs: Sequence) -> Iterator:
+        """`op(a, b)` for a in xs for b in xs, a-major, one value at a time.
+
+        Each right operand is split once per call and each left operand
+        once per row of the table: compose multiplies a's column indicators
+        by b's rows, semijoin masks a with b's source columns, and
+        prefunion fills a's free rows from b.
+        """
+        if op == "compose":
+            col0, row0 = self.col0, self.row0
+            rows = [[b & row0] + [(b >> bk) & row0 for _, bk in self._shifts] for b in xs]
+            for a in xs:
+                cols = [a & col0] + [(a >> b) & col0 for b, _ in self._shifts]
+                yield from (reduce(or_, map(mul, cols, r)) for r in rows)
+        elif op == "semijoin":
+            sources = [self.semijoin(self.mask_all, b) for b in xs]
+            for a in xs:
+                yield from map(and_, repeat(a), sources)
+        elif op == "prefunion":
+            for a in xs:
+                yield from map(or_, repeat(a), map(and_, xs, repeat(self._free(a))))
+        else:
+            kernel = getattr(self, op)
+            for a in xs:
+                yield from map(kernel, repeat(a), xs)
 
     def value(self, op: str, args: Sequence):
         """One node's value from its children's values."""
@@ -605,15 +645,26 @@ def int_ops(k: int) -> BulkOps:
 @cache
 def injective_codes(size: int) -> tuple[int, ...]:
     """Partial-function codes whose decoded relation is injective, ascending:
-    those whose nonzero digits are distinct."""
+    those whose nonzero digits are distinct.  Built from the most
+    significant digit down, extending each prefix by its fresh digits in
+    ascending order, so no non-injective code is ever visited."""
     base = size + 1
-    found = []
-    for code in range(base**size):
-        digits = [code // base**p % base for p in range(size)]
-        targets = [d for d in digits if d]
-        if len(set(targets)) == len(targets):
-            found.append(code)
-    return tuple(found)
+    digits = np.arange(base, dtype=np.int64)
+    bits = np.left_shift(1, digits) & ~1  # the bit of each nonzero digit
+    codes = used = np.zeros(1, dtype=np.int64)
+    for _ in range(size):
+        fresh = (used[:, None] & bits) == 0
+        codes = (codes[:, None] * base + digits)[fresh]
+        used = (used[:, None] | bits)[fresh]
+    return tuple(codes.tolist())
+
+
+@cache
+def _injective_words(size: int) -> np.ndarray:
+    """`injective_codes` as a read-only uint64 array, for batch decoding."""
+    words = np.asarray(injective_codes(size), dtype=np.uint64)
+    words.flags.writeable = False
+    return words
 
 
 def _digit_masks(digits: Iterable, k: int, partial: bool):
@@ -652,9 +703,7 @@ def decode_symbol_masks(
             out[name] = codes
             continue
         if cls is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
-            table = injective_codes(k)
-            if not isinstance(codes, int):
-                table = np.asarray(table, dtype=np.uint64)
+            table = injective_codes(k) if isinstance(codes, int) else _injective_words(k)
             codes = table[codes]
         out[name] = _digit_masks((codes // base**p % base for p in range(k)), k, partial)
     return {name: out[name] for name in ordered}

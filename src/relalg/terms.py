@@ -18,10 +18,10 @@ tighter than the prefix operators, so ~f^ reads as ~(f^).  The identifiers
 symbols inside term text.
 
 Each operation's semantics is defined once, as a bit-matrix kernel of
-`structures.BulkOps`.  `eval_term`, `semantic_closure` and
-`closure_is_closed` run those kernels on Python ints (one structure, any
-size) and `bulk.bulk_eval_term` runs them on uint64 batches; relations are
-frozensets of pairs only where they enter and leave.
+`structures.BulkOps`.  `eval_term` and `semantic_closure` run those kernels
+on Python ints (one structure, any size) and `bulk.bulk_eval_term` runs them
+on uint64 batches; relations are frozensets of pairs only where they enter
+and leave.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ from __future__ import annotations
 import random
 import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import TypeVar
 
 from .parsing import ParseError, TokenStream, tokenize
-from .structures import Relation, Structure, StructureError, _mask_pairs, int_ops, relation_mask
+from .structures import Relation, Structure, StructureError, _mask_pairs, int_ops
 
 V = TypeVar("V")
 
@@ -674,25 +676,37 @@ def random_term(
 class ClosureResult:
     """Outcome of a semantic closure run.
 
-    `relations` maps each reachable denotation to the first witnessing term
-    found; `order` lists denotations in discovery order; `complete` is False
-    when the evaluation budget ran out before the fixpoint was confirmed.
+    `masks` maps each reachable denotation, a bit mask over `domain` (see
+    `structures.BulkOps`), to the first witnessing term found, in discovery
+    order.  `relations` (denotation to witness) and `order` (denotations in
+    discovery order) are the same as frozensets of pairs, decoded on first
+    read.  `complete` is False when the evaluation budget ran out before the
+    fixpoint was confirmed; `evaluations` counts every operation
+    application up to the budget, plus the one that found it spent.
     """
 
     def __init__(
         self,
-        relations: dict[Relation, Term],
-        order: list[Relation],
+        domain: tuple[str, ...],
+        masks: dict[int, Term],
         complete: bool,
         evaluations: int,
     ):
-        self.relations = relations
-        self.order = order
+        self.domain = domain
+        self.masks = masks
         self.complete = complete
         self.evaluations = evaluations
 
+    @cached_property
+    def relations(self) -> dict[Relation, Term]:
+        return {_mask_pairs(mask, self.domain): t for mask, t in self.masks.items()}
+
+    @property
+    def order(self) -> list[Relation]:
+        return list(self.relations)
+
     def __len__(self) -> int:
-        return len(self.relations)
+        return len(self.masks)
 
     def __contains__(self, rel: Relation) -> bool:
         return frozenset(rel) in self.relations
@@ -710,101 +724,43 @@ def semantic_closure(
     of its children's values, so iterating every operation over every tuple
     of already-reached denotations until nothing new appears computes the
     full term-definable family.  Terminates because the structure is finite.
-    Denotations are bit masks while the closure runs (see `structures.BulkOps`).
+    Each round applies the unary operations, then the binary ones over the
+    round's snapshot, a-major (`structures.BulkOps.grid`); denotations stay
+    bit masks, and the result decodes them only when read as relations.
     """
     ops = set(basis)
     if symbols is None:
         symbols = structure.signature
     kernels = int_ops(len(structure.domain))
     known: dict[int, Term] = {}
-    order: list[int] = []
-
-    def record(
-        mask: int, op: str, args: tuple[Term, ...] = (), name: str | None = None
-    ) -> None:
-        # Most evaluations reach a known denotation; only a new one gets a
-        # witness term.
-        if mask not in known:
-            known[mask] = Term(op, args, name)
-            order.append(mask)
-
     for name in sorted(symbols):
         if name not in structure.masks:
             raise StructureError(f"unknown relation symbol {name!r}")
-        record(structure.masks[name], "sym", (), name)
+        known.setdefault(structure.masks[name], sym(name))
     for c in _CONSTANT_ORDER:
         if c in ops:
-            record(kernels.constants[c], c)
+            known.setdefault(kernels.constants[c], Term(c))
 
     evaluations = 0
-    complete = True
-    unary = [op for op in _UNARY_ORDER if op in ops]
-    binary = [op for op in _BINARY_ORDER if op in ops]
+    operations = [op for op in _UNARY_ORDER + _BINARY_ORDER if op in ops]
     while True:
         before = len(known)
-        snapshot = list(order)
-        stop = False
-        for op in unary:
-            kernel = getattr(kernels, op)
-            for rel in snapshot:
-                evaluations += 1
-                if evaluations > budget:
-                    stop = True
-                    break
-                record(kernel(rel), op, (known[rel],))
-            if stop:
-                break
-        if not stop:
-            for op in binary:
-                kernel = getattr(kernels, op)
-                for rel_a in snapshot:
-                    for rel_b in snapshot:
-                        evaluations += 1
-                        if evaluations > budget:
-                            stop = True
-                            break
-                        record(kernel(rel_a, rel_b), op, (known[rel_a], known[rel_b]))
-                    if stop:
-                        break
-                if stop:
-                    break
-        if stop:
-            complete = False
-            break
+        snapshot = list(known)
+        n = len(snapshot)
+        for op in operations:
+            unary = ARITY[op] == 1
+            total = n if unary else n * n
+            take = max(0, min(total, budget - evaluations))
+            values = map(getattr(kernels, op), snapshot) if unary else kernels.grid(op, snapshot)
+            for p, mask in enumerate(islice(values, take)):
+                # Most evaluations reach a known denotation; only a new one
+                # gets a witness term.
+                if mask not in known:
+                    args = (p,) if unary else divmod(p, n)
+                    known[mask] = Term(op, [known[snapshot[i]] for i in args])
+            evaluations += take
+            if take < total:
+                # The evaluation that finds the budget spent counts too.
+                return ClosureResult(structure.domain, known, False, evaluations + 1)
         if len(known) == before:
-            break
-    relations = [_mask_pairs(mask, structure.domain) for mask in order]
-    return ClosureResult(
-        {rel: known[mask] for rel, mask in zip(relations, order)},
-        relations,
-        complete,
-        evaluations,
-    )
-
-
-def closure_is_closed(
-    structure: Structure, relations: Iterable[Relation], basis: Iterable[str]
-) -> bool:
-    """Check a family of relations is closed under every basis operation."""
-    ops = set(basis)
-    kernels = int_ops(len(structure.domain))
-    family = {relation_mask(r, structure.domain) for r in relations}
-    for c in _CONSTANT_ORDER:
-        if c in ops and kernels.constants[c] not in family:
-            return False
-    for op in _UNARY_ORDER:
-        if op not in ops:
-            continue
-        kernel = getattr(kernels, op)
-        for rel in family:
-            if kernel(rel) not in family:
-                return False
-    for op in _BINARY_ORDER:
-        if op not in ops:
-            continue
-        kernel = getattr(kernels, op)
-        for rel_a in family:
-            for rel_b in family:
-                if kernel(rel_a, rel_b) not in family:
-                    return False
-    return True
+            return ClosureResult(structure.domain, known, True, evaluations)

@@ -96,6 +96,58 @@ def test_both_representations_share_the_kernels():
             assert batch.tolist() == single, (k, op)
 
 
+def row_reference(r, k):
+    return sum(1 << (i * k) for i in range(k) if r >> (i * k) & ((1 << k) - 1))
+
+
+def column_reference(r, k):
+    return sum(1 << j for j in range(k) if any(r >> (i * k + j) & 1 for i in range(k)))
+
+
+def kernel_inputs(rng, k, count):
+    """The empty and full masks, only the top row, only the last column, and
+    seeded random masks, some sparse."""
+    full = (1 << (k * k)) - 1
+    top_row = ((1 << k) - 1) << (k * (k - 1)) if k else 0
+    last_column = sum(1 << (i * k + k - 1) for i in range(k))
+    randoms = [rng.getrandbits(k * k) for _ in range(count)]
+    sparse = [r & rng.getrandbits(k * k) & rng.getrandbits(k * k) for r in randoms]
+    return [0, full, top_row, last_column] + randoms + sparse
+
+
+def test_row_and_column_tests_match_a_per_row_reference():
+    rng = random.Random(61)
+    for k in (0, 1, 2, 3, 7, 8, 9, 60):
+        ops = BulkOps(k, batch=False)
+        for r in kernel_inputs(rng, k, 50):
+            assert ops._rowany(r) == row_reference(r, k), (k, r)
+            assert ops._colany(r) == column_reference(r, k), (k, r)
+    for k in range(1, MAX_BULK_SIZE + 1):
+        ops = BulkOps(k)
+        xs = kernel_inputs(rng, k, 50)
+        words = np.array(xs, dtype=np.uint64)
+        assert ops._rowany(words).tolist() == [row_reference(r, k) for r in xs], k
+        assert ops._colany(words).tolist() == [column_reference(r, k) for r in xs], k
+
+
+def test_grid_matches_the_one_pair_kernels():
+    rng = random.Random(62)
+    binary = [op for op in ALL_OPS if ARITY[op] == 2]
+    for k in (0, 1, 2, 3, 5, 9):
+        ops = BulkOps(k, batch=False)
+        xs = kernel_inputs(rng, k, 6)
+        for op in binary:
+            kernel = getattr(ops, op)
+            assert list(ops.grid(op, xs)) == [kernel(a, b) for a in xs for b in xs], (k, op)
+    for k in (1, 3, MAX_BULK_SIZE):
+        ops = BulkOps(k)
+        xs = [np.array(kernel_inputs(rng, k, 4), dtype=np.uint64) for _ in range(3)]
+        for op in binary:
+            kernel = getattr(ops, op)
+            got = [w.tolist() for w in ops.grid(op, xs)]
+            assert got == [kernel(a, b).tolist() for a in xs for b in xs], (k, op)
+
+
 def test_deep_terms_evaluate_without_recursion():
     depth = 20_000
     chain = sym("f")

@@ -245,6 +245,21 @@ def test_codec_int_and_uint64_paths_agree_with_the_digit_decoder():
                 assert decode_symbol_masks(index, size, cls, ("f", "g")) == want
 
 
+def test_injective_decoding_agrees_on_both_routes_at_eight_elements():
+    import numpy as np
+
+    from relalg.structures import decode_symbol_masks, space_size
+
+    rng = random.Random(29)
+    total = space_size(8, IPF) ** 2
+    indices = [0, total - 1] + [rng.randrange(total) for _ in range(200)]
+    for _ in range(2):  # the second call reads the cached code table
+        batch = decode_symbol_masks(np.array(indices, dtype=np.uint64), 8, IPF, ("f", "g"))
+        for name in ("f", "g"):
+            want = [decode_symbol_masks(i, 8, IPF, ("f", "g"))[name] for i in indices]
+            assert batch[name].tolist() == want
+
+
 def test_mask_decoding_matches_bit_layout():
     from relalg.structures import _domain_of, _mask_pairs
 

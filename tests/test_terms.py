@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import closure_is_closed, naive_closure
 
+from relalg.constructions import build_separation
 from relalg.parsing import ParseError
 from relalg.structures import Structure, random_structure
 from relalg.terms import (
@@ -13,7 +15,6 @@ from relalg.terms import (
     CATALOGUE,
     Term,
     TermError,
-    closure_is_closed,
     enumerate_terms,
     eval_term,
     expand_injunion,
@@ -228,6 +229,39 @@ def test_semantic_closure_closes():
     assert result.order[0] == frozenset({("a", "b")})
     for rel, witness in result.relations.items():
         assert eval_term(witness, edge) == rel
+
+
+def assert_same_closure(structure, basis, symbols, budget):
+    result = semantic_closure(structure, basis, symbols, budget)
+    masks, complete, evaluations = naive_closure(structure, basis, symbols, budget)
+    assert list(result.masks) == list(masks), budget
+    assert all(result.masks[m] is masks[m] for m in masks), budget
+    assert (result.complete, result.evaluations) == (complete, evaluations), budget
+    return result
+
+
+def test_semantic_closure_matches_the_naive_loop():
+    # The budgets cut the separation closures between operations, inside a
+    # row of a binary table, and not at all.
+    structure = build_separation(2, 3).structure
+    for basis in (BASES["fa"], BASES["fa"] | {"converse"}):
+        for budget in (0, 1, 95, 96, 97, 636, 5_000, 100_000):
+            result = assert_same_closure(structure, basis, ("f", "g"), budget)
+            assert result.order == [frozenset(r) for r in result.relations]
+            assert len(result) == len(result.masks)
+    rng = random.Random(31)
+    s = random_structure(rng, 5, ("f", "g"))
+    for budget in (40, 2_000, 20_000):
+        assert not assert_same_closure(s, CATALOGUE, None, budget).complete
+
+
+def test_closure_result_decodes_its_masks():
+    edge = Structure(("a", "b"), {"f": {("a", "b")}})
+    result = semantic_closure(edge, BASES["fa"])
+    assert result.domain == ("a", "b")
+    assert result.order == list(result.relations)
+    assert frozenset({("a", "b")}) in result and {("b", "a")} not in result
+    assert [("a", "c")] not in result
 
 
 def test_load_terms(tmp_path):
