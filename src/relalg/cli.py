@@ -342,6 +342,8 @@ def _cmd_ef(args) -> _Outcome:
         ]
         return _Outcome("pass" if report.passed else "fail", payload, text)
 
+    if args.left is None or args.right is None:
+        raise StructureError(f"ef {args.mode} needs --left and --right")
     left = load_structure(args.left)
     right = load_structure(args.right)
     lt = _csv(args.left_tuple)

@@ -43,32 +43,6 @@ def relation(pairs: Iterable[Sequence[str]]) -> Relation:
     return frozenset(out)
 
 
-def converse(rel: Iterable[Pair]) -> Relation:
-    return frozenset((b, a) for a, b in rel)
-
-
-def is_partial_function(rel: Iterable[Pair]) -> bool:
-    seen: dict[str, str] = {}
-    for a, b in rel:
-        if a in seen and seen[a] != b:
-            return False
-        seen[a] = b
-    return True
-
-
-def is_total_function(rel: Iterable[Pair], domain: Iterable[str]) -> bool:
-    pairs = list(rel)
-    if not is_partial_function(pairs):
-        return False
-    sources = {a for a, _ in pairs}
-    return all(x in sources for x in domain)
-
-
-def is_injective_partial_function(rel: Iterable[Pair]) -> bool:
-    pairs = list(rel)
-    return is_partial_function(pairs) and is_partial_function(converse(pairs))
-
-
 class StructureClass(Enum):
     """Classes of structures distinguished by what their relations may be."""
 
@@ -189,10 +163,6 @@ def ball(structure: Structure, root: str, radius: int, mode: str = "forward") ->
     return induced(structure, _reach_depths(structure, root, radius, mode))
 
 
-def generated_substructure(structure: Structure, root: str, mode: str = "forward") -> Structure:
-    return ball(structure, root, len(structure.domain), mode)
-
-
 def disjoint_union(left: Structure, right: Structure) -> Structure:
     if left.signature != right.signature:
         raise StructureError(
@@ -263,127 +233,14 @@ def homomorphisms(source: Structure, target: Structure) -> list[dict[str, str]]:
     return results
 
 
-def _degree_profile(structure: Structure) -> dict[str, tuple]:
-    profile: dict[str, list] = {x: [] for x in structure.domain}
-    for name in structure.signature:
-        rel = structure.relations[name]
-        out: dict[str, int] = {}
-        inn: dict[str, int] = {}
-        loops: dict[str, int] = {}
-        for a, b in rel:
-            out[a] = out.get(a, 0) + 1
-            inn[b] = inn.get(b, 0) + 1
-            if a == b:
-                loops[a] = loops.get(a, 0) + 1
-        for x in structure.domain:
-            profile[x].append((out.get(x, 0), inn.get(x, 0), loops.get(x, 0)))
-    return {x: tuple(parts) for x, parts in profile.items()}
-
-
-class _IsoSearch:
-    """Backtracking partial-isomorphism extension with functional forcing."""
-
-    def __init__(self, left: Structure, right: Structure):
-        self.left = left
-        self.right = right
-        self.profile_left = _degree_profile(left)
-        self.profile_right = _degree_profile(right)
-        # Per-symbol successor/predecessor maps, used for forcing when the
-        # relation (or its converse) is functional on both sides.
-        self.maps: list[tuple[dict, dict, dict, dict, bool, bool]] = []
-        for name in left.signature:
-            lrel, rrel = left.relations[name], right.relations[name]
-            lsucc: dict[str, set[str]] = {}
-            lpred: dict[str, set[str]] = {}
-            rsucc: dict[str, set[str]] = {}
-            rpred: dict[str, set[str]] = {}
-            for a, b in lrel:
-                lsucc.setdefault(a, set()).add(b)
-                lpred.setdefault(b, set()).add(a)
-            for a, b in rrel:
-                rsucc.setdefault(a, set()).add(b)
-                rpred.setdefault(b, set()).add(a)
-            func = is_partial_function(lrel) and is_partial_function(rrel)
-            cofunc = is_partial_function(converse(lrel)) and is_partial_function(converse(rrel))
-            self.maps.append((lsucc, lpred, rsucc, rpred, func, cofunc))
-
-    def feasible(self) -> bool:
-        if len(self.left.domain) != len(self.right.domain):
-            return False
-        if self.left.signature != self.right.signature:
-            return False
-        for name in self.left.signature:
-            if len(self.left.relations[name]) != len(self.right.relations[name]):
-                return False
-        return True
-
-    def _consistent(self, fwd: dict[str, str], x: str, y: str) -> bool:
-        """Adjacency agreement between x and already-mapped elements."""
-        for name in self.left.signature:
-            lrel = self.left.relations[name]
-            rrel = self.right.relations[name]
-            for a, fa in fwd.items():
-                if ((x, a) in lrel) != ((y, fa) in rrel):
-                    return False
-                if ((a, x) in lrel) != ((fa, y) in rrel):
-                    return False
-            if ((x, x) in lrel) != ((y, y) in rrel):
-                return False
-        return True
-
-    def _assign(self, fwd: dict, bwd: dict, x: str, y: str) -> bool:
-        """Record x -> y plus everything functionality forces; False on clash."""
-        queue = [(x, y)]
-        while queue:
-            a, b = queue.pop()
-            if a in fwd:
-                if fwd[a] != b:
-                    return False
-                continue
-            if b in bwd:
-                return False
-            if self.profile_left[a] != self.profile_right[b]:
-                return False
-            if not self._consistent(fwd, a, b):
-                return False
-            fwd[a] = b
-            bwd[b] = a
-            for lsucc, lpred, rsucc, rpred, func, cofunc in self.maps:
-                if func and a in lsucc:
-                    if b not in rsucc:
-                        return False
-                    queue.append((next(iter(lsucc[a])), next(iter(rsucc[b]))))
-                if cofunc and a in lpred:
-                    if b not in rpred:
-                        return False
-                    queue.append((next(iter(lpred[a])), next(iter(rpred[b]))))
-        return True
-
-    def extend(self, seed: Sequence[tuple[str, str]]) -> dict[str, str] | None:
-        if not self.feasible():
-            return None
-        fwd: dict[str, str] = {}
-        bwd: dict[str, str] = {}
-        for x, y in seed:
-            if not self._assign(fwd, bwd, x, y):
-                return None
-        return self._search(fwd, bwd)
-
-    def _search(self, fwd: dict, bwd: dict) -> dict[str, str] | None:
-        pending = [x for x in self.left.domain if x not in fwd]
-        if not pending:
-            return dict(fwd)
-        x = pending[0]
-        for y in self.right.domain:
-            if y in bwd:
-                continue
-            child_fwd = dict(fwd)
-            child_bwd = dict(bwd)
-            if self._assign(child_fwd, child_bwd, x, y):
-                found = self._search(child_fwd, child_bwd)
-                if found is not None:
-                    return found
-        return None
+def _neighbours(structure: Structure) -> dict[tuple[str, bool, str], list[str]]:
+    """(symbol, forward, element) -> the element's neighbours that way, sorted."""
+    out: dict[tuple[str, bool, str], list[str]] = {}
+    for name, rel in structure.relations.items():
+        for a, b in sorted(rel):
+            out.setdefault((name, True, a), []).append(b)
+            out.setdefault((name, False, b), []).append(a)
+    return out
 
 
 def isomorphism(
@@ -392,7 +249,17 @@ def isomorphism(
     right: Structure | None = None,
     anchors_right: Sequence[str] = (),
 ) -> dict[str, str] | None:
-    """A pointed isomorphism mapping anchors pointwise, or None."""
+    """A pointed isomorphism mapping anchors pointwise, or None.
+
+    Backtracking in connectivity order, as VF2 does (Cordella, Foggia,
+    Sansone and Vento, *IEEE TPAMI* 26(10), 2004): the anchors first, then
+    breadth-first from matched elements along edges in either direction,
+    then the rest in domain order.  An element with matched neighbours is
+    tried only against the neighbours of their images, along the same
+    symbol and direction (the fewest such).  A candidate is accepted only
+    if it agrees with itself and with every matched element on every
+    relation in both directions, so a full match is an isomorphism.
+    """
     if right is None:
         raise StructureError("isomorphism requires a right-hand structure")
     if len(anchors_left) != len(anchors_right):
@@ -401,8 +268,80 @@ def isomorphism(
         _require_element(left, a)
     for b in anchors_right:
         _require_element(right, b)
-    search = _IsoSearch(left, right)
-    return search.extend(list(zip(anchors_left, anchors_right)))
+    names = left.signature
+    if (
+        left.size() != right.size()
+        or names != right.signature
+        or any(len(left.relations[n]) != len(right.relations[n]) for n in names)
+    ):
+        return None
+    seed: dict[str, str] = {}
+    for x, y in zip(anchors_left, anchors_right):
+        if seed.setdefault(x, y) != y:
+            return None
+
+    lnext, rnext = _neighbours(left), _neighbours(right)
+    ways = [(name, way) for name in names for way in (True, False)]
+    order = list(seed)
+    placed = set(order)
+    roots = iter(left.domain)
+    done = 0
+    while len(order) < left.size():
+        if done == len(order):
+            order.append(next(x for x in roots if x not in placed))
+            placed.add(order[-1])
+        for name, way in ways:
+            fresh = [y for y in lnext.get((name, way, order[done]), ()) if y not in placed]
+            order += fresh
+            placed.update(fresh)
+        done += 1
+
+    fwd: dict[str, str] = {}
+    used: set[str] = set()
+    rels = [(left.relations[n], right.relations[n]) for n in names]
+
+    def agrees(x: str, y: str) -> bool:
+        return all(
+            ((x, x) in lrel) == ((y, y) in rrel)
+            and all(
+                ((x, a) in lrel) == ((y, b) in rrel) and ((a, x) in lrel) == ((b, y) in rrel)
+                for a, b in fwd.items()
+            )
+            for lrel, rrel in rels
+        )
+
+    def candidates(x: str) -> Iterator[str]:
+        if x in seed:
+            pool: Sequence[str] = (seed[x],)
+        else:
+            pool = min(
+                (
+                    rnext.get((name, way, fwd[p]), ())
+                    for name, way in ways
+                    for p in lnext.get((name, not way, x), ())
+                    if p in fwd
+                ),
+                key=len,
+                default=right.domain,
+            )
+        return (y for y in pool if y not in used and agrees(x, y))
+
+    # One candidate iterator per matched position, so no recursion.
+    tries = [candidates(order[0])] if order else []
+    while tries:
+        x = order[len(tries) - 1]
+        if x in fwd:
+            used.discard(fwd.pop(x))
+        y = next(tries[-1], None)
+        if y is None:
+            tries.pop()
+            continue
+        fwd[x] = y
+        used.add(y)
+        if len(fwd) == len(order):
+            return fwd
+        tries.append(candidates(order[len(tries)]))
+    return None if order else {}
 
 
 # --- bounded-exhaustive enumeration -----------------------------------------

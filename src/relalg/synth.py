@@ -34,8 +34,6 @@ from .structures import (
     Relation,
     Structure,
     StructureClass,
-    is_injective_partial_function,
-    is_partial_function,
     int_ops,
     structure_to_json,
 )
@@ -87,14 +85,13 @@ class NeighborhoodType:
 
 
 def _class_check(structure: Structure, oriented: bool) -> None:
-    for name, rel in structure.relations.items():
-        if oriented:
-            if not is_injective_partial_function(rel):
-                raise SynthesisError(
-                    f"relation {name!r} is not an injective partial function"
-                )
-        elif not is_partial_function(rel):
-            raise SynthesisError(f"relation {name!r} is not a partial function")
+    if oriented:
+        cls, kind = StructureClass.INJECTIVE_PARTIAL_FUNCTIONS, "an injective partial function"
+    else:
+        cls, kind = StructureClass.PARTIAL_FUNCTIONS, "a partial function"
+    for name, mask in structure.masks.items():
+        if not cls.contains(mask, structure.size()):
+            raise SynthesisError(f"relation {name!r} is not {kind}")
 
 
 def neighborhood_type(

@@ -1,4 +1,4 @@
-"""Relation-algebra terms: syntax, evaluation, enumeration, closure.
+"""Relation-algebra terms: syntax, evaluation, random generation, closure.
 
 A term is a tree over a fixed operation vocabulary applied to named relation
 symbols, held as an interned DAG (see `Term`).  Concrete syntax (binding
@@ -255,11 +255,6 @@ def term_ops(t: Term) -> frozenset[str]:
 
 def term_signature(t: Term) -> tuple[str, ...]:
     return tuple(sorted({node.name for node in iter_nodes(t) if node.op == "sym"}))
-
-
-def uses_only(t: Term, ops: Iterable[str]) -> bool:
-    allowed = set(ops) | {"sym"}
-    return all(node.op in allowed for node in iter_nodes(t))
 
 
 def _postorder(t: Term) -> Iterator[Term]:
@@ -594,7 +589,7 @@ def normalize_fp(t: Term) -> Term:
     return diff(t, compose(t, diff(TOP, ID)))
 
 
-# --- enumeration and random generation ----------------------------------------
+# --- random generation --------------------------------------------------------
 
 _UNARY_ORDER = ("complement", "converse", "dom", "ran", "antidom")
 _BINARY_ORDER = (
@@ -607,37 +602,6 @@ _BINARY_ORDER = (
     "injunion",
 )
 _CONSTANT_ORDER = ("id", "empty", "top")
-
-
-def enumerate_terms(
-    basis: Iterable[str], symbols: Sequence[str], max_size: int
-) -> list[Term]:
-    """All terms of size at most max_size, smallest first, deterministic.
-
-    Within one size: unary applications before binary ones, operations in a
-    fixed order, and for binary operations the left size grows last.
-    """
-    ops = set(basis)
-    by_size: list[list[Term]] = [[]]
-    leaves = [sym(s) for s in sorted(symbols)]
-    leaves += [Term(c) for c in _CONSTANT_ORDER if c in ops]
-    by_size.append(leaves)
-    for size in range(2, max_size + 1):
-        level: list[Term] = []
-        for op in _UNARY_ORDER:
-            if op in ops:
-                level.extend(Term(op, (t,)) for t in by_size[size - 1])
-        for op in _BINARY_ORDER:
-            if op in ops:
-                for left_size in range(1, size - 1):
-                    for a in by_size[left_size]:
-                        for b in by_size[size - 1 - left_size]:
-                            level.append(Term(op, (a, b)))
-        by_size.append(level)
-    out: list[Term] = []
-    for level in by_size[1:]:
-        out.extend(level)
-    return out
 
 
 def random_term(
@@ -726,9 +690,13 @@ def semantic_closure(
     full term-definable family.  Terminates because the structure is finite.
     Each round applies the unary operations, then the binary ones over the
     round's snapshot, a-major (`structures.BulkOps.grid`); denotations stay
-    bit masks, and the result decodes them only when read as relations.
+    bit masks, and the result decodes them only when read as relations.  A
+    basis entry that is not an operation raises `TermError`.
     """
     ops = set(basis)
+    unknown = sorted(ops - (ARITY.keys() - {"sym"}))
+    if unknown:
+        raise TermError(f"unknown operations in basis: {', '.join(map(repr, unknown))}")
     if symbols is None:
         symbols = structure.signature
     kernels = int_ops(len(structure.domain))

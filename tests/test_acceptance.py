@@ -9,6 +9,7 @@ import random
 import time
 
 import numpy as np
+from reference import is_partial_function, is_total_function
 
 from relalg.bulk import bulk_eval_term, decode_symbol_masks
 from relalg.checkers import (
@@ -33,8 +34,6 @@ from relalg.structures import (
     StructureClass,
     ball,
     count_structures,
-    is_partial_function,
-    is_total_function,
     isomorphism,
     random_structure,
     structure_from_index,

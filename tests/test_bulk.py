@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import is_injective_partial_function, is_partial_function, is_total_function
 
 from relalg.bulk import (
     MAX_BULK_SIZE,
@@ -33,9 +34,6 @@ from relalg.structures import (
     _sorted_domain,
     count_structures,
     enumerate_structures,
-    is_injective_partial_function,
-    is_partial_function,
-    is_total_function,
     masks_to_structure,
     random_structure,
 )

@@ -180,10 +180,14 @@ def test_usage_and_input_errors_exit_two(chain_file, tmp_path):
         ("frobnicate",),
         ("eval",),
         ("translate", "!R(x,y)"),
+        ("verify", "closure", "--basis", "compose,inter,antidomm"),
+        ("ef", "equiv", "--left", chain_file),
+        ("ef", "min-rank", "--right", chain_file),
     )
     for argv in cases:
         code, _, err = run(*argv)
         assert code == 2, (argv, code, err)
+        assert "Traceback" not in err, argv
 
 
 def test_translate_refuses_a_relation_no_term_can_name():

@@ -1,6 +1,7 @@
 """Desk-scale builds of the cycle, sink and lasso structures."""
 
 import pytest
+from reference import is_partial_function, is_total_function
 
 from relalg.constructions import (
     HUB,
@@ -18,7 +19,6 @@ from relalg.constructions import (
     verify_closure_bound,
 )
 from relalg.logic import eval_formula, free_vars, parse_formula, print_formula
-from relalg.structures import is_partial_function, is_total_function
 from relalg.terms import BASES, eval_term, print_term
 
 

@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is read in that module, and
-every module-level private name it defines is read by some module."""
+"""Every name a module of the package imports is read in that module,
+every module-level private name it defines is read by some module, and
+every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -95,3 +98,20 @@ def test_the_private_name_scan_sees_what_no_module_reads():
 
 def test_no_unused_private_names():
     assert unused_private_names({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_the_bench_tracer_names_resolve():
+    # The traced benchmark wraps these names; one removed from the package
+    # would break it.  The tracer is loaded by path and only read.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{name}"
+        for module, name, *_ in (*tracer.FUNCTIONS, *tracer.GENERATORS)
+        if not hasattr(importlib.import_module(f"relalg.{module}"), name)
+    ]
+    bulk_ops = importlib.import_module("relalg.bulk").BulkOps
+    missing += [f"BulkOps.{name}" for name, _ in tracer.BULK_METHODS if name not in vars(bulk_ops)]
+    assert missing == []

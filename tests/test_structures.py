@@ -2,8 +2,17 @@
 
 import json
 import random
+import time
 
 import pytest
+from reference import (
+    brute_force_isomorphism,
+    generated_substructure,
+    is_injective_partial_function,
+    is_isomorphism,
+    is_partial_function,
+    is_total_function,
+)
 
 from relalg.structures import (
     Structure,
@@ -13,13 +22,9 @@ from relalg.structures import (
     count_structures,
     disjoint_union,
     enumerate_structures,
-    generated_substructure,
     homomorphisms,
     induced,
     is_homomorphism,
-    is_injective_partial_function,
-    is_partial_function,
-    is_total_function,
     isomorphism,
     masks_to_structure,
     random_structure,
@@ -100,6 +105,116 @@ def test_isomorphism_respects_anchors():
     asym = Structure(("a", "b"), {"f": {("a", "b")}})
     assert isomorphism(asym, ("a",), asym, ("b",)) is None
     assert isomorphism(c2, (), asym, ()) is None
+    c3 = Structure(("a", "b", "c"), {"f": {("a", "b"), ("b", "c"), ("c", "a")}})
+    assert isomorphism(c3, ("a", "a"), c3, ("b", "b")) == {"a": "b", "b": "c", "c": "a"}
+    assert isomorphism(c3, ("a", "a"), c3, ("b", "c")) is None
+    assert isomorphism(c3, ("a", "b"), c3, ("a", "a")) is None
+    with pytest.raises(StructureError):
+        isomorphism(c3, ("a",), None, ("a",))
+    with pytest.raises(StructureError):
+        isomorphism(c3, ("a",), c3, ())
+    with pytest.raises(StructureError):
+        isomorphism(c3, ("z",), c3, ("a",))
+
+
+def relabelled(structure, rng):
+    """A copy of the structure under a random renaming of its elements, and
+    the renaming."""
+    image = list(structure.domain)
+    rng.shuffle(image)
+    rename = dict(zip(structure.domain, image))
+    rels = {n: {(rename[a], rename[b]) for a, b in r} for n, r in structure.relations.items()}
+    return Structure(tuple(image), rels), rename
+
+
+def iso_pair(rng):
+    """A seeded (left, anchors, right, anchors) case: any class, sparse
+    non-functional relations, loops, copies with one pair moved, repeated
+    and conflicting anchors, and size, signature and relation-size
+    mismatches."""
+    size = rng.randint(0, 6)
+    signature = rng.choice((("f",), ("f", "g")))
+    cls = rng.choice(list(StructureClass))
+    left = random_structure(rng, size, signature, cls)
+    if rng.random() < 0.2:
+        # Two partial functions as one relation: sparse, with branching and loops.
+        pair = random_structure(rng, size, ("f", "g"), PF)
+        left = Structure(left.domain, {**left.relations, "f": pair.rel("f") | pair.rel("g")})
+    kind = rng.random()
+    if kind < 0.4:
+        right, rename = relabelled(left, rng)
+    elif kind < 0.6:
+        # One pair moved: the relation sizes still agree.
+        rel = left.rel("f")
+        free = [(a, b) for a in left.domain for b in left.domain if (a, b) not in rel]
+        if rel and free:
+            rel = rel - {rng.choice(sorted(rel))} | {rng.choice(free)}
+        right, rename = relabelled(Structure(left.domain, {**left.relations, "f": rel}), rng)
+    elif kind < 0.8:
+        right, rename = random_structure(rng, size, signature, cls), None
+    elif kind < 0.9:
+        right, rename = random_structure(rng, abs(size + rng.choice((-1, 1))), signature, cls), None
+    else:
+        other = "g" if signature == ("f",) else "h"
+        right, rename = relabelled(left, rng)
+        right = Structure(right.domain, {**right.relations, other: set()})
+    anchors = [rng.choice(left.domain) for _ in range(rng.randint(0, 2) if size else 0)]
+    if rng.random() < 0.2 and anchors:
+        anchors.append(anchors[0])
+    if rename is not None and rng.random() < 0.7:
+        images = [rename[a] for a in anchors]
+    else:
+        images = [rng.choice(right.domain) for _ in anchors] if right.domain else []
+    return left, anchors[: len(images)], right, images
+
+
+# Equal relation sizes, one pair moved: a search that checked only the pairs
+# from later-matched elements to earlier ones would accept this.
+MOVED_BASE = {("e1", "e2"), ("e2", "e1"), ("e2", "e2"), ("e2", "e4"), ("e3", "e4"), ("e4", "e3")}
+MOVED_PAIR = (
+    Structure(("e1", "e2", "e3", "e4"), {"f": MOVED_BASE | {("e1", "e4")}}),
+    (),
+    Structure(("e1", "e2", "e3", "e4"), {"f": MOVED_BASE | {("e1", "e3")}}),
+    (),
+)
+
+
+def test_isomorphism_agrees_with_the_permutation_search():
+    rng = random.Random(14)
+    found = 0
+    empty = Structure((), {})
+    fixed = [MOVED_PAIR, (empty, (), empty, ())]
+    for case in [*fixed, *(iso_pair(rng) for _ in range(3000))]:
+        left, al, right, ar = case
+        got = isomorphism(left, al, right, ar)
+        want = brute_force_isomorphism(left, al, right, ar)
+        assert (got is None) == (want is None), (left, al, right, ar)
+        if got is not None:
+            assert is_isomorphism(left, al, right, ar, got)
+            found += 1
+    assert 600 < found < 2400
+
+
+def test_lasso_isomorphism_is_fast_and_sees_one_moved_edge():
+    from relalg.constructions import build_lasso
+
+    lasso, anchor = build_lasso(60, 30)
+    assert lasso.size() == 92
+    rng = random.Random(3)
+    copy, rename = relabelled(lasso, rng)
+    # The back edge b60 -> b90 moved to b60 -> b89: b90 loses its only R2
+    # predecessor, so the copy is not isomorphic to the lasso.
+    assert ("b60", "b90") in lasso.rel("R2")
+    r2 = lasso.rel("R2") - {("b60", "b90")} | {("b60", "b89")}
+    moved, moved_rename = relabelled(Structure(lasso.domain, {**lasso.relations, "R2": r2}), rng)
+    for right, image, isomorphic in ((copy, rename, True), (moved, moved_rename, False)):
+        for anchors in ((), (anchor,)):
+            started = time.perf_counter()
+            got = isomorphism(lasso, anchors, right, [image[a] for a in anchors])
+            assert time.perf_counter() - started < 1.0
+            assert (got is not None) == isomorphic
+            if isomorphic:
+                assert is_isomorphism(lasso, anchors, right, [image[a] for a in anchors], got)
 
 
 def test_enumeration_counts_cumulative_size_2():

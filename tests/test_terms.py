@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import closure_is_closed, naive_closure
+from reference import closure_is_closed, enumerate_terms, naive_closure, uses_only
 
 from relalg.constructions import build_separation
 from relalg.parsing import ParseError
@@ -15,7 +15,6 @@ from relalg.terms import (
     CATALOGUE,
     Term,
     TermError,
-    enumerate_terms,
     eval_term,
     expand_injunion,
     load_terms,
@@ -30,7 +29,6 @@ from relalg.terms import (
     term_ops,
     term_signature,
     term_size,
-    uses_only,
 )
 
 S1 = Structure(("w", "x", "y", "z"), {"R": {("w", "x")}, "S": {("w", "z"), ("x", "y")}})
@@ -229,6 +227,13 @@ def test_semantic_closure_closes():
     assert result.order[0] == frozenset({("a", "b")})
     for rel, witness in result.relations.items():
         assert eval_term(witness, edge) == rel
+
+
+def test_semantic_closure_refuses_what_is_not_an_operation():
+    edge = Structure(("a", "b"), {"f": {("a", "b")}})
+    with pytest.raises(TermError) as info:
+        semantic_closure(edge, {"compose", "inter", "antidomm", "sym", "f"})
+    assert str(info.value) == "unknown operations in basis: 'antidomm', 'f', 'sym'"
 
 
 def assert_same_closure(structure, basis, symbols, budget):
