@@ -97,8 +97,8 @@ def _pool(symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: i
     scan: every index of every size up to the resolved bound, then
     `samples` seeded draws of sizes 1..sample_size.  The masks lie over
     e1..e_size, as `drawn_structure` reads them.  ALL-class codes lie over
-    the string-sorted domain, which differs from size 10 on; the forward
-    and local checks would refuse an ALL pool at size 2 before that."""
+    the string-sorted domain, which differs from size 10 on; no check pools
+    the ALL class."""
     for size in range(1, bounds.resolved_size(len(symbols)) + 1):
         for index in range(count_structures(symbols, size, cls)):
             yield size, decode_symbol_masks(index, size, cls, symbols)
@@ -519,28 +519,17 @@ def check_subseteq_safe(
 def _letters(size: int, masks: dict[str, int], mode: str) -> list[list[int]]:
     """The symbols' masks, then in undirected mode their converses, each as
     the list of every element's successor by mask position, with `size`
-    standing for no successor.
-
-    Raises ValueError when one is not a partial function: only then does
-    every anchored isomorphism preserve the order of `_anchored_key`'s BFS.
+    standing for no successor.  Forward pools hold partial functions and
+    undirected pools injective ones, so every letter is a partial function.
     """
-    named = list(masks.items())
+    named = list(masks.values())
     if mode == "undirected":
-        named += [(f"{name}^", int_ops(size).converse(mask)) for name, mask in named]
+        named += [int_ops(size).converse(mask) for mask in named]
     row = (1 << size) - 1
     letters = []
-    for name, mask in named:
-        letter = []
-        for p in range(size):
-            bits = mask >> (p * size) & row
-            if bits & (bits - 1):
-                raise ValueError(
-                    f"letter {name!r} of a pooled structure is not a partial function;"
-                    " forward balls need a class of partial functions and undirected"
-                    " balls one of injective partial functions"
-                )
-            letter.append(bits.bit_length() - 1 if bits else size)
-        letters.append(letter)
+    for mask in named:
+        rows = (mask >> (p * size) & row for p in range(size))
+        letters.append([bits.bit_length() - 1 if bits else size for bits in rows])
     return letters
 
 
@@ -645,21 +634,22 @@ def _bounded_rows_check(
 
 
 def _check_bounded(
-    term: tm.Term,
-    cls: StructureClass,
-    mode: str,
-    name: str,
-    bounds: Bounds,
-    seed: int,
-    max_radius: int,
+    term: tm.Term, mode: str, name: str, bounds: Bounds, seed: int, max_radius: int
 ) -> Verdict:
+    """Try radii 0..max_radius; pass at the first one with no failure, or
+    report the failure at max_radius.  Every failure is re-verified: a pass
+    at radius r rests on the failures below r."""
+    cls = (
+        StructureClass.PARTIAL_FUNCTIONS
+        if mode == "forward"
+        else StructureClass.INJECTIVE_PARTIAL_FUNCTIONS
+    )
     pool = [
         (size, masks, _letters(size, masks, mode))
         for size, masks in _pool(tm.term_signature(term), cls, bounds, seed)
     ]
     values: list[int | None] = [None] * len(pool)
 
-    last_failure: Verdict | None = None
     for radius in range(max_radius + 1):
         failure = _bounded_rows_check(term, pool, values, radius, mode, bounds, seed, name)
         if failure is None:
@@ -668,45 +658,27 @@ def _check_bounded(
             verdict.bounds["max_radius"] = max_radius
             verdict.bounds["balls_skipped"] = 0
             return verdict
-        failure.bounds["balls_skipped"] = 0
-        if verify_counterexample(failure):
-            last_failure = failure
-    assert last_failure is not None
-    last_failure.bounds["max_radius"] = max_radius
-    return last_failure
+        _confirmed(failure)
+    failure.bounds["balls_skipped"] = 0
+    failure.bounds["max_radius"] = max_radius
+    return failure
 
 
 def check_forward(
-    term: tm.Term,
-    bounds: Bounds | None = None,
-    seed: int = 0,
-    max_radius: int = 3,
-    cls: StructureClass = StructureClass.PARTIAL_FUNCTIONS,
+    term: tm.Term, bounds: Bounds | None = None, seed: int = 0, max_radius: int = 3
 ) -> Verdict:
-    """Bounded check that the term's rows are determined by forward balls.
-
-    Raises ValueError when `cls` pools a structure whose relations are not
-    partial functions.
-    """
-    return _check_bounded(
-        term, cls, "forward", "forward-bounded", bounds or Bounds(), seed, max_radius
-    )
+    """Bounded check, over partial functions, that the term's rows are
+    determined by forward balls."""
+    return _check_bounded(term, "forward", "forward-bounded", bounds or Bounds(), seed, max_radius)
 
 
 def check_local(
-    term: tm.Term,
-    bounds: Bounds | None = None,
-    seed: int = 0,
-    max_radius: int = 3,
-    cls: StructureClass = StructureClass.INJECTIVE_PARTIAL_FUNCTIONS,
+    term: tm.Term, bounds: Bounds | None = None, seed: int = 0, max_radius: int = 3
 ) -> Verdict:
-    """Bounded check against balls that follow edges in both directions.
-
-    Raises ValueError when `cls` pools a structure whose relations or their
-    converses are not partial functions.
-    """
+    """Bounded check, over injective partial functions, against balls that
+    follow edges in both directions."""
     return _check_bounded(
-        term, cls, "undirected", "local-bounded", bounds or Bounds(), seed, max_radius
+        term, "undirected", "local-bounded", bounds or Bounds(), seed, max_radius
     )
 
 

@@ -6,9 +6,10 @@ envelope (--report json) of the shape
     {"schema": 1, "command": ..., "verdict": ..., "payload": ...,
      "bounds": ..., "seed": ..., "wall_time": ...}
 
-which is byte-stable across runs except for wall_time.  Exit codes: 0 for
-pass (or a purely informational command), 1 for a failed check or a
-negative verdict, 2 for usage and input errors.
+which is byte-stable across runs except for wall_time; seed is null for a
+subcommand that takes no --seed.  Exit codes: 0 for pass (or a purely
+informational command), 1 for a failed check or a negative verdict, 2 for
+usage and input errors.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 from . import constructions as cx
 from . import terms as tm
@@ -251,6 +253,13 @@ def _cmd_verify(args) -> _Outcome:
     payload = verdict.to_json()
     payload["separating_outside_closure"] = outside
     passed = verdict.passed and outside
+    if passed:
+        word = "pass"
+    elif outside and not verdict.complete and not verdict.escapees:
+        # A cut run that met nothing outside the family refutes nothing.
+        word = "inconclusive (budget exhausted)"
+    else:
+        word = "fail"
     text = [
         f"closure reached {verdict.reached} relations "
         f"(expected {verdict.expected}), "
@@ -258,7 +267,7 @@ def _cmd_verify(args) -> _Outcome:
         f"missing: {verdict.missing or 'none'}",
         f"escapees: {len(verdict.escapees)}",
         f"separating term outside closure: {outside}",
-        f"verdict: {'pass' if passed else 'fail'}",
+        f"verdict: {word}",
     ]
     return _Outcome("pass" if passed else "fail", payload, text)
 
@@ -506,17 +515,26 @@ def _cmd_run(args) -> _Outcome:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--max-size", type=int, default=None)
-    common.add_argument("--samples", type=int, default=None)
     common.add_argument("--report", choices=("text", "json"), default="text")
     common.add_argument("--out", default=None, help="write the report to a file")
+    # Each subcommand takes only those of these options that it reads, and
+    # abbreviations are off, so a prefix such as --m is an error, not a guess.
+    seed, max_size, samples = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=0)
+    max_size.add_argument("--max-size", type=int, default=None)
+    samples.add_argument("--samples", type=int, default=None)
+    bounded = [common, seed, max_size, samples]
 
     parser = argparse.ArgumentParser(
         prog="relalg",
         description="workbench for algebras of binary relations on finite structures",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a term on a structure")
     p.add_argument("term", nargs="?", default=None)
@@ -525,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser(
-        "translate", parents=[common],
+        "translate", parents=bounded,
         help="compile a positive-existential formula to a term",
     )
     p.add_argument("formula", nargs="?", default=None)
@@ -533,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="cross-check the result")
     p.set_defaults(handler=_cmd_translate)
 
-    p = sub.add_parser("check", parents=[common], help="run one bounded property check")
+    p = sub.add_parser("check", parents=bounded, help="run one bounded property check")
     p.add_argument(
         "property",
         choices=("fp", "tfp", "ifp", "homsafe", "subsafe", "forward", "local"),
@@ -544,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser(
-        "matrix", parents=[common], help="the full operation-by-property matrix"
+        "matrix", parents=bounded, help="the full operation-by-property matrix"
     )
     p.set_defaults(handler=_cmd_matrix)
 
@@ -569,7 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100_000)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("synth", parents=[common], help="synthesise a term from an oracle")
+    p = sub.add_parser(
+        "synth", parents=[common, seed, samples], help="synthesise a term from an oracle"
+    )
     p.add_argument("mode", choices=("forward", "local-injective"))
     p.add_argument("--oracle", default=None, help="oracle term text")
     p.add_argument("--oracle-file", default=None, help="file with one oracle term")
@@ -579,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate-size", type=int, default=None)
     p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("ef", parents=[common], help="rank games between two structures")
+    p = sub.add_parser("ef", parents=bounded, help="rank games between two structures")
     p.add_argument("mode", choices=("equiv", "min-rank", "union-compat"))
     p.add_argument("--left", default=None, help="structure JSON file")
     p.add_argument("--right", default=None, help="structure JSON file")
@@ -590,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", default=None)
     p.set_defaults(handler=_cmd_ef)
 
-    p = sub.add_parser("run", parents=[common], help="run a named replay preset")
+    p = sub.add_parser("run", parents=[common, seed], help="run a named replay preset")
     p.add_argument("preset", choices=PRESETS)
     p.set_defaults(handler=_cmd_run)
 
@@ -632,7 +652,7 @@ def main(argv=None) -> int:
             "verdict": outcome.status,
             "payload": outcome.payload,
             "bounds": outcome.bounds,
-            "seed": args.seed,
+            "seed": getattr(args, "seed", None),
             "wall_time": round(elapsed, 3),
         }
         rendered = json.dumps(doc, indent=2, sort_keys=True)

@@ -22,6 +22,10 @@ class GameError(ValueError):
     pass
 
 
+# The largest domain either side of a game may have.
+_MAX_DOMAIN = 64
+
+
 def ef_equiv(
     left: Structure,
     left_tuple: tuple = (),
@@ -29,7 +33,6 @@ def ef_equiv(
     right_tuple: tuple = (),
     rank: int = 0,
     *,
-    max_domain: int = 64,
     max_rank: int = 4,
 ) -> bool:
     """Whether the pointed structures agree on all sentences of the rank."""
@@ -39,8 +42,8 @@ def ef_equiv(
         raise GameError("structures must share a signature")
     if len(left_tuple) != len(right_tuple):
         raise GameError("pebble tuples must have equal length")
-    if max(left.size(), right.size()) > max_domain:
-        raise GameError(f"domain exceeds the game bound of {max_domain}")
+    if max(left.size(), right.size()) > _MAX_DOMAIN:
+        raise GameError(f"domain exceeds the game bound of {_MAX_DOMAIN}")
     if not 0 <= rank <= max_rank:
         raise GameError(f"rank must lie in 0..{max_rank}")
     ldom = set(left.domain)
@@ -128,6 +131,8 @@ def min_distinguishing_rank(
     max_rank: int = 4,
 ) -> int | None:
     """Least rank at which the two sides disagree, None if none up to the cap."""
+    if max_rank < 0:
+        raise GameError(f"max rank must be at least 0, got {max_rank}")
     for rank in range(max_rank + 1):
         if not ef_equiv(
             left, left_tuple, right, right_tuple, rank, max_rank=max_rank

@@ -374,17 +374,14 @@ def _pad(u: str, v: str) -> Formula:
     return And(Eq(u, u), Eq(v, v))
 
 
-def term_to_fo3(t: tm.Term, x: str = "x", y: str = "y") -> Formula:
-    """A three-variable formula equivalent to the term.
+def term_to_fo3(t: tm.Term) -> Formula:
+    """A three-variable formula, free in x and y, equivalent to the term.
 
     Uses only the variable names x, y, z, rebinding the spare name as
     composition chains demand.  The output is positive-existential exactly
     when the term avoids complement, antidomain, difference and the
     preferential unions.
     """
-    if x == y or x not in _FO3_VARS or y not in _FO3_VARS:
-        raise LogicError("term_to_fo3 needs two distinct variables among x, y, z")
-
     def build(node: tm.Term, u: str, v: str) -> Formula:
         op = node.op
         if op == "sym":
@@ -438,7 +435,7 @@ def term_to_fo3(t: tm.Term, x: str = "x", y: str = "y") -> Formula:
             return build(tm.expand_injunion(node), u, v)
         raise LogicError(f"term has no formula translation: {op!r}")
 
-    return build(t, x, y)
+    return build(t, "x", "y")
 
 
 # --- concrete syntax -------------------------------------------------------------

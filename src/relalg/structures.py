@@ -666,15 +666,13 @@ def enumerate_structures(
     signature: Sequence[str],
     max_size: int,
     cls: StructureClass = StructureClass.ALL,
-    include_empty: bool = False,
 ) -> Iterator[Structure]:
-    """All structures with domain e1..ek for k <= max_size, deterministically.
+    """All structures with domain e1..ek for 1 <= k <= max_size, deterministically.
 
     Sizes ascend; within a size the first symbol (in sorted order) varies
     slowest. No canonization: isomorphic duplicates are intentional.
     """
-    start = 0 if include_empty else 1
-    for size in range(start, max_size + 1):
+    for size in range(1, max_size + 1):
         total = count_structures(signature, size, cls)
         for index in range(total):
             yield structure_from_index(signature, size, cls, index)

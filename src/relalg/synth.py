@@ -153,13 +153,12 @@ class _TypeBuilder:
         self.letters = type_letters(symbols, oriented)
         self.depths: list[int] = [0]
         self.words: list[tuple[int, ...]] = [()]
+        # Committed slots: a node index, or None for a missing edge.
         self.slots: dict[tuple[int, int], int | None] = {}
-        self.committed: set[tuple[int, int]] = set()
-        # Actual edges of the eventual realization, per symbol.
-        self.fwd: dict[str, dict[int, int]] = {s: {} for s in symbols}
-        self.bwd: dict[str, dict[int, int]] = {s: {} for s in symbols}
-        self.fwd_banned: dict[str, set[int]] = {s: set() for s in symbols}
-        self.bwd_banned: dict[str, set[int]] = {s: set() for s in symbols}
+        # Edges of the eventual realization per symbol, source to target and
+        # back; None marks a slot committed to a missing edge.
+        self.fwd: dict[str, dict[int, int | None]] = {s: {} for s in symbols}
+        self.bwd: dict[str, dict[int, int | None]] = {s: {} for s in symbols}
 
     def copy(self) -> "_TypeBuilder":
         dup = _TypeBuilder.__new__(_TypeBuilder)
@@ -170,11 +169,8 @@ class _TypeBuilder:
         dup.depths = list(self.depths)
         dup.words = list(self.words)
         dup.slots = dict(self.slots)
-        dup.committed = set(self.committed)
         dup.fwd = {s: dict(m) for s, m in self.fwd.items()}
         dup.bwd = {s: dict(m) for s, m in self.bwd.items()}
-        dup.fwd_banned = {s: set(v) for s, v in self.fwd_banned.items()}
-        dup.bwd_banned = {s: set(v) for s, v in self.bwd_banned.items()}
         return dup
 
     def has_row(self, node: int) -> bool:
@@ -182,10 +178,9 @@ class _TypeBuilder:
 
     def _force(self, node: int, letter: int, value: int) -> bool:
         slot = (node, letter)
-        if slot in self.committed:
+        if slot in self.slots:
             return self.slots[slot] == value
         self.slots[slot] = value
-        self.committed.add(slot)
         return True
 
     def assign(self, node: int, letter_idx: int, value: int | str | None) -> bool:
@@ -198,14 +193,9 @@ class _TypeBuilder:
         else:
             target = value  # node index or None
 
-        slot = (node, letter_idx)
-        self.slots[slot] = target
-        self.committed.add(slot)
+        self.slots[(node, letter_idx)] = target
         if target is None:
-            if not inv:
-                self.fwd_banned[s].add(node)
-            else:
-                self.bwd_banned[s].add(node)
+            (self.bwd if inv else self.fwd)[s][node] = None
             return True
 
         if not inv:
@@ -213,10 +203,10 @@ class _TypeBuilder:
         else:
             src, dst = target, node
         # Record the concrete edge src -> dst for symbol s.
-        if src in self.fwd[s] or src in self.fwd_banned[s]:
-            return self.fwd[s].get(src) == dst
-        if self.oriented and (dst in self.bwd[s] or dst in self.bwd_banned[s]):
-            return self.bwd[s].get(dst) == src
+        if src in self.fwd[s]:
+            return self.fwd[s][src] == dst
+        if self.oriented and dst in self.bwd[s]:
+            return self.bwd[s][dst] == src
         self.fwd[s][src] = dst
         self.bwd[s][dst] = src
         # Force the mirror slots this edge determines.
@@ -231,31 +221,16 @@ class _TypeBuilder:
         return True
 
     def choices(self, node: int, letter_idx: int) -> list[int | str | None]:
+        """The values of an uncommitted slot of a node with a row: a missing
+        edge, every node the letter's other end leaves free, and a fresh
+        node.  An uncommitted slot's own end is free: each edge or missing
+        edge at a node with a row commits that node's slot."""
         s, inv = self.letters[letter_idx]
-        out: list[int | str | None] = [None]
-        for cand in range(len(self.depths)):
-            if not inv:
-                if node in self.fwd[s] or node in self.fwd_banned[s]:
-                    continue
-                if self.oriented and (
-                    cand in self.bwd[s] or cand in self.bwd_banned[s]
-                ):
-                    continue
-            else:
-                if node in self.bwd[s] or node in self.bwd_banned[s]:
-                    continue
-                if cand in self.fwd[s] or cand in self.fwd_banned[s]:
-                    continue
-            out.append(cand)
-        if self.depths[node] + 1 <= self.radius:
-            blocked = (
-                (node in self.fwd[s] or node in self.fwd_banned[s])
-                if not inv
-                else (node in self.bwd[s] or node in self.bwd_banned[s])
-            )
-            if not blocked:
-                out.append("fresh")
-        return out
+        if inv:
+            taken = self.fwd[s]
+        else:
+            taken = self.bwd[s] if self.oriented else {}
+        return [None, *(c for c in range(len(self.depths)) if c not in taken), "fresh"]
 
     def finish(self) -> NeighborhoodType:
         rows: list[tuple[int | None, ...] | None] = []
@@ -312,7 +287,7 @@ def enumerate_types(
                 node += 1
                 letter_idx = 0
                 continue
-            if (node, letter_idx) in builder.committed:
+            if (node, letter_idx) in builder.slots:
                 letter_idx += 1
                 continue
             break
@@ -802,7 +777,6 @@ def _synthesize(
     radius: int,
     symbols: Sequence[str] | None,
     oriented: bool,
-    budget: int,
     probe_depth: int = 1,
 ) -> SynthesisResult:
     """Probe every type of the radius, then build the decision diagram.
@@ -822,7 +796,7 @@ def _synthesize(
                 "symbols are required when the oracle does not name any"
             )
     symbols = tuple(sorted(symbols))
-    types = enumerate_types(symbols, radius, oriented, budget)
+    types = enumerate_types(symbols, radius, oriented)
     probed = []
     probes = 0
     for k, t in enumerate(types):
@@ -841,42 +815,36 @@ def synthesize_forward(
     oracle: tm.Term | Oracle,
     radius: int,
     symbols: Sequence[str] | None = None,
-    budget: int = 200_000,
-    probe_depth: int = 1,
 ) -> SynthesisResult:
     """A term over composition, antidomain, intersection and preferential
     union agreeing with the oracle on partial-function structures."""
-    return _synthesize(oracle, radius, symbols, False, budget, probe_depth)
+    return _synthesize(oracle, radius, symbols, False)
 
 
 def synthesize_local_injective(
     oracle: tm.Term | Oracle,
     radius: int,
     symbols: Sequence[str] | None = None,
-    budget: int = 200_000,
-    probe_depth: int = 1,
 ) -> SynthesisResult:
     """As synthesize_forward, over injective partial functions, with
     converse letters and the injective preferential union."""
-    return _synthesize(oracle, radius, symbols, True, budget, probe_depth)
+    return _synthesize(oracle, radius, symbols, True)
 
 
 def validate_synthesis(
     result: SynthesisResult,
     oracle: tm.Term,
-    signature: Sequence[str] | None = None,
     bounds: Bounds | None = None,
     seed: int = 0,
 ) -> EquivalenceReport:
-    """Independent equivalence check of a synthesis result over its class."""
+    """Independent equivalence check of a synthesis result over its class
+    and symbols."""
     cls = (
         StructureClass.INJECTIVE_PARTIAL_FUNCTIONS
         if result.oriented
         else StructureClass.PARTIAL_FUNCTIONS
     )
-    if signature is None:
-        signature = result.symbols
-    return equivalence_report(result.term, oracle, signature, cls, bounds, seed)
+    return equivalence_report(result.term, oracle, result.symbols, cls, bounds, seed)
 
 
 @dataclass
@@ -893,7 +861,6 @@ def estimate_radius(
     max_radius: int = 3,
     symbols: Sequence[str] | None = None,
     oriented: bool = False,
-    budget: int = 200_000,
 ) -> RadiusEstimate:
     """Smallest radius at which probing accepts the oracle, if any.
 
@@ -911,7 +878,7 @@ def estimate_radius(
     for radius in range(max_radius + 1):
         depth = max(1, max_radius - radius)
         try:
-            result = _synthesize(oracle, radius, symbols, oriented, budget, depth)
+            result = _synthesize(oracle, radius, symbols, oriented, depth)
         except SynthesisError as exc:
             failure = {"radius": radius, "message": str(exc), "details": exc.details}
             attempts.append({"radius": radius, "outcome": str(exc)})

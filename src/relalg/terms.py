@@ -691,12 +691,15 @@ def semantic_closure(
     Each round applies the unary operations, then the binary ones over the
     round's snapshot, a-major (`structures.BulkOps.grid`); denotations stay
     bit masks, and the result decodes them only when read as relations.  A
-    basis entry that is not an operation raises `TermError`.
+    basis entry that is not an operation, or a negative budget, raises
+    `TermError`.
     """
     ops = set(basis)
     unknown = sorted(ops - (ARITY.keys() - {"sym"}))
     if unknown:
         raise TermError(f"unknown operations in basis: {', '.join(map(repr, unknown))}")
+    if budget < 0:
+        raise TermError(f"closure budget must be at least 0, got {budget}")
     if symbols is None:
         symbols = structure.signature
     kernels = int_ops(len(structure.domain))

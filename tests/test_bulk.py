@@ -152,7 +152,7 @@ def test_bulk_term_eval_matches_scalar(seed, k):
     masks = random_symbol_masks(np_rng, 30, k, ALL, ("f", "g"))
     out = bulk_eval_term(t, k, masks)
     # The reference is the formula route: eval_term shares the bulk kernels.
-    phi = term_to_fo3(t, "x", "y")
+    phi = term_to_fo3(t)
     for i in (0, 7, 13, 29):
         s = structure_from_masks_at(masks, k, i)
         expected = {

@@ -219,12 +219,23 @@ def test_bounded_checks_count_the_balls_they_could_not_compare():
     assert not failed.passed and failed.bounds["balls_skipped"] == 0
 
 
-def test_bounded_checks_refuse_letters_that_are_not_partial_functions():
-    with pytest.raises(ValueError, match="'f' of a pooled structure is not a partial function"):
-        check_forward(parse_term("f"), LIGHT, 0, cls=StructureClass.ALL)
-    # Converses of partial functions need not be partial functions.
-    with pytest.raises(ValueError, match="'f\\^' of a pooled structure"):
-        check_local(parse_term("f"), LIGHT, 0, cls=StructureClass.PARTIAL_FUNCTIONS)
+def test_bounded_checks_confirm_every_failure_they_meet(monkeypatch):
+    bounds = Bounds(max_size=2, samples=10, sample_size=3)
+    verdict = check_forward(parse_term("f^"), bounds)
+    assert verdict.counterexample["radius"] == 3 and verdict.bounds["max_radius"] == 3
+    assert check_forward(parse_term("f ; g"), bounds).bounds["radius"] == 2
+    verify = checkers.verify_counterexample
+    for radius, term in ((3, "f^"), (0, "f ; g")):
+        # The reported failure, or one a pass rests on, that does not
+        # re-verify is an error, not a cue to report another radius.
+        with monkeypatch.context() as m:
+            m.setattr(
+                checkers,
+                "verify_counterexample",
+                lambda v, r=radius: v.counterexample["radius"] != r and verify(v),
+            )
+            with pytest.raises(AssertionError, match="forward-bounded counterexample"):
+                check_forward(parse_term(term), bounds)
 
 
 def first_violation_by_scan(term, source, target):
@@ -523,16 +534,15 @@ def test_invariant_failing_first_on_a_large_draw_reports_as_before():
 
 def test_forward_visits_anchors_in_structure_domain_order_on_large_draws():
     term = parse_term(TEN_CHAIN)
-    cls = StructureClass.TOTAL_FUNCTIONS
-    pool = old_pool(("f",), cls, Bounds(), 3)
+    pool = old_pool(("f",), StructureClass.PARTIAL_FUNCTIONS, Bounds(), 12)
     first = next(s for s in pool if eval_term(term, s))
     value = eval_term(term, first)
     anchors = [a for a in first.domain if any(x == a for x, _ in value)]
     # e11 precedes e3 in domain order, though not in numeric order.
-    assert len(first.domain) == 12 and anchors[:2] == ["e11", "e12"] and "e3" in anchors
+    assert len(first.domain) == 12 and anchors[:2] == ["e11", "e3"]
     inside = set(ball(first, anchors[0], 3).domain)
     row = [b for b in first.domain if (anchors[0], b) in value]
-    verdict = check_forward(term, Bounds(), 3, cls=cls)
+    verdict = check_forward(term, Bounds(), 12)
     assert verdict.counterexample == {
         "kind": "row-outside-ball",
         "term": print_term(term),

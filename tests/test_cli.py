@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import relalg
+from relalg.cli import main
 
 ENVELOPE_KEYS = ["bounds", "command", "payload", "schema", "seed", "verdict", "wall_time"]
 
@@ -49,6 +50,8 @@ def test_eval_text_and_json(chain_file):
     assert doc["schema"] == 1
     assert doc["verdict"] == "ok"
     assert doc["payload"]["pairs"] == [["a", "c"]]
+    # eval draws nothing, so it takes no --seed and reports none.
+    assert doc["seed"] is None
 
 
 def test_translate_with_check():
@@ -183,11 +186,39 @@ def test_usage_and_input_errors_exit_two(chain_file, tmp_path):
         ("verify", "closure", "--basis", "compose,inter,antidomm"),
         ("ef", "equiv", "--left", chain_file),
         ("ef", "min-rank", "--right", chain_file),
+        ("verify", "closure", "--budget", "-5"),
+        ("ef", "min-rank", "--left", chain_file, "--right", chain_file, "--max-rank", "-1"),
     )
     for argv in cases:
         code, _, err = run(*argv)
         assert code == 2, (argv, code, err)
         assert "Traceback" not in err, argv
+
+
+def test_subcommands_refuse_options_they_do_not_read(chain_file, capsys):
+    cases = (
+        ("eval", "f", "--structure", chain_file, "--seed", "1"),
+        ("construct", "separation", "--samples", "3"),
+        ("verify", "closure", "--max-size", "2"),
+        ("synth", "forward", "--oracle", "f", "--radius", "1", "--max-size", "3"),
+        ("run", "replay:lasso", "--samples", "2"),
+        # No abbreviations: --m is not read as --mprime.
+        ("construct", "separation", "--m", "4"),
+    )
+    for argv in cases:
+        assert main(list(argv)) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert main(["run", "replay:lasso", "--seed", "3", "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+
+def test_a_closure_run_cut_before_any_escapee_is_inconclusive(capsys):
+    assert main(["verify", "closure", "--budget", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "escapees: 0" in out and out.endswith("verdict: inconclusive (budget exhausted)\n")
+    assert main(["verify", "closure", "--budget", "0", "--report", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "fail" and doc["payload"]["complete"] is False
 
 
 def test_translate_refuses_a_relation_no_term_can_name():

@@ -62,6 +62,11 @@ def test_guards():
     mixed = Structure(("a",), {"h": {("a", "a")}})
     with pytest.raises(GameError):
         ef_equiv(LOOP, (), mixed, (), 1)
+    big = Structure(tuple(f"e{i}" for i in range(65)), {"f": set()})
+    with pytest.raises(GameError, match="game bound of 64"):
+        ef_equiv(big, (), big, (), 1)
+    with pytest.raises(GameError, match="max rank must be at least 0"):
+        min_distinguishing_rank(LOOP, CHAIN, max_rank=-1)
 
 
 def test_union_compatibility_sampler():

@@ -1,10 +1,12 @@
 """Every name a module of the package imports is read in that module,
 every module-level private name it defines is read by some module, and
-every name the benchmark's tracer wraps exists."""
+every name the benchmark's tracer wraps exists, and every call shape the
+benchmark makes still binds."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -115,3 +117,53 @@ def test_the_bench_tracer_names_resolve():
     bulk_ops = importlib.import_module("relalg.bulk").BulkOps
     missing += [f"BulkOps.{name}" for name, _ in tracer.BULK_METHODS if name not in vars(bulk_ops)]
     assert missing == []
+
+
+# Every call shape bench/workloads.py, bench/baselines.py and bench/tests
+# make into the package: (module, name, positional count, keyword names).
+# The benchmark runs old and new code alike, so a signature cut that drops
+# one of these breaks it.
+BENCH_CALLS = (
+    ("terms", "parse_term", 1, ()),
+    ("terms", "eval_term", 2, ()),
+    ("terms", "iter_nodes", 1, ()),
+    ("terms", "random_term", 4, ()),
+    ("terms", "semantic_closure", 3, ()),
+    ("terms", "semantic_closure", 4, ()),
+    ("bulk", "bulk_eval_term", 3, ()),
+    ("bulk", "random_symbol_masks", 5, ()),
+    ("structures", "Structure", 2, ()),
+    ("logic", "classify", 1, ()),
+    ("logic", "eval_formula", 3, ()),
+    ("checkers", "Bounds", 0, ("max_size", "samples", "sample_size", "exhaustive_budget")),
+    ("checkers", "catalogue_matrix", 2, ()),
+    ("checkers", "check_forward", 2, ()),
+    ("checkers", "check_forward", 3, ()),
+    ("checkers", "check_local", 3, ()),
+    ("checkers", "check_homomorphism_safe", 3, ()),
+    ("checkers", "equivalence_report", 6, ()),
+    ("synth", "synthesize_forward", 2, ()),
+    ("synth", "synthesize_local_injective", 2, ()),
+    ("synth", "validate_synthesis", 2, ("bounds", "seed")),
+    ("translate", "random_posex_formula", 2, ("max_depth",)),
+    ("translate", "compile_posex", 1, ()),
+    ("translate", "verify_compilation", 4, ()),
+    ("constructions", "build_separation", 2, ()),
+    ("constructions", "verify_closure_bound", 2, ()),
+    ("games", "check_union_compatibility", 0, ("rank", "samples", "size", "seed")),
+    ("cli", "main", 1, ()),
+)
+
+
+@pytest.mark.parametrize("module, name, positional, keywords", BENCH_CALLS)
+def test_the_bench_call_shapes_bind(module, name, positional, keywords):
+    fn = getattr(importlib.import_module(f"relalg.{module}"), name)
+    inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_the_bench_replay_command_line_parses():
+    from relalg.cli import PRESETS, build_parser
+
+    for preset in PRESETS:
+        args = build_parser().parse_args(["run", preset, "--report", "json", "--seed", "3"])
+        assert (args.preset, args.seed) == (preset, 3)

@@ -25,7 +25,7 @@ ALL_OPS = tuple(op for op in ARITY if op != "sym")
 
 
 def fo3_value(t, structure):
-    phi = term_to_fo3(t, "x", "y")
+    phi = term_to_fo3(t)
     return {
         (a, b)
         for a in structure.domain

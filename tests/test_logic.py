@@ -119,7 +119,7 @@ def test_term_to_fo3_agrees_with_eval_on_every_operation():
     assert len(terms) == len(CATALOGUE)
     for text in terms:
         t = parse_term(text)
-        phi = term_to_fo3(t, "x", "y")
+        phi = term_to_fo3(t)
         assert free_vars(phi) <= {"x", "y"}
         for s in enumerate_structures(("R", "S"), 2):
             direct = eval_term(t, s)
@@ -128,7 +128,7 @@ def test_term_to_fo3_agrees_with_eval_on_every_operation():
 
 
 def test_term_to_fo3_uses_three_variables():
-    phi = term_to_fo3(parse_term("R ; S ; R"), "x", "y")
+    phi = term_to_fo3(parse_term("R ; S ; R"))
     names = set()
 
     def walk(node):

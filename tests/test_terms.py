@@ -236,6 +236,13 @@ def test_semantic_closure_refuses_what_is_not_an_operation():
     assert str(info.value) == "unknown operations in basis: 'antidomm', 'f', 'sym'"
 
 
+def test_semantic_closure_refuses_a_negative_budget():
+    edge = Structure(("a", "b"), {"f": {("a", "b")}})
+    with pytest.raises(TermError, match="budget must be at least 0, got -5"):
+        semantic_closure(edge, {"compose"}, budget=-5)
+    assert not semantic_closure(edge, {"compose"}, budget=0).complete
+
+
 def assert_same_closure(structure, basis, symbols, budget):
     result = semantic_closure(structure, basis, symbols, budget)
     masks, complete, evaluations = naive_closure(structure, basis, symbols, budget)
