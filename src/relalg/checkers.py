@@ -92,21 +92,74 @@ class Verdict:
         }
 
 
-def _pool(symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: int):
-    """The (size, masks) entries the fp/tfp/ifp, forward and local checks
-    scan: every index of every size up to the resolved bound, then
-    `samples` seeded draws of sizes 1..sample_size.  The masks lie over
-    e1..e_size, as `drawn_structure` reads them.  ALL-class codes lie over
-    the string-sorted domain, which differs from size 10 on; no check pools
-    the ALL class."""
+class CheckError(ValueError):
+    """A bound no check can run with."""
+
+
+def _pool(
+    symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: int
+) -> list[tuple[int, dict, np.ndarray]]:
+    """The structures the fp/tfp/ifp, forward and local checks scan, as one
+    (size, masks, positions) group per size, sizes ascending.
+
+    The pool is every index of every size up to the resolved bound, then
+    `samples` seeded draws of sizes 1..sample_size; `positions` numbers a
+    group's structures in that order, ascending.  Each symbol's masks are a
+    uint64 array up to `MAX_BULK_SIZE` and a list of Python ints beyond,
+    over e1..e_size as `drawn_structure` reads them.  ALL-class codes lie
+    over the string-sorted domain, which differs from size 10 on; no check
+    pools the ALL class.
+    """
+    names = sorted(symbols)
+    parts: dict[int, list[tuple[dict, np.ndarray]]] = {}
+    start = 0
     for size in range(1, bounds.resolved_size(len(symbols)) + 1):
-        for index in range(count_structures(symbols, size, cls)):
-            yield size, decode_symbol_masks(index, size, cls, symbols)
+        total = count_structures(symbols, size, cls)
+        if size <= bulk.MAX_BULK_SIZE:
+            masks = decode_symbol_masks(np.arange(total, dtype=np.uint64), size, cls, symbols)
+        else:
+            decoded = [decode_symbol_masks(i, size, cls, symbols) for i in range(total)]
+            masks = {name: [m[name] for m in decoded] for name in names}
+        parts[size] = [(masks, np.arange(start, start + total))]
+        start += total
     rng = random.Random(seed)
     # Every size is drawn before the first structure: the seed pins that order.
     sizes = [rng.randint(1, max(1, bounds.sample_size)) for _ in range(bounds.samples)]
-    for size in sizes:
-        yield size, random_masks(rng, size, symbols, cls)
+    draws = [random_masks(rng, size, symbols, cls) for size in sizes]
+    for size in sorted(set(sizes)):
+        picked = [i for i, drawn in enumerate(sizes) if drawn == size]
+        masks = {name: [draws[i][name] for i in picked] for name in names}
+        parts.setdefault(size, []).append((masks, start + np.array(picked)))
+
+    def joined(chunks: list, size: int):
+        if size <= bulk.MAX_BULK_SIZE:
+            return np.concatenate([np.asarray(c, dtype=np.uint64) for c in chunks])
+        return [word for chunk in chunks for word in chunk]
+
+    return [
+        (
+            size,
+            {name: joined([masks[name] for masks, _ in chunks], size) for name in names},
+            np.concatenate([positions for _, positions in chunks]),
+        )
+        for size, chunks in sorted(parts.items())
+    ]
+
+
+def _values(term: tm.Term, size: int, masks: dict, n: int):
+    """The term's value on each of a pool group's n structures: a uint64
+    array from `bulk.bulk_eval_term` up to `MAX_BULK_SIZE`, Python ints
+    from `terms.evaluate` beyond."""
+    if size <= bulk.MAX_BULK_SIZE:
+        # An empty signature has no masks to give the batch its length.
+        return bulk.bulk_eval_term(term, size, masks or {"": np.zeros(n, dtype=np.uint64)})
+    ops = int_ops(size).value
+    return [tm.evaluate(term, _structure_masks(masks, j), ops) for j in range(n)]
+
+
+def _structure_masks(masks: dict, j: int) -> dict[str, int]:
+    """The masks of a pool group's j-th structure."""
+    return {name: int(m[j]) for name, m in masks.items()}
 
 
 # --- class-invariant properties (fp / tfp / ifp) -------------------------------
@@ -158,22 +211,36 @@ _INVARIANTS = {
 def _check_invariant(
     name: str, term: tm.Term, bounds: Bounds, seed: int
 ) -> Verdict:
+    """Each pool group's values are tested for the class at once; the first
+    failing pool position is re-derived one structure at a time."""
     cls, offence = _INVARIANTS[name]
-    for size, masks in _pool(tm.term_signature(term), cls, bounds, seed):
-        if cls.contains(tm.evaluate(term, masks, int_ops(size).value), size):
-            continue
-        structure = drawn_structure(masks, size)
-        bad = offence(tm.eval_term(term, structure), structure)
-        if bad is None:
-            raise AssertionError("mask and scalar evaluation disagree on an invariant")
-        counterexample = {
-            "kind": "invariant",
-            "term": tm.print_term(term),
-            "structure": structure_to_json(structure),
-            "offence": bad,
-        }
-        return _confirmed(Verdict(name, "fail", counterexample, bounds.to_json(), seed))
-    return Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
+    first = None
+    for size, masks, positions in _pool(tm.term_signature(term), cls, bounds, seed):
+        values = _values(term, size, masks, len(positions))
+        if size <= bulk.MAX_BULK_SIZE:
+            bad = ~cls.contains(values, size)
+        else:
+            bad = np.array([not cls.contains(value, size) for value in values])
+        if bad.any():
+            j = int(np.argmax(bad))
+            if first is None or positions[j] < first[0]:
+                first = positions[j], size, _structure_masks(masks, j)
+    if first is None:
+        return Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
+    _, size, masks = first
+    if cls.contains(_int_value(term, size, masks), size):
+        raise AssertionError("bulk and mask evaluation disagree on an invariant")
+    structure = drawn_structure(masks, size)
+    bad = offence(tm.eval_term(term, structure), structure)
+    if bad is None:
+        raise AssertionError("mask and scalar evaluation disagree on an invariant")
+    counterexample = {
+        "kind": "invariant",
+        "term": tm.print_term(term),
+        "structure": structure_to_json(structure),
+        "offence": bad,
+    }
+    return _confirmed(Verdict(name, "fail", counterexample, bounds.to_json(), seed))
 
 
 def check_function_preserving(
@@ -516,51 +583,35 @@ def check_subseteq_safe(
 
 # --- forward / local boundedness ------------------------------------------------
 
-def _letters(size: int, masks: dict[str, int], mode: str) -> list[list[int]]:
+def _bit_rows(masks, size: int) -> np.ndarray:
+    """A pool group's masks as (n, size, size) bools, [j, a, b] for the
+    pair (e_{a+1}, e_{b+1}) of the j-th mask, from a uint64 array or a list
+    of Python ints."""
+    cells = size * size
+    if isinstance(masks, np.ndarray):
+        bits = masks[:, None] >> np.arange(cells, dtype=np.uint64) & np.uint64(1)
+    else:
+        width = (cells + 7) // 8
+        data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+        octets = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
+        bits = np.unpackbits(octets, axis=1, count=cells, bitorder="little")
+    return bits.astype(bool).reshape(-1, size, size)
+
+
+def _successors(size: int, masks: dict, mode: str) -> list[np.ndarray]:
     """The symbols' masks, then in undirected mode their converses, each as
-    the list of every element's successor by mask position, with `size`
-    standing for no successor.  Forward pools hold partial functions and
-    undirected pools injective ones, so every letter is a partial function.
-    """
-    named = list(masks.values())
+    an (n, size + 1) array of every element's successor by mask position,
+    with `size` standing for no successor (and leading to none).  Forward
+    pools hold partial functions and undirected pools injective ones, so
+    every letter is a partial function."""
+    named = [_bit_rows(m, size) for m in masks.values()]
     if mode == "undirected":
-        named += [int_ops(size).converse(mask) for mask in named]
-    row = (1 << size) - 1
+        named += [bits.transpose(0, 2, 1) for bits in named]
     letters = []
-    for mask in named:
-        rows = (mask >> (p * size) & row for p in range(size))
-        letters.append([bits.bit_length() - 1 if bits else size for bits in rows])
+    for bits in named:
+        succ = np.where(bits.any(axis=2), bits.argmax(axis=2), size)
+        letters.append(np.pad(succ, ((0, 0), (0, 1)), constant_values=size))
     return letters
-
-
-def _anchored_key(
-    letters: list[list[int]], symbol_count: int, size: int, anchor: int, radius: int
-) -> tuple[tuple[int, ...], list[int]]:
-    """The access-word key of the ball of `radius` around the anchor, and
-    the BFS index of each domain position (-1 outside the ball).
-
-    BFS from the anchor tries the letters in order.  Every letter is a
-    partial function, so every anchored isomorphism preserves the order in
-    which the BFS visits the ball, and the ball's size plus each visited
-    element's in-ball successor index per symbol (-1 for none) is a
-    complete invariant of the anchored ball.
-    """
-    index = [-1] * (size + 1)  # index[size], for "no successor", stays -1
-    index[anchor] = 0
-    order = [anchor]
-    depth = [0]
-    for i, x in enumerate(order):
-        if depth[i] < radius:
-            for letter in letters:
-                y = letter[x]
-                if index[y] < 0 and y < size:
-                    index[y] = len(order)
-                    order.append(y)
-                    depth.append(depth[i] + 1)
-    key = (len(order),) + tuple(
-        index[letter[x]] for x in order for letter in letters[:symbol_count]
-    )
-    return key, index
 
 
 @cache
@@ -570,10 +621,104 @@ def _domain_order(size: int) -> list[int]:
     return sorted(range(size), key=lambda p: f"e{p + 1}")
 
 
+def _walk(letters: list[np.ndarray], n: int, size: int, radius: int):
+    """BFS to `radius` from every anchor of a pool group's n structures at
+    once, trying the letters in order; anchors run in `_domain_order`.
+
+    Returns (index, depth, order).  `index` and `depth`, (n, size, size + 1),
+    give each position's BFS index and distance from the anchor (-1 and
+    radius + 1 where it is not reached; position `size` is "no
+    successor"); `order`, (n, size, size), lists the positions by BFS
+    index, `size` past the end.  The BFS queue runs by distance, so a BFS
+    to a smaller radius visits a prefix of this order with the same
+    indices: one walk serves every radius.  The arrays hold the narrowest
+    signed integers that fit these entries and the ball keys built on them.
+    """
+    anchors = _domain_order(size)
+    cells = np.arange(size)
+    dtype = np.min_scalar_type(-(max(size, radius) + 2))
+    index = np.full((n, size, size + 1), -1, dtype=dtype)
+    depth = np.full((n, size, size + 1), radius + 1, dtype=dtype)
+    order = np.full((n, size, size), size, dtype=dtype)
+    index[:, cells, anchors] = 0
+    depth[:, cells, anchors] = 0
+    order[:, :, 0] = anchors
+    length = np.ones((n, size), dtype=np.intp)
+    for i in range(size):
+        x = order[:, :, i]
+        near = np.take_along_axis(depth, x[..., None], 2)[..., 0]
+        active = near < radius
+        if not active.any():
+            break
+        for succ in letters:
+            y = np.take_along_axis(succ, x, 1)
+            unseen = np.take_along_axis(index, y[..., None], 2)[..., 0] < 0
+            j, a = np.nonzero(active & unseen & (y < size))
+            y, at = y[j, a], length[j, a]
+            index[j, a, y] = at
+            depth[j, a, y] = near[j, a] + 1
+            order[j, a, at] = y
+            length[j, a] += 1
+    return index, depth, order
+
+
+def _ball_digits(letters, walk, symbol_count: int, radius: int, width: int):
+    """Each anchor's access-word key of its ball of `radius`, as digits in
+    0..width + 1: the ball's size, then for each ball element in BFS order
+    the in-ball BFS index of its successor under each symbol (-1 for none),
+    shifted by 2 and padded to `width` elements with 0.  The size comes
+    first, so keys of balls of different sizes never meet in the padding.
+
+    BFS from the anchor tries the letters in order.  Every letter is a
+    partial function, so every anchored isomorphism preserves the order in
+    which the BFS visits the ball, and the key is a complete invariant of
+    the anchored ball.  Returns the (n, size, 1 + width * symbol_count)
+    digits and each position's in-ball BFS index (-1 outside).
+    """
+    index, depth, order = walk
+    n, size = order.shape[:2]
+    reached = depth <= radius
+    inside = np.where(reached, index, -1).astype(index.dtype)
+    length = reached.sum(axis=2)
+    past = np.arange(size) >= length[..., None]
+    entries = np.zeros((n, size, width, symbol_count), dtype=index.dtype)
+    for s, succ in enumerate(letters[:symbol_count]):
+        target = np.take_along_axis(succ[:, None, :], order, 2)
+        entries[:, :, :size, s] = np.where(past, 0, np.take_along_axis(inside, target, 2) + 2)
+    digits = np.empty((n, size, 1 + width * symbol_count), dtype=index.dtype)
+    digits[..., 0] = length
+    digits[..., 1:] = entries.reshape(n, size, -1)
+    return digits, inside
+
+
+def _key_ids(digits: np.ndarray, radix: int) -> np.ndarray:
+    """One int64 per row of `digits` (each in 0..radix - 1), equal exactly
+    where the rows are.  The rows are read as mixed-radix numbers, as many
+    digits per int64 word as fit; a row of one word is its own id, and
+    longer rows are numbered by a lexsort of their words."""
+    per_word = 1
+    while radix ** (per_word + 1) < 1 << 63:
+        per_word += 1
+    words = []
+    for start in range(0, digits.shape[1], per_word):
+        code = np.zeros(len(digits), dtype=np.int64)
+        for column in digits[:, start : start + per_word].T:
+            code = code * radix + column
+        words.append(code)
+    if len(words) == 1:
+        return words[0]
+    ranked = np.lexsort(words)
+    packed = np.stack(words, axis=1)[ranked]
+    fresh = np.concatenate([[True], (packed[1:] != packed[:-1]).any(axis=1)])
+    ids = np.empty(len(digits), dtype=np.int64)
+    ids[ranked] = np.cumsum(fresh) - 1
+    return ids
+
+
 def _bounded_rows_check(
     term: tm.Term,
-    pool: list[tuple[int, dict[str, int], list[list[int]]]],
-    values: list[int | None],
+    groups: list,
+    symbol_count: int,
     radius: int,
     mode: str,
     bounds: Bounds,
@@ -583,54 +728,70 @@ def _bounded_rows_check(
     """One radius attempt: rows must stay inside their balls and agree on
     isomorphic anchored balls.  Returns a failure verdict or None.
 
-    Every ball is compared: balls and rows are keyed exactly by
-    `_anchored_key`, the row as the sorted BFS indices of its elements.
-    Anchors and row elements are visited in `Structure` domain order.
-    `values[i]` holds the term's value on `pool[i]` as a bit mask,
-    evaluated on first use and kept for the later radii.
+    Every ball is compared: balls are keyed exactly by `_ball_digits`, and
+    rows by the set of their elements' BFS indices.  Taken in pool order,
+    anchors in `Structure` domain order, the failure is the first anchor
+    whose row leaves its ball ("outside" wins at one anchor), or whose row
+    differs from the row at the first anchor with an equal ball key.  An
+    anchor before that one whose row leaves its ball is itself an earlier
+    failure, so first occurrences may be taken over all anchors.
     """
+    if not groups:
+        return None
+    width = max(size for size, *_ in groups)
+    digits, row_sets, outside, place = [], [], [], []
+    for size, _, positions, letters, walk, rows in groups:
+        key, inside = _ball_digits(letters, walk, symbol_count, radius, width)
+        inball = inside[..., :size] >= 0
+        row_set = np.zeros(rows.shape[:2] + (width + 1,), dtype=bool)
+        np.put_along_axis(row_set, np.where(rows & inball, inside[..., :size], width), True, 2)
+        digits.append(key.reshape(-1, key.shape[2]))
+        row_sets.append(row_set[..., :width].reshape(-1, width))
+        outside.append((rows & ~inball).any(axis=2).ravel())
+        place.append((positions[:, None] * width + np.arange(size)).ravel())
+    place = np.concatenate(place)
+    ranked = np.argsort(place)
+    ids = _key_ids(np.concatenate(digits), width + 2)[ranked]
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    row_sets = np.concatenate(row_sets)[ranked]
+    outside = np.concatenate(outside)[ranked]
+    bad = outside | (row_sets != row_sets[first[inverse]]).any(axis=1)
+    if not bad.any():
+        return None
+    at = int(np.argmax(bad))
 
-    def structure_json(i: int) -> dict:
-        size, masks, _ = pool[i]
-        return structure_to_json(drawn_structure(masks, size))
+    def anchored(k: int):
+        position, t = divmod(int(place[ranked[k]]), width)
+        size, masks, positions, _, walk, rows = next(g for g in groups if position in g[2])
+        j = int(np.flatnonzero(positions == position)[0])
+        structure = structure_to_json(drawn_structure(_structure_masks(masks, j), size))
+        return structure, _domain_order(size)[t], walk[1][j, t], rows[j, t]
 
-    buckets: dict[tuple, tuple[tuple, int, str]] = {}
-    for i, (size, masks, letters) in enumerate(pool):
-        if values[i] is None:
-            values[i] = tm.evaluate(term, masks, int_ops(size).value)
-        order = _domain_order(size)
-        for anchor in order:
-            row = [b for b in order if values[i] >> (anchor * size + b) & 1]
-            ball_key, index = _anchored_key(letters, len(masks), size, anchor, radius)
-            outside = [b for b in row if index[b] < 0]
-            if outside:
-                counterexample = {
-                    "kind": "row-outside-ball",
-                    "term": tm.print_term(term),
-                    "mode": mode,
-                    "structure": structure_json(i),
-                    "anchor": f"e{anchor + 1}",
-                    "radius": radius,
-                    "element": f"e{outside[0] + 1}",
-                }
-                return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
-            row_key = tuple(sorted(index[b] for b in row))
-            seen = buckets.get(ball_key)
-            if seen is None:
-                buckets[ball_key] = (row_key, i, f"e{anchor + 1}")
-            elif seen[0] != row_key:
-                counterexample = {
-                    "kind": "ball-row-mismatch",
-                    "term": tm.print_term(term),
-                    "mode": mode,
-                    "radius": radius,
-                    "left": structure_json(seen[1]),
-                    "left_anchor": seen[2],
-                    "right": structure_json(i),
-                    "right_anchor": f"e{anchor + 1}",
-                }
-                return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
-    return None
+    structure, anchor, depth, row = anchored(at)
+    if outside[at]:
+        element = next(b for b in _domain_order(len(row)) if row[b] and depth[b] > radius)
+        counterexample = {
+            "kind": "row-outside-ball",
+            "term": tm.print_term(term),
+            "mode": mode,
+            "structure": structure,
+            "anchor": f"e{anchor + 1}",
+            "radius": radius,
+            "element": f"e{element + 1}",
+        }
+    else:
+        left, left_anchor, _, _ = anchored(int(first[inverse[at]]))
+        counterexample = {
+            "kind": "ball-row-mismatch",
+            "term": tm.print_term(term),
+            "mode": mode,
+            "radius": radius,
+            "left": left,
+            "left_anchor": f"e{left_anchor + 1}",
+            "right": structure,
+            "right_anchor": f"e{anchor + 1}",
+        }
+    return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
 
 
 def _check_bounded(
@@ -638,20 +799,30 @@ def _check_bounded(
 ) -> Verdict:
     """Try radii 0..max_radius; pass at the first one with no failure, or
     report the failure at max_radius.  Every failure is re-verified: a pass
-    at radius r rests on the failures below r."""
+    at radius r rests on the failures below r.
+
+    The pool's values, rows and one BFS to max_radius per group are
+    computed once, as arrays over every structure and anchor of a size."""
+    if max_radius < 0:
+        raise CheckError(f"max radius must be at least 0, got {max_radius}")
     cls = (
         StructureClass.PARTIAL_FUNCTIONS
         if mode == "forward"
         else StructureClass.INJECTIVE_PARTIAL_FUNCTIONS
     )
-    pool = [
-        (size, masks, _letters(size, masks, mode))
-        for size, masks in _pool(tm.term_signature(term), cls, bounds, seed)
-    ]
-    values: list[int | None] = [None] * len(pool)
+    symbols = tm.term_signature(term)
+    groups = []
+    for size, masks, positions in _pool(symbols, cls, bounds, seed):
+        n = len(positions)
+        letters = _successors(size, masks, mode)
+        rows = _bit_rows(_values(term, size, masks, n), size)[:, _domain_order(size)]
+        walk = _walk(letters, n, size, max_radius)
+        groups.append((size, masks, positions, letters, walk, rows))
 
     for radius in range(max_radius + 1):
-        failure = _bounded_rows_check(term, pool, values, radius, mode, bounds, seed, name)
+        failure = _bounded_rows_check(
+            term, groups, len(symbols), radius, mode, bounds, seed, name
+        )
         if failure is None:
             verdict = Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
             verdict.bounds["radius"] = radius

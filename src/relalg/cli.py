@@ -24,6 +24,7 @@ from . import constructions as cx
 from . import terms as tm
 from .checkers import (
     Bounds,
+    CheckError,
     catalogue_matrix,
     check_forward,
     check_function_preserving,
@@ -58,6 +59,12 @@ _CHECKS = {
     "ifp": check_injective_function_preserving,
     "homsafe": check_homomorphism_safe,
     "subsafe": check_subseteq_safe,
+}
+
+# Options that a subcommand reads only under a switch: (switch, options).
+_GATED = {
+    "translate": ("check", ("seed", "max_size", "samples")),
+    "synth": ("validate_size", ("seed", "samples")),
 }
 
 PRESETS = (
@@ -322,7 +329,8 @@ def _cmd_synth(args) -> _Outcome:
     status = "ok"
     bounds = None
     if args.validate_size is not None:
-        b = Bounds(max_size=args.validate_size, samples=args.samples or 200)
+        samples = 200 if args.samples is None else args.samples
+        b = Bounds(max_size=args.validate_size, samples=samples)
         report = validate_synthesis(result, oracle, bounds=b, seed=args.seed)
         payload["validation"] = report.to_json()
         bounds = b.to_json()
@@ -519,8 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the report to a file")
     # Each subcommand takes only those of these options that it reads, and
     # abbreviations are off, so a prefix such as --m is an error, not a guess.
-    seed, max_size, samples = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed, gated_seed, max_size, samples = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    )
     seed.add_argument("--seed", type=int, default=0)
+    # No default, so that `main` can tell a seed given to no effect (_GATED).
+    gated_seed.add_argument("--seed", type=int, default=None)
     max_size.add_argument("--max-size", type=int, default=None)
     samples.add_argument("--samples", type=int, default=None)
     bounded = [common, seed, max_size, samples]
@@ -543,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser(
-        "translate", parents=bounded,
+        "translate", parents=[common, gated_seed, max_size, samples],
         help="compile a positive-existential formula to a term",
     )
     p.add_argument("formula", nargs="?", default=None)
@@ -588,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser(
-        "synth", parents=[common, seed, samples], help="synthesise a term from an oracle"
+        "synth", parents=[common, gated_seed, samples], help="synthesise a term from an oracle"
     )
     p.add_argument("mode", choices=("forward", "local-injective"))
     p.add_argument("--oracle", default=None, help="oracle term text")
@@ -626,6 +638,14 @@ def main(argv=None) -> int:
         if code in (0, None):
             return 0
         return 2
+    switch, gated = _GATED.get(args.command, (None, ()))
+    given = [name for name in gated if getattr(args, name) is not None]
+    if given and getattr(args, switch) in (None, False):
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        print(f"error: {flags}: read only with --{switch.replace('_', '-')}", file=sys.stderr)
+        return 2
+    if gated and args.seed is None:
+        args.seed = 0
 
     started = time.monotonic()
     try:
@@ -637,6 +657,7 @@ def main(argv=None) -> int:
         StructureError,
         GameError,
         cx.ConstructionError,
+        CheckError,
         tm.TermError,
         OSError,
         json.JSONDecodeError,

@@ -51,20 +51,24 @@ class StructureClass(Enum):
     TOTAL_FUNCTIONS = "total-functions"
     INJECTIVE_PARTIAL_FUNCTIONS = "injective-partial-functions"
 
-    def contains(self, mask: int, k: int) -> bool:
-        """Whether a relation, as a mask over k elements, lies in the class."""
-        ops = int_ops(k)
+    def contains(self, mask, k: int):
+        """Whether a relation, as a mask over k elements, lies in the class;
+        on a uint64 array of masks (k <= MAX_BULK_SIZE), a bool per mask."""
+        batch = not isinstance(mask, int)
+        ops = BulkOps(k) if batch else int_ops(k)
 
-        def functional(r: int) -> bool:
+        def functional(r):
             return ops.diff(ops.compose(ops.converse(r), r), ops.diag) == 0
 
         if self is StructureClass.ALL:
-            return True
+            return np.ones(len(mask), dtype=bool) if batch else True
+        ok = functional(mask)
+        # One int stops at the first test it fails; a batch runs both.
+        if self is StructureClass.PARTIAL_FUNCTIONS or not (batch or ok):
+            return ok
         if self is StructureClass.TOTAL_FUNCTIONS:
-            return functional(mask) and ops.dom(mask) == ops.diag
-        if self is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
-            return functional(mask) and functional(ops.converse(mask))
-        return functional(mask)
+            return ok & (ops.dom(mask) == ops.diag)
+        return ok & functional(ops.converse(mask))
 
 
 @dataclass(frozen=True)

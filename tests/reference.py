@@ -3,13 +3,27 @@
 The closure routines call the one-pair kernels of `structures.BulkOps`
 directly, never `BulkOps.grid`, so the cross-check stays independent of the
 closure's row-hoisted tables.  The class predicates work on pairs, not on
-masks, and the isomorphism reference tries every permutation.
+masks, and the isomorphism reference tries every permutation.  The pooled
+checks' references scan the pool one structure and one anchor at a time,
+on Python ints.
 """
 
+import random
 from itertools import permutations
 
-from relalg.structures import ball, int_ops, relation_mask
-from relalg.terms import Term, iter_nodes, sym
+from relalg.checkers import _INVARIANTS, Verdict, _domain_order
+from relalg.structures import (
+    StructureClass,
+    ball,
+    count_structures,
+    decode_symbol_masks,
+    drawn_structure,
+    int_ops,
+    random_masks,
+    relation_mask,
+    structure_to_json,
+)
+from relalg.terms import Term, evaluate, eval_term, iter_nodes, print_term, sym, term_signature
 
 UNARY = ("complement", "converse", "dom", "ran", "antidom")
 BINARY = ("union", "inter", "diff", "compose", "semijoin", "prefunion", "injunion")
@@ -154,3 +168,141 @@ def brute_force_isomorphism(left, anchors_left, right, anchors_right):
         if is_isomorphism(left, anchors_left, right, anchors_right, mapping):
             return mapping
     return None
+
+
+# --- the pooled checks, one structure and one anchor at a time -----------------
+
+def scalar_pool(symbols, cls, bounds, seed):
+    """The (size, masks) entries of the checks' pool in pool order, each
+    index decoded on its own: every index of every size up to the resolved
+    bound, then the seeded draws."""
+    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
+        for index in range(count_structures(symbols, size, cls)):
+            yield size, decode_symbol_masks(index, size, cls, symbols)
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, max(1, bounds.sample_size)) for _ in range(bounds.samples)]
+    for size in sizes:
+        yield size, random_masks(rng, size, symbols, cls)
+
+
+def scalar_invariant_check(name, term, bounds, seed):
+    """The fp/tfp/ifp verdict from a scan of the pool in order, without the
+    re-verification."""
+    cls, offence = _INVARIANTS[name]
+    for size, masks in scalar_pool(term_signature(term), cls, bounds, seed):
+        if cls.contains(evaluate(term, masks, int_ops(size).value), size):
+            continue
+        structure = drawn_structure(masks, size)
+        counterexample = {
+            "kind": "invariant",
+            "term": print_term(term),
+            "structure": structure_to_json(structure),
+            "offence": offence(eval_term(term, structure), structure),
+        }
+        return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
+    return Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
+
+
+def letters(size, masks, mode):
+    """The symbols' masks, then in undirected mode their converses, each as
+    the list of every element's successor by mask position, `size` for
+    none."""
+    named = list(masks.values())
+    if mode == "undirected":
+        named += [int_ops(size).converse(mask) for mask in named]
+    row = (1 << size) - 1
+    out = []
+    for mask in named:
+        rows = (mask >> (p * size) & row for p in range(size))
+        out.append([bits.bit_length() - 1 if bits else size for bits in rows])
+    return out
+
+
+def anchored_key(letters, symbol_count, size, anchor, radius):
+    """The access-word key of the ball of `radius` around the anchor (its
+    size, then each BFS-visited element's in-ball successor index per
+    symbol, -1 for none), and the BFS index of each position (-1 outside)."""
+    index = [-1] * (size + 1)  # index[size], for "no successor", stays -1
+    index[anchor] = 0
+    order = [anchor]
+    depth = [0]
+    for i, x in enumerate(order):
+        if depth[i] < radius:
+            for letter in letters:
+                y = letter[x]
+                if index[y] < 0 and y < size:
+                    index[y] = len(order)
+                    order.append(y)
+                    depth.append(depth[i] + 1)
+    key = (len(order),) + tuple(index[letter[x]] for x in order for letter in letters[:symbol_count])
+    return key, index
+
+
+def scalar_rows_check(term, pool, values, radius, mode, bounds, seed, name):
+    """One radius attempt over `pool`, a list of (size, masks, letters),
+    anchor by anchor in pool and domain order; `values` caches each
+    structure's value.  A failure verdict or None."""
+
+    def structure_json(i):
+        size, masks, _ = pool[i]
+        return structure_to_json(drawn_structure(masks, size))
+
+    buckets = {}
+    for i, (size, masks, lets) in enumerate(pool):
+        if values[i] is None:
+            values[i] = evaluate(term, masks, int_ops(size).value)
+        order = _domain_order(size)
+        for anchor in order:
+            row = [b for b in order if values[i] >> (anchor * size + b) & 1]
+            ball_key, index = anchored_key(lets, len(masks), size, anchor, radius)
+            outside = [b for b in row if index[b] < 0]
+            if outside:
+                counterexample = {
+                    "kind": "row-outside-ball",
+                    "term": print_term(term),
+                    "mode": mode,
+                    "structure": structure_json(i),
+                    "anchor": f"e{anchor + 1}",
+                    "radius": radius,
+                    "element": f"e{outside[0] + 1}",
+                }
+                return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
+            row_key = tuple(sorted(index[b] for b in row))
+            seen = buckets.get(ball_key)
+            if seen is None:
+                buckets[ball_key] = (row_key, i, f"e{anchor + 1}")
+            elif seen[0] != row_key:
+                counterexample = {
+                    "kind": "ball-row-mismatch",
+                    "term": print_term(term),
+                    "mode": mode,
+                    "radius": radius,
+                    "left": structure_json(seen[1]),
+                    "left_anchor": seen[2],
+                    "right": structure_json(i),
+                    "right_anchor": f"e{anchor + 1}",
+                }
+                return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
+    return None
+
+
+def scalar_bounded_check(term, mode, bounds, seed, max_radius):
+    """The forward (mode "forward") or local ("undirected") verdict from
+    the per-anchor scan, without the re-verification."""
+    if mode == "forward":
+        cls, name = StructureClass.PARTIAL_FUNCTIONS, "forward-bounded"
+    else:
+        cls, name = StructureClass.INJECTIVE_PARTIAL_FUNCTIONS, "local-bounded"
+    pool = [
+        (size, masks, letters(size, masks, mode))
+        for size, masks in scalar_pool(term_signature(term), cls, bounds, seed)
+    ]
+    values = [None] * len(pool)
+    for radius in range(max_radius + 1):
+        failure = scalar_rows_check(term, pool, values, radius, mode, bounds, seed, name)
+        if failure is None:
+            verdict = Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
+            verdict.bounds.update(radius=radius, max_radius=max_radius, balls_skipped=0)
+            return verdict
+    failure.bounds.update(balls_skipped=0, max_radius=max_radius)
+    return failure

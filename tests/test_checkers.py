@@ -23,11 +23,15 @@ from relalg.checkers import (
     equivalence_report,
     term_for_operation,
     verify_counterexample,
-    _anchored_key,
+    _ball_digits,
     _fp_offence,
-    _letters,
+    _key_ids,
     _pool,
+    _structure_masks,
+    _successors,
+    _walk,
 )
+import reference
 from relalg.logic import eval_formula, parse_formula
 from relalg.structures import (
     Structure,
@@ -390,33 +394,47 @@ def row_marked_ball(structure, anchor, radius, mode, row):
 def test_access_word_keys_are_equal_exactly_on_isomorphic_marked_balls(cls, mode):
     rng = random.Random(f"access-words-{mode}")
     outcomes = {True: 0, False: 0}
+    width = 7
     for _ in range(12):
         structures = [
             random_structure(rng, rng.randint(1, 7), ("f", "g"), cls) for _ in range(2)
         ]
         for radius in range(4):
-            anchored = []
+            digits, anchored = [], []
             for structure in structures:
-                letters = _letters(structure.size(), structure.masks, mode)
                 size = len(structure.domain)
-                for anchor in range(size):
-                    key, index = _anchored_key(letters, 2, size, anchor, radius)
-                    inside = [x for x in range(size) if index[x] >= 0]
+                masks = {
+                    name: np.array([structure.masks[name]], dtype=np.uint64)
+                    for name in ("f", "g")
+                }
+                letters = _successors(size, masks, mode)
+                walk = _walk(letters, 1, size, radius)
+                keys, inside = _ball_digits(letters, walk, 2, radius, width)
+                digits.extend(keys[0])
+                # Below ten elements the anchors run in numeric order.
+                for anchor, index in enumerate(inside[0]):
+                    ball_positions = [x for x in range(size) if index[x] >= 0]
                     # Rows every isomorphism keeps, and random ones it may not.
                     row = rng.choice(
-                        [(), (anchor,), inside, rng.sample(inside, rng.randint(0, len(inside)))]
+                        [
+                            (),
+                            (anchor,),
+                            ball_positions,
+                            rng.sample(ball_positions, rng.randint(0, len(ball_positions))),
+                        ]
                     )
                     row_key = tuple(sorted(index[x] for x in row))
                     a = structure.domain[anchor]
                     marked = row_marked_ball(
                         structure, a, radius, mode, [structure.domain[x] for x in row]
                     )
-                    anchored.append(((key, row_key), marked, a))
-            for (lkey, left, la), (rkey, right, ra) in combinations_with_replacement(
-                anchored, 2
+                    anchored.append((row_key, marked, a))
+            codes = _key_ids(np.array(digits), width + 2)
+            for (lcode, (lrow, left, la)), (rcode, (rrow, right, ra)) in (
+                combinations_with_replacement(zip(codes.tolist(), anchored), 2)
             ):
                 iso = isomorphism(left, [la], right, [ra]) is not None
-                assert (lkey == rkey) == iso, (left, la, right, ra)
+                assert (lcode == rcode and lrow == rrow) == iso, (left, la, right, ra)
                 outcomes[iso] += 1
     assert outcomes[True] > 0 and outcomes[False] > 0
 
@@ -505,7 +523,13 @@ def old_pool(symbols, cls, bounds, seed):
 def test_pool_decodes_to_the_structures_the_old_pool_built(cls, max_size):
     bounds = Bounds(max_size=max_size, samples=150, sample_size=12)
     symbols = ("f", "g")
-    pooled = [drawn_structure(masks, size) for size, masks in _pool(symbols, cls, bounds, 5)]
+    pooled = {}
+    for size, masks, positions in _pool(symbols, cls, bounds, 5):
+        for j, position in enumerate(positions.tolist()):
+            pooled[position] = drawn_structure(_structure_masks(masks, j), size)
+        assert all(isinstance(m, np.ndarray) == (size <= 8) for m in masks.values())
+    assert sorted(pooled) == list(range(len(pooled)))
+    pooled = [pooled[p] for p in range(len(pooled))]
     assert pooled == old_pool(symbols, cls, bounds, 5)
     assert max(len(s.domain) for s in pooled) >= 10
 
@@ -590,3 +614,77 @@ def test_pooled_checks_build_a_structure_only_for_a_counterexample(monkeypatch):
         built.clear()
         verdict = check(parse_term(text), Bounds(), 0)
         assert not verdict.passed and len(built) <= 8 * 4, (check.__name__, len(built))
+
+
+def differential_cases(rng, count, chains):
+    """(term, bounds, seed) triples: each of `chains` (terms over f) under
+    Bounds() at seed 3, then random catalogue terms over one or two
+    symbols, every other one without constants, under varied bounds."""
+    cases = [(parse_term(text), Bounds(), 3) for text in chains]
+    while len(cases) < count:
+        n = len(cases)
+        basis = set(CATALOGUE) - ({"id", "empty", "top"} if n % 2 else set())
+        term = random_term(rng, basis, ("f", "g") if n % 3 else ("f",), rng.randint(2, 6))
+        # Sizes up to 12: past eight the int route, past nine the string
+        # domain order.  Two symbols there need two words per ball key.
+        bounds = Bounds() if n % 4 == 0 else Bounds(samples=150, sample_size=5 + n % 8)
+        cases.append((term, bounds, n))
+    return cases
+
+
+def large(verdict) -> bool:
+    """Whether a failure was found on a structure of ten or more elements."""
+    found = verdict.counterexample or {}
+    return len((found.get("structure") or found.get("right") or {"domain": ()})["domain"]) >= 10
+
+
+@pytest.mark.parametrize("check, mode", [(check_forward, "forward"), (check_local, "undirected")])
+def test_array_bounded_checks_match_the_per_anchor_scan(check, mode):
+    rng = random.Random(f"rows-{mode}")
+    kinds, sizes = set(), set()
+    # Nonempty only from ten elements on: the ten-chain's rows leave
+    # their balls, and its domain's rows differ on isomorphic balls.
+    chains = (TEN_CHAIN, f"dom({TEN_CHAIN})")
+    for n, (term, bounds, seed) in enumerate(differential_cases(rng, 20, chains)):
+        max_radius = n % 4
+        expected = reference.scalar_bounded_check(term, mode, bounds, seed, max_radius)
+        got = check(term, bounds, seed, max_radius)
+        assert got.to_json() == expected.to_json(), (print_term(term), bounds, max_radius)
+        kinds.add(got.counterexample["kind"] if got.counterexample else got.status)
+        sizes.add(large(got))
+    assert kinds == {"pass-bounded", "row-outside-ball", "ball-row-mismatch"}
+    assert sizes == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(checkers._INVARIANTS))
+def test_array_invariant_scan_matches_the_scalar_scan(name):
+    rng = random.Random(f"invariant-{name}")
+    check = {
+        "function-preserving": check_function_preserving,
+        "total-function-preserving": check_total_function_preserving,
+        "injective-function-preserving": check_injective_function_preserving,
+    }[name]
+    statuses, sizes = set(), set()
+    for term, bounds, seed in differential_cases(rng, 24, (f"id | (({TEN_CHAIN}) ; T)",)):
+        expected = reference.scalar_invariant_check(name, term, bounds, seed)
+        got = check(term, bounds, seed)
+        assert got.to_json() == expected.to_json(), (print_term(term), bounds)
+        statuses.add(got.status)
+        sizes.add(large(got))
+    assert statuses == {"pass-bounded", "fail"}
+    assert sizes == {True, False}
+
+
+@pytest.mark.parametrize("check", [check_forward, check_local])
+def test_bounded_checks_refuse_a_negative_radius(check):
+    with pytest.raises(ValueError, match="max radius must be at least 0"):
+        check(parse_term("f"), LIGHT, 0, -1)
+
+
+@pytest.mark.parametrize("check, mode", [(check_forward, "forward"), (check_local, "undirected")])
+def test_bounded_checks_take_radii_past_the_narrowest_integers(check, mode):
+    # A radius of 130 needs 16-bit depths; "f ; f" passes only at radius 2.
+    term = parse_term("f ; f")
+    got = check(term, LIGHT, 0, 130)
+    assert got.to_json() == reference.scalar_bounded_check(term, mode, LIGHT, 0, 130).to_json()
+    assert got.bounds["max_radius"] == 130

@@ -188,6 +188,11 @@ def test_usage_and_input_errors_exit_two(chain_file, tmp_path):
         ("ef", "min-rank", "--right", chain_file),
         ("verify", "closure", "--budget", "-5"),
         ("ef", "min-rank", "--left", chain_file, "--right", chain_file, "--max-rank", "-1"),
+        ("check", "forward", "f", "--max-radius", "-1"),
+        # Options read only under --check or --validate-size.
+        ("translate", "R(x,y)", "--samples", "5"),
+        ("translate", "R(x,y)", "--seed", "1", "--max-size", "2"),
+        ("synth", "forward", "--oracle", "f", "--radius", "1", "--seed", "2", "--samples", "3"),
     )
     for argv in cases:
         code, _, err = run(*argv)
@@ -225,3 +230,13 @@ def test_translate_refuses_a_relation_no_term_can_name():
     # T(x,y) would compile to the symbol T, which term text reads as top.
     code, _, err = run("translate", "T(x,y)")
     assert code == 2 and "'T' cannot name a relation symbol" in err
+
+
+def test_synth_validates_with_an_explicit_zero_samples(capsys):
+    argv = ["synth", "forward", "--oracle", "dom(f)", "--radius", "1", "--validate-size", "2"]
+    assert main([*argv, "--samples", "0", "--report", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bounds"]["samples"] == 0
+    assert doc["payload"]["validation"]["random_checked"] == 0
+    assert main([*argv, "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bounds"]["samples"] == 200

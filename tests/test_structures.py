@@ -4,6 +4,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 from reference import (
     brute_force_isomorphism,
@@ -329,7 +330,6 @@ def digit_decoder_masks(index, size, cls, symbols):
 
 
 def test_codec_int_and_uint64_paths_agree_with_the_digit_decoder():
-    import numpy as np
 
     from relalg.structures import decode_symbol_masks, space_size
 
@@ -361,7 +361,6 @@ def test_codec_int_and_uint64_paths_agree_with_the_digit_decoder():
 
 
 def test_injective_decoding_agrees_on_both_routes_at_eight_elements():
-    import numpy as np
 
     from relalg.structures import decode_symbol_masks, space_size
 
@@ -419,12 +418,21 @@ def test_class_membership_on_masks_matches_the_pair_predicates():
 
     for k in range(4):
         dom = _domain_of(k)
+        expected = {cls: [] for cls in (ALL, PF, TF, IPF)}
         for mask in range(1 << (k * k)):
             rel = _mask_pairs(mask, dom)
-            assert ALL.contains(mask, k)
-            assert PF.contains(mask, k) == is_partial_function(rel), (k, mask)
-            assert TF.contains(mask, k) == is_total_function(rel, dom), (k, mask)
-            assert IPF.contains(mask, k) == is_injective_partial_function(rel), (k, mask)
+            expected[ALL].append(True)
+            expected[PF].append(is_partial_function(rel))
+            expected[TF].append(is_total_function(rel, dom))
+            expected[IPF].append(is_injective_partial_function(rel))
+            for cls, answers in expected.items():
+                assert cls.contains(mask, k) == answers[-1], (cls, k, mask)
+        if k:
+            # The same masks as one uint64 batch, a bool per mask.
+            batch = np.arange(1 << (k * k), dtype=np.uint64)
+            for cls, answers in expected.items():
+                got = cls.contains(batch, k)
+                assert got.dtype == bool and got.tolist() == answers, (cls, k)
 
 
 def test_enumerated_structures_lie_in_their_class():
