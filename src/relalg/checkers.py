@@ -8,9 +8,12 @@ concrete counterexample was found and re-verified before being reported.
 
 from __future__ import annotations
 
+import math
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, partial, wraps
 from itertools import combinations, product
 
 import numpy as np
@@ -38,6 +41,10 @@ from .structures import (
 )
 
 
+class CheckError(ValueError):
+    """A bound no check can run with."""
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Search effort knobs shared by all checkers.
@@ -48,13 +55,23 @@ class Bounds:
     200 draws of sizes up to 6 and 8, and record what they ran with in the
     verdict, the homomorphism check with its exhaustive `pair_size` (2).
     The forward and local checks compare every ball they meet:
-    `balls_skipped` is always 0.
+    `balls_skipped` is always 0.  A negative `max_size`, `samples` or
+    `exhaustive_budget`, or a `sample_size` below 1, raises `CheckError`:
+    such bounds would cover nothing and still read as a pass.
     """
 
     max_size: int | None = None
     samples: int = 1000
     sample_size: int = 12
     exhaustive_budget: int = 600_000
+
+    def __post_init__(self):
+        for name in ("max_size", "samples", "exhaustive_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise CheckError(f"{name} must be at least 0, got {value}")
+        if self.sample_size < 1:
+            raise CheckError(f"sample_size must be at least 1, got {self.sample_size}")
 
     def resolved_size(self, symbol_count: int) -> int:
         if self.max_size is not None:
@@ -92,13 +109,62 @@ class Verdict:
         }
 
 
-class CheckError(ValueError):
-    """A bound no check can run with."""
+# The term-independent arrays of the `_sharing` block in progress, by
+# builder and arguments; None outside one.
+_SHARED: ContextVar[dict | None] = ContextVar("relalg_checkers_shared", default=None)
 
 
+@contextmanager
+def _sharing():
+    """Share the results of `_per_call` builders until the block ends.  A
+    block inside another shares the outer block's: a check run by
+    `catalogue_matrix` shares with every other cell of the matrix."""
+    if _SHARED.get() is not None:
+        yield
+        return
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _per_call(build):
+    """Wrap a builder of term-independent arrays.  Within a `_sharing`
+    block its result is built once per arguments and handed to every
+    caller that asks again; outside one, every call builds anew.  Either
+    way the result's numpy arrays are read-only, so no caller can change
+    what another reads."""
+
+    @wraps(build)
+    def shared(*args):
+        memo = _SHARED.get()
+        key = (build.__name__, *args)
+        if memo is not None and key in memo:
+            return memo[key]
+        value = build(*args)
+        _read_only(value)
+        if memo is not None:
+            memo[key] = value
+        return value
+
+    return shared
+
+
+def _read_only(value) -> None:
+    """Make the numpy arrays in `value` read-only, looking into tuples,
+    lists and dict values."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _read_only(item)
+
+
+@_per_call
 def _pool(
     symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: int
-) -> list[tuple[int, dict, np.ndarray]]:
+) -> tuple[tuple[int, dict, np.ndarray], ...]:
     """The structures the fp/tfp/ifp, forward and local checks scan, as one
     (size, masks, positions) group per size, sizes ascending.
 
@@ -124,7 +190,7 @@ def _pool(
         start += total
     rng = random.Random(seed)
     # Every size is drawn before the first structure: the seed pins that order.
-    sizes = [rng.randint(1, max(1, bounds.sample_size)) for _ in range(bounds.samples)]
+    sizes = [rng.randint(1, bounds.sample_size) for _ in range(bounds.samples)]
     draws = [random_masks(rng, size, symbols, cls) for size in sizes]
     for size in sorted(set(sizes)):
         picked = [i for i, drawn in enumerate(sizes) if drawn == size]
@@ -136,14 +202,14 @@ def _pool(
             return np.concatenate([np.asarray(c, dtype=np.uint64) for c in chunks])
         return [word for chunk in chunks for word in chunk]
 
-    return [
+    return tuple(
         (
             size,
             {name: joined([masks[name] for masks, _ in chunks], size) for name in names},
             np.concatenate([positions for _, positions in chunks]),
         )
         for size, chunks in sorted(parts.items())
-    ]
+    )
 
 
 def _values(term: tm.Term, size: int, masks: dict, n: int):
@@ -450,10 +516,18 @@ def check_homomorphism_safe(
 
 def _move_bits(masks, moves: list[tuple[int, int]]):
     """Bit `dst` of the result is bit `src` of `masks`, for each move, on a
-    Python int or a uint64 array."""
+    Python int or a uint64 array.  The moves by one distance go in one
+    shift.  On arrays a move's `src` or `dst` may instead be a uint8 array
+    of `masks`'s shape, each element moving its own bit."""
     out = masks & 0
+    picked: dict[int, int] = {}
     for src, dst in moves:
-        out |= (masks >> src & 1) << dst
+        if isinstance(src, int) and isinstance(dst, int):
+            picked[src - dst] = picked.get(src - dst, 0) | 1 << src
+        else:
+            out |= (masks >> src & 1) << dst
+    for shift, bits in picked.items():
+        out |= (masks & bits) >> shift if shift >= 0 else (masks & bits) << -shift
     return out
 
 
@@ -464,14 +538,18 @@ def _proper_subsets(size: int):
     return (c for r in range(1, size) for c in combinations(range(size), r))
 
 
+def _cells(subset: tuple[int, ...], size: int) -> list[int]:
+    """The mask positions, in a structure of `size` elements, of the pairs
+    over `subset`, in the induced structure's order: its pair (a, b) is
+    the p-th cell for p = a * len(subset) + b."""
+    return [i * size + j for i in subset for j in subset]
+
+
 def _subset_bad(evaluate, size: int, masks: dict, whole, subset: tuple[int, ...]):
     """The pairs of the value on the substructure induced by `subset` that
     the whole structure's value lacks; `evaluate(k, masks)` gives a value."""
-    k = len(subset)
-    moves = [
-        (i * size + j, a * k + b) for a, i in enumerate(subset) for b, j in enumerate(subset)
-    ]
-    part = evaluate(k, {name: _move_bits(m, moves) for name, m in masks.items()})
+    moves = [(cell, p) for p, cell in enumerate(_cells(subset, size))]
+    part = evaluate(len(subset), {name: _move_bits(m, moves) for name, m in masks.items()})
     return _move_bits(part, [(dst, src) for src, dst in moves]) & ~whole
 
 
@@ -488,22 +566,80 @@ def _subset_hit(term: tm.Term, size: int, masks: dict[str, int], subsets):
     return None
 
 
+def _distinct(words: dict, k: int, shape: tuple[int, ...]):
+    """The structures to evaluate the term on for the induced structures
+    of k elements whose masks `words` holds per symbol, each array of the
+    given shape: their masks, their count, and each induced structure's
+    index among them, of the given shape in the narrowest unsigned dtype.
+
+    Where the whole space of k-element structures is no larger than the
+    induced ones (always, for the empty signature), it is that space,
+    indexed by ALL-class index.  Otherwise it is the distinct induced
+    structures, told apart by exact keys (`_key_ids`).
+    """
+    count = 1 << k * k * len(words)
+    if count <= math.prod(shape):
+        index = np.zeros(shape, dtype=np.min_scalar_type(count - 1))
+        for t, masks in enumerate(words.values()):
+            index |= masks.astype(index.dtype) << k * k * (len(words) - 1 - t)
+        every = np.arange(count, dtype=np.uint64)
+        return decode_symbol_masks(every, k, StructureClass.ALL, tuple(words)), count, index
+    digits = np.stack(list(words.values()), axis=-1).astype(np.int64)
+    ids = _key_ids(digits.reshape(-1, len(words)), 1 << k * k)
+    ids = ids.astype(np.min_scalar_type(ids.max()))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    distinct = {name: masks.reshape(-1)[first] for name, masks in words.items()}
+    return distinct, len(first), inverse.reshape(shape).astype(np.min_scalar_type(len(first) - 1))
+
+
+@_per_call
+def _chunk_parts(symbols: tuple[str, ...], size: int, start: int, stop: int):
+    """The structures induced on the proper subsets of the ALL-class
+    structures of `size` elements with indices in [start, stop).
+
+    One (k, cells, distinct, count, inverse) per subset size k: row j of
+    `cells` holds the `_cells` of the j-th k-element subset in
+    `_proper_subsets` order, `distinct` and `count` the structures to
+    evaluate the term on (`_distinct`), and inverse[j, i] the index among
+    them of the structure subset j induces on the chunk's i-th structure."""
+    masks = decode_symbol_masks(
+        np.arange(start, stop, dtype=np.uint64), size, StructureClass.ALL, symbols
+    )
+    by_size: dict[int, list[list[int]]] = {}
+    for subset in _proper_subsets(size):
+        by_size.setdefault(len(subset), []).append(_cells(subset, size))
+    parts = []
+    for k, rows in by_size.items():
+        narrow = np.min_scalar_type((1 << k * k) - 1)
+        words = {
+            name: np.stack(
+                [_move_bits(m, [(c, p) for p, c in enumerate(row)]).astype(narrow) for row in rows]
+            )
+            for name, m in masks.items()
+        }
+        shape = (len(rows), stop - start)
+        parts.append((k, np.array(rows, dtype=np.uint8), *_distinct(words, k, shape)))
+    return tuple(parts)
+
+
 def _subsafe_exhaustive(
     term: tm.Term, symbols: tuple[str, ...], max_size: int, bounds: Bounds, failure
 ) -> Verdict | None:
     """Exhaustive phase of the induced-substructure check.
 
-    Sizes up to `bulk.MAX_BULK_SIZE` with symbols are swept in uint64
-    chunks for the first structure with a hit, which `failure` re-derives;
-    the empty signature and larger sizes go to `failure` one structure at
-    a time.  A size whose census exceeds the exhaustive budget is covered
-    up to the budget and left to the random phase beyond it.
+    Sizes up to `bulk.MAX_BULK_SIZE` are swept in chunks of `_CHUNK`
+    indices.  The term is evaluated once on each distinct structure a
+    chunk's proper subsets induce (`_chunk_parts`), each value is laid
+    over its subset's cells, and a structure fails where one of them has
+    a pair outside the structure's own value; `failure` re-derives the
+    chunk's first.  Larger sizes go to `failure` one structure at a time.
+    A size whose census exceeds the exhaustive budget is covered up to the
+    budget and left to the random phase beyond it.
     """
-    evaluate = partial(bulk.bulk_eval_term, term)
     for size in range(1, max_size + 1):
         total = count_structures(symbols, size, StructureClass.ALL)
         budget = min(total, bounds.exhaustive_budget)
-        if not symbols or size > bulk.MAX_BULK_SIZE:
+        if size > bulk.MAX_BULK_SIZE:
             for index in range(budget):
                 masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
                 verdict = failure(size, masks, _proper_subsets(size))
@@ -514,10 +650,13 @@ def _subsafe_exhaustive(
             stop = min(start + _CHUNK, budget)
             indices = np.arange(start, stop, dtype=np.uint64)
             masks = decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
-            whole = evaluate(size, masks)
-            bad = np.zeros(stop - start, dtype=bool)
-            for subset in _proper_subsets(size):
-                bad |= _subset_bad(evaluate, size, masks, whole, subset) != 0
+            # Every pair an induced value puts on each structure.
+            parts = np.zeros(stop - start, dtype=np.uint64)
+            for k, cells, distinct, count, inverse in _chunk_parts(symbols, size, start, stop):
+                values = _values(term, k, distinct, count)
+                for row, structure in zip(cells.tolist(), inverse):
+                    parts |= _move_bits(values, list(enumerate(row)))[structure]
+            bad = (parts & ~_values(term, size, masks, stop - start)) != 0
             if bad.any():
                 index = start + int(np.argmax(bad))
                 masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
@@ -528,13 +667,93 @@ def _subsafe_exhaustive(
     return None
 
 
+@_per_call
+def _subset_draws(symbols: tuple[str, ...], seed: int, count: int, size_cap: int):
+    """The sampled phase's `count` draws from `random.Random(seed)`, in
+    draw order, and their batches: (draws, wholes, parts).
+
+    Each draw is a structure of 1..size_cap elements and its 32 random
+    subsets, repeats dropped.  `draws` holds them as (sizes, masks, codes,
+    starts): draw i has sizes[i] elements and masks[name][i], and
+    codes[starts[i]:starts[i + 1]] are its subsets in the order drawn, as
+    bit masks of positions (`_draw` reads one back).  `wholes` groups the
+    draws by size as (size, draw indices, masks).  `parts` groups the
+    pairs of a draw and one of its proper subsets by subset size k, as
+    (k, draw, cells, distinct, count, inverse): each pair's draw index and
+    `_cells`, then the distinct induced structures as in `_chunk_parts`,
+    inverse[i] naming the i-th pair's."""
+    rng = random.Random(seed)
+    sizes, drawn, codes, starts = [], [], [], [0]
+    for _ in range(count):
+        size = rng.randint(1, size_cap)
+        # Draws' e1..ek order is their sorted domain: sizes stay below ten.
+        drawn.append(random_masks(rng, size, symbols))
+        picked = [
+            sum(1 << p for p in rng.sample(range(size), rng.randint(0, size))) for _ in range(32)
+        ]
+        sizes.append(size)
+        codes.extend(dict.fromkeys(picked))
+        starts.append(len(codes))
+    masks = {name: np.array([m[name] for m in drawn], dtype=np.uint64) for name in symbols}
+    by_size = np.array(sizes, dtype=np.uint8)
+    wholes = []
+    for size in sorted(set(sizes)):
+        rows = np.flatnonzero(by_size == size)
+        wholes.append((size, rows, {name: m[rows] for name, m in masks.items()}))
+    pairs: dict[int, list[tuple[int, list[int]]]] = {}
+    for i, size in enumerate(sizes):
+        for code in codes[starts[i] : starts[i + 1]]:
+            subset = _positions(code)
+            if 0 < len(subset) < size:
+                pairs.setdefault(len(subset), []).append((i, _cells(subset, size)))
+    parts = []
+    for k, found in sorted(pairs.items()):
+        rows = np.array([i for i, _ in found])
+        cells = np.array([c for _, c in found], dtype=np.uint8)
+        moves = [(cells[:, p], p) for p in range(k * k)]
+        words = {name: _move_bits(m[rows], moves) for name, m in masks.items()}
+        parts.append((k, rows, cells, *_distinct(words, k, rows.shape)))
+    draws = (by_size, masks, np.array(codes, dtype=np.uint8), np.array(starts))
+    return draws, tuple(wholes), tuple(parts)
+
+
+def _positions(code: int) -> tuple[int, ...]:
+    """The positions in a bit mask, ascending."""
+    return tuple(p for p in range(code.bit_length()) if code >> p & 1)
+
+
+def _draw(draws: tuple, i: int):
+    """The i-th draw of `_subset_draws` as (size, masks, subsets): Python
+    ints, and position tuples in the order drawn."""
+    sizes, masks, codes, starts = draws
+    subsets = [_positions(code) for code in codes[starts[i] : starts[i + 1]].tolist()]
+    return int(sizes[i]), {name: int(m[i]) for name, m in masks.items()}, subsets
+
+
+def _sampled_flags(term: tm.Term, n: int, wholes: tuple, parts: tuple) -> np.ndarray:
+    """Which of the n draws of `_subset_draws` have a subset whose value,
+    laid over the subset's cells, has a pair outside the draw's value."""
+    whole = np.zeros(n, dtype=np.uint64)
+    for size, rows, masks in wholes:
+        whole[rows] = _values(term, size, masks, len(rows))
+    bad = np.zeros(n, dtype=bool)
+    for k, rows, cells, distinct, count, inverse in parts:
+        values = _values(term, k, distinct, count)[inverse]
+        placed = _move_bits(values, [(p, cells[:, p]) for p in range(k * k)])
+        bad[rows[(placed & ~whole[rows]) != 0]] = True
+    return bad
+
+
 def check_subseteq_safe(
     term: tm.Term, bounds: Bounds | None = None, seed: int = 0
 ) -> Verdict:
     """The term's value on an induced substructure embeds into its value
     on the whole structure.  The sampled phase's count and size cap are
     reported as `sampled_structures` and `sampled_size_cap`; each draw's
-    32 random subsets are tried in draw order, repeats dropped."""
+    32 random subsets are tried in draw order, repeats dropped.  Both
+    phases evaluate the term on whole batches; the first failing structure
+    (in enumeration order, then in draw order) is re-derived one subset at
+    a time, which picks the reported subset and pair."""
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
     max_size = bounds.resolved_size(len(symbols))
@@ -565,17 +784,13 @@ def check_subseteq_safe(
     verdict = _subsafe_exhaustive(term, symbols, max_size, bounds, failure)
     if verdict is not None:
         return reported(verdict)
-    rng = random.Random(seed)
-    for _ in range(draws):
-        size = rng.randint(1, size_cap)
-        # Draws' e1..ek order is their sorted domain: sizes stay below ten.
-        masks = random_masks(rng, size, symbols)
-        picked = [
-            tuple(sorted(rng.sample(range(size), rng.randint(0, size)))) for _ in range(32)
-        ]
-        verdict = failure(size, masks, dict.fromkeys(picked))
-        if verdict is not None:
-            return reported(verdict)
+    drawn, wholes, parts = _subset_draws(symbols, seed, draws, size_cap)
+    bad = _sampled_flags(term, draws, wholes, parts)
+    if bad.any():
+        verdict = failure(*_draw(drawn, int(np.argmax(bad))))
+        if verdict is None:
+            raise AssertionError("bulk and mask evaluation disagree on a subset")
+        return reported(verdict)
     return reported(
         Verdict("subseteq-safe", "pass-bounded", None, bounds.to_json(), seed)
     )
@@ -601,15 +816,17 @@ def _bit_rows(masks, size: int) -> np.ndarray:
 def _successors(size: int, masks: dict, mode: str) -> list[np.ndarray]:
     """The symbols' masks, then in undirected mode their converses, each as
     an (n, size + 1) array of every element's successor by mask position,
-    with `size` standing for no successor (and leading to none).  Forward
-    pools hold partial functions and undirected pools injective ones, so
-    every letter is a partial function."""
+    with `size` standing for no successor (and leading to none), in the
+    narrowest unsigned dtype.  Forward pools hold partial functions and
+    undirected pools injective ones, so every letter is a partial
+    function."""
     named = [_bit_rows(m, size) for m in masks.values()]
     if mode == "undirected":
         named += [bits.transpose(0, 2, 1) for bits in named]
     letters = []
     for bits in named:
         succ = np.where(bits.any(axis=2), bits.argmax(axis=2), size)
+        succ = succ.astype(np.min_scalar_type(size))
         letters.append(np.pad(succ, ((0, 0), (0, 1)), constant_values=size))
     return letters
 
@@ -715,10 +932,39 @@ def _key_ids(digits: np.ndarray, radix: int) -> np.ndarray:
     return ids
 
 
+@_per_call
+def _ball_keys(
+    symbols: tuple[str, ...], mode: str, bounds: Bounds, seed: int, max_radius: int, radius: int
+):
+    """The term-independent half of one radius attempt over the groups of
+    `_walks`: (inside, place, ranked, first).
+
+    `inside` holds each group's in-ball BFS index per position (-1 outside;
+    `_ball_digits`).  `place` numbers every anchor as position * width +
+    anchor, `ranked` sorts the anchors by it, and first[a] is the first
+    ranked anchor with the same exact ball key as ranked anchor a.  The
+    three index arrays hold the narrowest unsigned integers that fit."""
+    groups = _walks(symbols, mode, bounds, seed, max_radius)
+    width = max(size for size, *_ in groups)
+    digits, inside, place = [], [], []
+    for size, _, positions, letters, walk in groups:
+        key, index = _ball_digits(letters, walk, len(symbols), radius, width)
+        digits.append(key.reshape(-1, key.shape[2]))
+        inside.append(index)
+        place.append((positions[:, None] * width + np.arange(size)).ravel())
+    place = np.concatenate(place)
+    ranked = np.argsort(place)
+    ids = _key_ids(np.concatenate(digits), width + 2)[ranked]
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    narrow = np.min_scalar_type(max(len(place), place.max()))
+    first = first[inverse].astype(narrow)
+    return tuple(inside), place.astype(narrow), ranked.astype(narrow), first
+
+
 def _bounded_rows_check(
     term: tm.Term,
     groups: list,
-    symbol_count: int,
+    keys: tuple,
     radius: int,
     mode: str,
     bounds: Bounds,
@@ -728,34 +974,29 @@ def _bounded_rows_check(
     """One radius attempt: rows must stay inside their balls and agree on
     isomorphic anchored balls.  Returns a failure verdict or None.
 
-    Every ball is compared: balls are keyed exactly by `_ball_digits`, and
-    rows by the set of their elements' BFS indices.  Taken in pool order,
-    anchors in `Structure` domain order, the failure is the first anchor
-    whose row leaves its ball ("outside" wins at one anchor), or whose row
-    differs from the row at the first anchor with an equal ball key.  An
-    anchor before that one whose row leaves its ball is itself an earlier
-    failure, so first occurrences may be taken over all anchors.
+    Every ball is compared: balls are keyed exactly by `_ball_digits`
+    (`keys`, from `_ball_keys`), and rows by the set of their elements'
+    BFS indices.  Taken in pool order, anchors in `Structure` domain order,
+    the failure is the first anchor whose row leaves its ball ("outside"
+    wins at one anchor), or whose row differs from the row at the first
+    anchor with an equal ball key.  An anchor before that one whose row
+    leaves its ball is itself an earlier failure, so first occurrences may
+    be taken over all anchors.
     """
     if not groups:
         return None
     width = max(size for size, *_ in groups)
-    digits, row_sets, outside, place = [], [], [], []
-    for size, _, positions, letters, walk, rows in groups:
-        key, inside = _ball_digits(letters, walk, symbol_count, radius, width)
-        inball = inside[..., :size] >= 0
+    inside, place, ranked, first = keys
+    row_sets, outside = [], []
+    for (size, *_, rows), index in zip(groups, inside):
+        inball = index[..., :size] >= 0
         row_set = np.zeros(rows.shape[:2] + (width + 1,), dtype=bool)
-        np.put_along_axis(row_set, np.where(rows & inball, inside[..., :size], width), True, 2)
-        digits.append(key.reshape(-1, key.shape[2]))
+        np.put_along_axis(row_set, np.where(rows & inball, index[..., :size], width), True, 2)
         row_sets.append(row_set[..., :width].reshape(-1, width))
         outside.append((rows & ~inball).any(axis=2).ravel())
-        place.append((positions[:, None] * width + np.arange(size)).ravel())
-    place = np.concatenate(place)
-    ranked = np.argsort(place)
-    ids = _key_ids(np.concatenate(digits), width + 2)[ranked]
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     row_sets = np.concatenate(row_sets)[ranked]
     outside = np.concatenate(outside)[ranked]
-    bad = outside | (row_sets != row_sets[first[inverse]]).any(axis=1)
+    bad = outside | (row_sets != row_sets[first]).any(axis=1)
     if not bad.any():
         return None
     at = int(np.argmax(bad))
@@ -780,7 +1021,7 @@ def _bounded_rows_check(
             "element": f"e{element + 1}",
         }
     else:
-        left, left_anchor, _, _ = anchored(int(first[inverse[at]]))
+        left, left_anchor, _, _ = anchored(int(first[at]))
         counterexample = {
             "kind": "ball-row-mismatch",
             "term": tm.print_term(term),
@@ -794,6 +1035,24 @@ def _bounded_rows_check(
     return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
 
 
+@_per_call
+def _walks(symbols: tuple[str, ...], mode: str, bounds: Bounds, seed: int, max_radius: int):
+    """The forward (or, in undirected mode, local) check's pool groups with
+    their letters and one BFS to `max_radius`, as (size, masks, positions,
+    letters, walk) per group: everything but the term's rows."""
+    cls = (
+        StructureClass.PARTIAL_FUNCTIONS
+        if mode == "forward"
+        else StructureClass.INJECTIVE_PARTIAL_FUNCTIONS
+    )
+    groups = []
+    for size, masks, positions in _pool(symbols, cls, bounds, seed):
+        letters = tuple(_successors(size, masks, mode))
+        walk = _walk(letters, len(positions), size, max_radius)
+        groups.append((size, masks, positions, letters, walk))
+    return tuple(groups)
+
+
 def _check_bounded(
     term: tm.Term, mode: str, name: str, bounds: Bounds, seed: int, max_radius: int
 ) -> Verdict:
@@ -802,34 +1061,29 @@ def _check_bounded(
     at radius r rests on the failures below r.
 
     The pool's values, rows and one BFS to max_radius per group are
-    computed once, as arrays over every structure and anchor of a size."""
+    computed once, as arrays over every structure and anchor of a size;
+    the BFS and each radius's ball keys do not depend on the term
+    (`_walks`, `_ball_keys`)."""
     if max_radius < 0:
         raise CheckError(f"max radius must be at least 0, got {max_radius}")
-    cls = (
-        StructureClass.PARTIAL_FUNCTIONS
-        if mode == "forward"
-        else StructureClass.INJECTIVE_PARTIAL_FUNCTIONS
-    )
     symbols = tm.term_signature(term)
-    groups = []
-    for size, masks, positions in _pool(symbols, cls, bounds, seed):
-        n = len(positions)
-        letters = _successors(size, masks, mode)
-        rows = _bit_rows(_values(term, size, masks, n), size)[:, _domain_order(size)]
-        walk = _walk(letters, n, size, max_radius)
-        groups.append((size, masks, positions, letters, walk, rows))
-
-    for radius in range(max_radius + 1):
-        failure = _bounded_rows_check(
-            term, groups, len(symbols), radius, mode, bounds, seed, name
-        )
-        if failure is None:
-            verdict = Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
-            verdict.bounds["radius"] = radius
-            verdict.bounds["max_radius"] = max_radius
-            verdict.bounds["balls_skipped"] = 0
-            return verdict
-        _confirmed(failure)
+    with _sharing():
+        groups = []
+        walks = _walks(symbols, mode, bounds, seed, max_radius)
+        for size, masks, positions, letters, walk in walks:
+            values = _values(term, size, masks, len(positions))
+            rows = _bit_rows(values, size)[:, _domain_order(size)]
+            groups.append((size, masks, positions, letters, walk, rows))
+        for radius in range(max_radius + 1):
+            keys = _ball_keys(symbols, mode, bounds, seed, max_radius, radius) if groups else None
+            failure = _bounded_rows_check(term, groups, keys, radius, mode, bounds, seed, name)
+            if failure is None:
+                verdict = Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
+                verdict.bounds["radius"] = radius
+                verdict.bounds["max_radius"] = max_radius
+                verdict.bounds["balls_skipped"] = 0
+                return verdict
+            _confirmed(failure)
     failure.bounds["balls_skipped"] = 0
     failure.bounds["max_radius"] = max_radius
     return failure
@@ -920,20 +1174,27 @@ class MatrixReport:
 
 
 def catalogue_matrix(bounds: Bounds | None = None, seed: int = 0) -> MatrixReport:
-    """Check all fourteen operations against all four properties."""
+    """Check all fourteen operations against all four properties.
+
+    The fourteen operations use three signatures, so the call builds each
+    term-independent piece once and shares it between the cells that ask
+    for it (`_sharing`): the pool of the fp and forward columns, the
+    forward column's BFS walks and ball keys, and the ⊆-safety column's
+    draws and induced structures.  Nothing shared outlives the call."""
     if bounds is None:
         bounds = Bounds(samples=200, sample_size=6)
     verdicts: dict[str, dict[str, Verdict]] = {}
     mismatches: list[tuple[str, str]] = []
-    for op in tm.CATALOGUE:
-        term = term_for_operation(op)
-        row: dict[str, Verdict] = {}
-        for col, expect in zip(MATRIX_COLUMNS, EXPECTED_MATRIX[op]):
-            verdict = _COLUMN_CHECKS[col](term, bounds, seed)
-            row[col] = verdict
-            if verdict.passed != expect:
-                mismatches.append((op, col))
-        verdicts[op] = row
+    with _sharing():
+        for op in tm.CATALOGUE:
+            term = term_for_operation(op)
+            row: dict[str, Verdict] = {}
+            for col, expect in zip(MATRIX_COLUMNS, EXPECTED_MATRIX[op]):
+                verdict = _COLUMN_CHECKS[col](term, bounds, seed)
+                row[col] = verdict
+                if verdict.passed != expect:
+                    mismatches.append((op, col))
+            verdicts[op] = row
     return MatrixReport(verdicts, dict(EXPECTED_MATRIX), mismatches)
 
 

@@ -61,10 +61,13 @@ _CHECKS = {
     "subsafe": check_subseteq_safe,
 }
 
-# Options that a subcommand reads only under a switch: (switch, options).
+# Options that a subcommand reads only under a switch or in one mode:
+# (switch, the mode that reads them or None for any use of the switch,
+# options).
 _GATED = {
-    "translate": ("check", ("seed", "max_size", "samples")),
-    "synth": ("validate_size", ("seed", "samples")),
+    "translate": ("check", None, ("seed", "max_size", "samples")),
+    "synth": ("validate_size", None, ("seed", "samples")),
+    "ef": ("mode", "union-compat", ("seed", "max_size", "samples")),
 }
 
 PRESETS = (
@@ -611,7 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate-size", type=int, default=None)
     p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("ef", parents=bounded, help="rank games between two structures")
+    p = sub.add_parser(
+        "ef",
+        parents=[common, gated_seed, max_size, samples],
+        help="rank games between two structures",
+    )
     p.add_argument("mode", choices=("equiv", "min-rank", "union-compat"))
     p.add_argument("--left", default=None, help="structure JSON file")
     p.add_argument("--right", default=None, help="structure JSON file")
@@ -638,11 +645,12 @@ def main(argv=None) -> int:
         if code in (0, None):
             return 0
         return 2
-    switch, gated = _GATED.get(args.command, (None, ()))
+    switch, mode, gated = _GATED.get(args.command, (None, None, ()))
     given = [name for name in gated if getattr(args, name) is not None]
-    if given and getattr(args, switch) in (None, False):
+    if given and (args.mode != mode if mode else getattr(args, switch) in (None, False)):
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
-        print(f"error: {flags}: read only with --{switch.replace('_', '-')}", file=sys.stderr)
+        reader = f"{args.command} {mode}" if mode else "--" + switch.replace("_", "-")
+        print(f"error: {flags}: read only with {reader}", file=sys.stderr)
         return 2
     if gated and args.seed is None:
         args.seed = 0

@@ -5,20 +5,35 @@ directly, never `BulkOps.grid`, so the cross-check stays independent of the
 closure's row-hoisted tables.  The class predicates work on pairs, not on
 masks, and the isomorphism reference tries every permutation.  The pooled
 checks' references scan the pool one structure and one anchor at a time,
-on Python ints.
+on Python ints.  The ⊆-safety reference evaluates the term on every
+induced substructure of every structure, one subset at a time.
 """
 
 import random
+from functools import partial
 from itertools import permutations
 
-from relalg.checkers import _INVARIANTS, Verdict, _domain_order
+import numpy as np
+
+from relalg import bulk
+from relalg.checkers import (
+    _CHUNK,
+    _INVARIANTS,
+    Verdict,
+    _domain_order,
+    _proper_subsets,
+    _subset_bad,
+    _subset_hit,
+)
 from relalg.structures import (
     StructureClass,
+    _sorted_domain,
     ball,
     count_structures,
     decode_symbol_masks,
     drawn_structure,
     int_ops,
+    masks_to_structure,
     random_masks,
     relation_mask,
     structure_to_json,
@@ -180,7 +195,7 @@ def scalar_pool(symbols, cls, bounds, seed):
         for index in range(count_structures(symbols, size, cls)):
             yield size, decode_symbol_masks(index, size, cls, symbols)
     rng = random.Random(seed)
-    sizes = [rng.randint(1, max(1, bounds.sample_size)) for _ in range(bounds.samples)]
+    sizes = [rng.randint(1, bounds.sample_size) for _ in range(bounds.samples)]
     for size in sizes:
         yield size, random_masks(rng, size, symbols, cls)
 
@@ -306,3 +321,67 @@ def scalar_bounded_check(term, mode, bounds, seed, max_radius):
             return verdict
     failure.bounds.update(balls_skipped=0, max_radius=max_radius)
     return failure
+
+
+# --- ⊆-safety, one subset at a time ---------------------------------------------
+
+def scalar_subseteq_check(term, bounds, seed):
+    """The ⊆-safety verdict without the re-verification: each size's
+    structures in enumeration order, every proper subset evaluated on its
+    own (a uint64 chunk at a time up to the bulk sizes), then each draw and
+    its random subsets in draw order, one Python-int evaluation each."""
+    symbols = term_signature(term)
+    draws = min(bounds.samples, 200)
+    size_cap = min(bounds.sample_size, 8)
+
+    def failure(size, masks, subsets):
+        hit = _subset_hit(term, size, masks, subsets)
+        if hit is None:
+            return None
+        (subset, (a, b)), names = hit, _sorted_domain(size)
+        counterexample = {
+            "kind": "subset",
+            "term": print_term(term),
+            "structure": structure_to_json(masks_to_structure(masks, size)),
+            "subset": [names[p] for p in subset],
+            "pair": [names[a], names[b]],
+        }
+        return Verdict("subseteq-safe", "fail", counterexample, bounds.to_json(), seed)
+
+    def reported(verdict):
+        verdict.bounds.update(sampled_structures=draws, sampled_size_cap=size_cap)
+        return verdict
+
+    evaluate_bulk = partial(bulk.bulk_eval_term, term)
+    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
+        budget = min(count_structures(symbols, size, StructureClass.ALL), bounds.exhaustive_budget)
+        if not symbols or size > bulk.MAX_BULK_SIZE:
+            for index in range(budget):
+                masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
+                verdict = failure(size, masks, _proper_subsets(size))
+                if verdict is not None:
+                    return reported(verdict)
+            continue
+        for start in range(0, budget, _CHUNK):
+            stop = min(start + _CHUNK, budget)
+            indices = np.arange(start, stop, dtype=np.uint64)
+            masks = decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
+            whole = evaluate_bulk(size, masks)
+            bad = np.zeros(stop - start, dtype=bool)
+            for subset in _proper_subsets(size):
+                bad |= _subset_bad(evaluate_bulk, size, masks, whole, subset) != 0
+            if bad.any():
+                index = start + int(np.argmax(bad))
+                masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
+                return reported(failure(size, masks, _proper_subsets(size)))
+    rng = random.Random(seed)
+    for _ in range(draws):
+        size = rng.randint(1, size_cap)
+        masks = random_masks(rng, size, symbols)
+        picked = [
+            tuple(sorted(rng.sample(range(size), rng.randint(0, size)))) for _ in range(32)
+        ]
+        verdict = failure(size, masks, dict.fromkeys(picked))
+        if verdict is not None:
+            return reported(verdict)
+    return reported(Verdict("subseteq-safe", "pass-bounded", None, bounds.to_json(), seed))

@@ -1,6 +1,8 @@
 """Bounded property checkers and the operation-by-property matrix."""
 
+import gc
 import random
+import weakref
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -67,6 +69,17 @@ def test_bounds_resolution():
     assert Bounds().resolved_size(1) == 4
     assert Bounds().resolved_size(2) == 3
     assert Bounds(max_size=6).resolved_size(2) == 6
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_size", -1), ("samples", -5), ("exhaustive_budget", -1), ("sample_size", 0)],
+)
+def test_bounds_refuse_fields_that_would_cover_nothing(field, value):
+    with pytest.raises(checkers.CheckError, match=f"{field} must be at least"):
+        Bounds(**{field: value})
+    # Zero covers nothing in that phase but says so: it stays valid.
+    assert Bounds(max_size=0, samples=0, exhaustive_budget=0, sample_size=1).samples == 0
 
 
 def test_function_preservation_verdicts():
@@ -688,3 +701,132 @@ def test_bounded_checks_take_radii_past_the_narrowest_integers(check, mode):
     got = check(term, LIGHT, 0, 130)
     assert got.to_json() == reference.scalar_bounded_check(term, mode, LIGHT, 0, 130).to_json()
     assert got.bounds["max_radius"] == 130
+
+
+# Arrows that have no converse arrow: a path of three of them that does
+# not return to its start needs four distinct elements, so these fail
+# ⊆-safety only past the exhaustive size for two symbols.
+ARROW = "((R \\ id) \\ R^)"
+FOUR_ELEMENT_FAILURES = (
+    f"~(({ARROW} ; {ARROW} ; {ARROW}) & -id) | S",
+    f"(({ARROW} ; {ARROW} ; {ARROW}) & -id) <+ S",
+)
+
+
+def test_array_subset_check_matches_the_per_subset_sweep():
+    rng = random.Random("subset-array")
+    c02 = Bounds(max_size=3, samples=200, sample_size=6)
+    cases = [
+        (parse_term(text), Bounds(), seed) for text in FOUR_ELEMENT_FAILURES for seed in (0, 1)
+    ]
+    # Size 4 over two symbols: more induced structures of three elements
+    # than a chunk has rows, so they are told apart by key.
+    cases.append((parse_term("R <+ (S ; R)"), Bounds(max_size=4, exhaustive_budget=40_000), 0))
+    # The first failure meets only the last subset of its size, {e2} of
+    # R = {(e1, e2)}; and a failure only on one-element subsets.
+    cases.append((parse_term("~(R^)"), Bounds(samples=0), 0))
+    cases.append((parse_term("~(-id)"), Bounds(max_size=0, samples=200, sample_size=8), 0))
+    # Random terms under Bounds(), the matrix's bounds, and each phase alone.
+    mixes = (Bounds(), c02, Bounds(max_size=0, samples=200, sample_size=8), Bounds(samples=0))
+    while len(cases) < 33:
+        n = len(cases)
+        symbols = ((), ("R",), ("R", "S"))[n % 3]
+        term = random_term(rng, CATALOGUE, symbols, rng.randint(2, 6))
+        cases.append((term, mixes[n % 4], n))
+    phases, signatures, sampled_sizes = set(), set(), set()
+    for term, bounds, seed in cases:
+        expected = reference.scalar_subseteq_check(term, bounds, seed)
+        got = check_subseteq_safe(term, bounds, seed)
+        assert got.to_json() == expected.to_json(), (print_term(term), bounds, seed)
+        signatures.add(term_signature(term))
+        if got.passed:
+            phases.add("pass")
+            continue
+        size = len(got.counterexample["structure"]["domain"])
+        sampled = size > bounds.resolved_size(len(term_signature(term)))
+        phases.add("sampled" if sampled else "exhaustive")
+        if sampled:
+            sampled_sizes.add(size)
+    assert phases == {"pass", "exhaustive", "sampled"}
+    assert {(), ("R",), ("R", "S")} <= signatures
+    assert sampled_sizes & {6, 7, 8}
+
+
+def test_array_subset_check_refuses_a_hit_the_subset_route_denies(monkeypatch):
+    monkeypatch.setattr(checkers, "_subset_hit", lambda *args: None)
+    with pytest.raises(AssertionError, match="disagree on a subset"):
+        check_subseteq_safe(parse_term("~R"), LIGHT, 0)
+    with pytest.raises(AssertionError, match="disagree on a subset"):
+        check_subseteq_safe(parse_term("~R"), Bounds(max_size=0, samples=50, sample_size=5), 0)
+
+
+MATRIX_LIGHT = Bounds(max_size=2, samples=40, sample_size=8)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_cells_equal_the_standalone_checks(seed):
+    report = catalogue_matrix(MATRIX_LIGHT, seed)
+    for op, row in report.verdicts.items():
+        term = term_for_operation(op)
+        for col, verdict in row.items():
+            alone = checkers._COLUMN_CHECKS[col](term, MATRIX_LIGHT, seed)
+            assert verdict.to_json() == alone.to_json(), (op, col)
+
+
+def arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from arrays_in(item)
+
+
+def test_matrix_sharing_lives_and_dies_with_the_call(monkeypatch):
+    calls = []
+
+    def spying(check):
+        def spy(term, bounds, seed):
+            verdict = check(term, bounds, seed)
+            memo = checkers._SHARED.get()
+            calls[-1]["sizes"].append(len(memo))
+            calls[-1]["keys"].update(key[:2] for key in memo)
+            for array in arrays_in(list(memo.values())):
+                assert not array.flags.writeable
+                calls[-1]["arrays"][id(array)] = weakref.ref(array)
+            return verdict
+
+        return spy
+
+    for col, check in list(checkers._COLUMN_CHECKS.items()):
+        monkeypatch.setitem(checkers._COLUMN_CHECKS, col, spying(check))
+    for _ in range(2):
+        calls.append({"sizes": [], "keys": set(), "arrays": {}})
+        catalogue_matrix(MATRIX_LIGHT, 1)
+        assert checkers._SHARED.get() is None
+        gc.collect()
+        assert all(ref() is None for ref in calls[-1]["arrays"].values())
+    first, second = calls
+    # The second call starts from nothing and builds what the first built.
+    assert first["sizes"] == second["sizes"] and first["keys"] == second["keys"]
+    builders = {name for name, _ in first["keys"]}
+    assert builders == {"_pool", "_walks", "_ball_keys", "_subset_draws", "_chunk_parts"}
+    # One pool and one set of draws per signature: (), (R) and (R, S).
+    assert sorted(signature for name, signature in first["keys"] if name == "_pool") == [
+        (), ("R",), ("R", "S")
+    ]
+    assert len([key for key in first["keys"] if key[0] == "_subset_draws"]) == 3
+
+
+def test_shared_arrays_refuse_writes():
+    pool = _pool(("f",), StructureClass.PARTIAL_FUNCTIONS, LIGHT, 0)
+    size, masks, positions = pool[0]
+    with pytest.raises(ValueError, match="read-only"):
+        positions[0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        masks["f"][0] = 7
+    (k, cells, distinct, count, inverse), *_ = checkers._chunk_parts(("R", "S"), 3, 0, 64)
+    with pytest.raises(ValueError, match="read-only"):
+        inverse[0, 0] = 1

@@ -193,6 +193,13 @@ def test_usage_and_input_errors_exit_two(chain_file, tmp_path):
         ("translate", "R(x,y)", "--samples", "5"),
         ("translate", "R(x,y)", "--seed", "1", "--max-size", "2"),
         ("synth", "forward", "--oracle", "f", "--radius", "1", "--seed", "2", "--samples", "3"),
+        # Options read only by ef union-compat.
+        ("ef", "equiv", "--left", chain_file, "--right", chain_file, "--samples", "5",
+         "--seed", "9", "--max-size", "3", "--report", "json"),
+        ("ef", "min-rank", "--left", chain_file, "--right", chain_file, "--seed", "1"),
+        # Bounds that would cover nothing and read as a pass.
+        ("check", "subsafe", "R ; S", "--samples", "-5", "--report", "json"),
+        ("matrix", "--samples", "-3", "--max-size", "2"),
     )
     for argv in cases:
         code, _, err = run(*argv)
