@@ -265,7 +265,7 @@ def _cmd_verify(args) -> _Outcome:
     passed = verdict.passed and outside
     if passed:
         word = "pass"
-    elif outside and not verdict.complete and not verdict.escapees:
+    elif outside and not verdict.complete and not verdict.escapee_masks:
         # A cut run that met nothing outside the family refutes nothing.
         word = "inconclusive (budget exhausted)"
     else:
@@ -275,7 +275,7 @@ def _cmd_verify(args) -> _Outcome:
         f"(expected {verdict.expected}), "
         f"{'complete' if verdict.complete else 'budget exhausted'}",
         f"missing: {verdict.missing or 'none'}",
-        f"escapees: {len(verdict.escapees)}",
+        f"escapees: {len(verdict.escapee_masks)}",
         f"separating term outside closure: {outside}",
         f"verdict: {word}",
     ]
@@ -416,15 +416,15 @@ def _replay_separation(args) -> _Outcome:
         "closure": verdict.to_json(),
         "separating": tm.print_term(bundle.separating),
         "separating_outside_closure": outside,
-        "converse_escapes": len(escaped.escapees),
+        "converse_escapes": len(escaped.escapee_masks),
     }
-    passed = verdict.passed and outside and bool(escaped.escapees)
+    passed = verdict.passed and outside and bool(escaped.escapee_masks)
     text = [
         f"two subdivided cycles side by side: {bundle.structure.size()} elements",
         f"function-algebra closure of {{f, g}}: {verdict.reached} relations "
         f"(expected {verdict.expected})",
         f"separating term {payload['separating']} stays outside: {outside}",
-        f"adding converse lets {len(escaped.escapees)} new relations escape",
+        f"adding converse lets {len(escaped.escapee_masks)} new relations escape",
         f"verdict: {'pass' if passed else 'fail'}",
     ]
     return _Outcome("pass" if passed else "fail", payload, text)

@@ -9,7 +9,8 @@ closure bound and its failure once converse joins the basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import terms as tm
 from .logic import And, Atom, Eq, Exists, Forall, Formula, Implies, Not
@@ -124,15 +125,35 @@ def build_separation(m: int = 2, mprime: int = 3) -> SeparationBundle:
 
 @dataclass
 class ClosureVerdict:
+    """A closure run against the expected family.
+
+    `escapee_masks` maps each reached mask outside the family, over
+    `domain`, to its witness, in discovery order.  `escapees` describes
+    them (witness text, first pairs, pair count) and is rendered on first
+    read, so a caller that only counts them reads `len(escapee_masks)`.
+    """
+
     passed: bool
     reached: int
     expected: int
     missing: list[str]
-    escapees: list[dict]
+    escapee_masks: dict[int, tm.Term] = field(repr=False)
+    domain: tuple[str, ...] = field(repr=False)
     all_subrelations: bool
     basis_fp: bool
     complete: bool
     evaluations: int
+
+    @cached_property
+    def escapees(self) -> list[dict]:
+        return [
+            {
+                "witness": tm.print_term(witness),
+                "pairs": _first_pairs(mask, self.domain, 10),
+                "pair_count": mask.bit_count(),
+            }
+            for mask, witness in self.escapee_masks.items()
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -179,25 +200,18 @@ def verify_closure_bound(
         name: relation_mask(rel, domain) for name, rel in bundle.expected_closure.items()
     }
     inside = set(expected.values())
-    escapees = [
-        {
-            "witness": tm.print_term(witness),
-            "pairs": _first_pairs(mask, domain, 10),
-            "pair_count": mask.bit_count(),
-        }
-        for mask, witness in result.masks.items()
-        if mask not in inside
-    ]
+    escapee_masks = {mask: t for mask, t in result.masks.items() if mask not in inside}
     missing = [name for name, mask in expected.items() if mask not in result.masks]
     fg_id = expected["f"] | expected["g"] | expected["id"]
     all_sub = all(mask | fg_id == fg_id for mask in result.masks)
     basis_fp = all(EXPECTED_MATRIX.get(op, (0, 0, True, 0))[2] for op in ops)
     return ClosureVerdict(
-        passed=not escapees and not missing,
+        passed=not escapee_masks and not missing,
         reached=len(result.masks),
         expected=len(bundle.expected_closure),
         missing=missing,
-        escapees=escapees,
+        escapee_masks=escapee_masks,
+        domain=domain,
         all_subrelations=all_sub,
         basis_fp=basis_fp,
         complete=result.complete,

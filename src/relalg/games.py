@@ -178,7 +178,11 @@ def check_union_compatibility(
     premise fails are skipped, not counted against the property.  Half the
     partners are shuffled copies of their mates so the premise actually
     fires; the rest are fresh draws that mostly exercise the skip path.
+    A negative rank or sample count, or a size below 1, raises `GameError`.
     """
+    for name, value, least in (("rank", rank, 0), ("samples", samples, 0), ("size", size, 1)):
+        if value < least:
+            raise GameError(f"{name} must be at least {least}, got {value}")
     rng = random.Random(seed)
 
     def shuffled_copy(s: Structure) -> Structure:
@@ -194,7 +198,7 @@ def check_union_compatibility(
         )
 
     def draw() -> Structure:
-        sz = rng.randint(1, max(1, size))
+        sz = rng.randint(1, size)
         return random_structure(rng.randrange(2**31), sz, signature)
 
     def partner(s: Structure) -> Structure:

@@ -16,10 +16,10 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache
 from itertools import repeat
 from math import comb, factorial
-from operator import and_, mul, or_
+from operator import and_, or_
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +443,7 @@ class BulkOps:
             raise ValueError(f"bulk evaluation supports sizes 1..{MAX_BULK_SIZE}, got {k}")
         word = np.uint64 if batch else int
         self.k = k
+        self.batch = batch
         self.mask_all = word((1 << (k * k)) - 1)
         self.diag = word(sum(1 << (i * k + i) for i in range(k)))
         self.row0 = word((1 << k) - 1)
@@ -543,17 +544,13 @@ class BulkOps:
     def grid(self, op: str, xs: Sequence) -> Iterator:
         """`op(a, b)` for a in xs for b in xs, a-major, one value at a time.
 
-        Each right operand is split once per call and each left operand
-        once per row of the table: compose multiplies a's column indicators
-        by b's rows, semijoin masks a with b's source columns, and
+        Each right operand is prepared once per call and each left operand
+        once per row of the table: compose on Python ints runs
+        `_compose_rows`, semijoin masks a with b's source columns, and
         prefunion fills a's free rows from b.
         """
-        if op == "compose":
-            col0, row0 = self.col0, self.row0
-            rows = [[b & row0] + [(b >> bk) & row0 for _, bk in self._shifts] for b in xs]
-            for a in xs:
-                cols = [a & col0] + [(a >> b) & col0 for b, _ in self._shifts]
-                yield from (reduce(or_, map(mul, cols, r)) for r in rows)
+        if op == "compose" and not self.batch:
+            yield from self._compose_rows(xs)
         elif op == "semijoin":
             sources = [self.semijoin(self.mask_all, b) for b in xs]
             for a in xs:
@@ -565,6 +562,53 @@ class BulkOps:
             kernel = getattr(self, op)
             for a in xs:
                 yield from map(kernel, repeat(a), xs)
+
+    def _compose_rows(self, xs: Sequence[int]) -> Iterator[int]:
+        """The compose table of int masks as array passes, one row of the
+        table (one left operand a) at a time.
+
+        Each right operand b is held as k rows of ceil(k/64) uint64 words,
+        below which sits one empty row.  Row i of a ; b is the OR of b's
+        rows j over the pairs (i, j) of a, so the rows at a's pairs are
+        gathered for every b at once and each row of a is folded by one
+        `bitwise_or.reduceat`.  Every row of a also lists the empty row, so
+        no fold is over nothing.  The folded rows are then packed back at
+        stride k into one int per b.
+        """
+        k, n = self.k, len(xs)
+        width, size = -(-k // 64), -(-k * k // 8)  # words per row, bytes per mask
+        data = b"".join(x.to_bytes(size, "little") for x in xs)
+        bits = np.unpackbits(
+            np.frombuffer(data, dtype=np.uint8).reshape(n, size),
+            axis=1, count=k * k, bitorder="little",
+        ).reshape(n, k, k)
+        padded = np.zeros((n, k + 1, 64 * width), dtype=np.uint8)
+        padded[:, :k, :k] = bits
+        # rows[j, t, b] is word t of row j of xs[b]; row k is the empty row.
+        words = np.packbits(padded, axis=2, bitorder="little").view(np.uint64)
+        rows = np.ascontiguousarray(words.transpose(1, 2, 0))
+        pairs = np.ones((n, k, k + 1), dtype=bool)
+        pairs[:, :, :k] = bits
+        # Word t of row i lands at bit i*k + 64t of the mask: its low part in
+        # mask word q and its high part in word q + 1.  Consecutive starts
+        # lie at most 64 bits apart, so every q up to the last receives a
+        # low part, and the words of each q are adjacent.
+        starts = (np.arange(k)[:, None] * k + 64 * np.arange(width)).ravel()
+        low = (starts & 63).astype(np.uint64)[:, None]
+        high = np.uint64(63) - low  # after a shift by one, so low 0 sends nothing up
+        groups = np.flatnonzero(np.diff(starts >> 6, prepend=-1))
+        mask_words = -(-k * k // 64)
+        spans = [slice(8 * mask_words * b, 8 * mask_words * (b + 1)) for b in range(n)]
+        one = np.uint64(1)
+        for row_pairs in pairs:
+            i, j = np.nonzero(row_pairs)
+            folded = np.bitwise_or.reduceat(rows[j], np.flatnonzero(np.diff(i, prepend=-1)))
+            folded = folded.reshape(k * width, n)
+            packed = np.zeros((len(groups) + 1, n), dtype=np.uint64)
+            packed[:-1] = np.bitwise_or.reduceat(folded << low, groups)
+            packed[1:] |= np.bitwise_or.reduceat((folded >> one) >> high, groups)
+            out = packed[:mask_words].T.tobytes()
+            yield from map(int.from_bytes, map(out.__getitem__, spans), repeat("little"))
 
     def value(self, op: str, args: Sequence):
         """One node's value from its children's values."""

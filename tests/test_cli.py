@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import relalg
+from relalg import terms as tm
 from relalg.cli import main
 
 ENVELOPE_KEYS = ["bounds", "command", "payload", "schema", "seed", "verdict", "wall_time"]
@@ -166,6 +167,22 @@ def test_replay_presets_all_pass():
         assert "verdict: pass" in out, preset
 
 
+def test_the_separation_replay_counts_escapees_without_rendering_them(monkeypatch, capsys):
+    rendered = []
+    print_term = tm.print_term
+
+    def counting_print_term(t):
+        rendered.append(t)
+        return print_term(t)
+
+    monkeypatch.setattr(tm, "print_term", counting_print_term)
+    assert main(["run", "replay:separation", "--report", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["converse_escapes"] == 3070
+    # Only the separating term is printed, none of the 3,070 escapee witnesses.
+    assert len(rendered) <= 1
+
+
 def test_out_flag_writes_file(tmp_path, chain_file):
     target = tmp_path / "report.json"
     code, out, _ = run("eval", "f", "--structure", chain_file, "--report", "json",
@@ -207,6 +224,9 @@ def test_usage_and_input_errors_exit_two(chain_file, tmp_path):
         # Bounds that would cover nothing and read as a pass.
         ("check", "subsafe", "R ; S", "--samples", "-5", "--report", "json"),
         ("matrix", "--samples", "-3", "--max-size", "2"),
+        ("ef", "union-compat", "--samples", "-5", "--report", "json"),
+        ("ef", "union-compat", "--max-size", "0"),
+        ("ef", "union-compat", "--rank", "-1"),
     )
     for argv in cases:
         assert main(list(argv)) == 2, argv

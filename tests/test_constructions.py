@@ -1,5 +1,8 @@
 """Desk-scale builds of the cycle, sink and lasso structures."""
 
+import hashlib
+import json
+
 import pytest
 from reference import is_partial_function, is_total_function
 
@@ -86,8 +89,13 @@ def test_converse_breaks_the_closure_bound():
     bundle = build_separation(2, 3)
     verdict = verify_closure_bound(bundle, frozenset(BASES["fa"]) | {"converse"})
     assert not verdict.passed
-    assert verdict.escapees
+    assert len(verdict.escapees) == len(verdict.escapee_masks) == 3070
     assert not verdict.basis_fp
+    # to_json renders every escapee: witness text, first pairs and count.
+    doc = json.dumps(verdict.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == (
+        "f78c34f8d89ff077220504302786b9271541e1d30c6c9555dd1ea97a1b3bdb41"
+    )
 
 
 def test_sink_totalization():

@@ -79,6 +79,16 @@ def test_union_compatibility_sampler():
     assert doc["rank"] == 2
     assert doc["premise_hits"] == report.premise_hits
     assert doc["game"] == "first-order rank"
+    assert check_union_compatibility(samples=0).to_json()["samples"] == 0
+
+
+@pytest.mark.parametrize(
+    "field, value, least",
+    [("samples", -5, 0), ("size", 0, 1), ("size", -2, 1), ("rank", -1, 0)],
+)
+def test_union_compatibility_refuses_bounds_that_cover_nothing(field, value, least):
+    with pytest.raises(GameError, match=f"^{field} must be at least {least}, got {value}$"):
+        check_union_compatibility(**{field: value})
 
 
 RANK2_SENTENCES = tuple(

@@ -6,6 +6,7 @@ neither can check the other.  The reference here is the Tarskian
 """
 
 import random
+from itertools import islice
 
 import numpy as np
 
@@ -130,15 +131,30 @@ def test_row_and_column_tests_match_a_per_row_reference():
         assert ops._colany(words).tolist() == [column_reference(r, k) for r in xs], k
 
 
+def partial_functions(rng, k, count):
+    """Masks with at most one bit per row, some rows empty."""
+    return [
+        sum(1 << (i * k + rng.randrange(k)) for i in range(k) if rng.random() < 0.7)
+        for _ in range(count)
+    ]
+
+
 def test_grid_matches_the_one_pair_kernels():
     rng = random.Random(62)
     binary = [op for op in ALL_OPS if ARITY[op] == 2]
-    for k in (0, 1, 2, 3, 5, 9):
+    # Int compose tables run as word-row array passes: rows of one word
+    # (k <= 64), of a full last word (k = 64) and of two words (k = 65).
+    for k in (0, 1, 2, 3, 5, 9, 60, 63, 64, 65):
         ops = BulkOps(k, batch=False)
-        xs = kernel_inputs(rng, k, 6)
+        xs = kernel_inputs(rng, k, 6) + partial_functions(rng, k, 6)
         for op in binary:
             kernel = getattr(ops, op)
-            assert list(ops.grid(op, xs)) == [kernel(a, b) for a in xs for b in xs], (k, op)
+            pairs = [kernel(a, b) for a in xs for b in xs]
+            assert list(ops.grid(op, xs)) == pairs, (k, op)
+            # A budget cut inside a row of the table sees the same prefix.
+            cut = 2 * len(xs) + 3
+            assert list(islice(ops.grid(op, xs), cut)) == pairs[:cut], (k, op)
+        assert list(ops.grid("compose", [])) == []
     for k in (1, 3, MAX_BULK_SIZE):
         ops = BulkOps(k)
         xs = [np.array(kernel_inputs(rng, k, 4), dtype=np.uint64) for _ in range(3)]
