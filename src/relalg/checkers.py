@@ -50,10 +50,16 @@ class Bounds:
     """Search effort knobs shared by all checkers.
 
     max_size None lets each checker pick its default: exhaustive to size 3
-    for two-symbol terms and size 4 otherwise.  No check cuts a search
-    short.  The homomorphism and subset checks cap their sampled phases at
-    200 draws of sizes up to 6 and 8, and record what they ran with in the
-    verdict, the homomorphism check with its exhaustive `pair_size` (2).
+    for two-symbol terms and size 4 otherwise.  Checks spend
+    `exhaustive_budget` in one of three ways.  The fp/tfp/ifp, forward and
+    local checks and the homomorphism grid ignore it and sweep every index.
+    The subset check sweeps the first min(total, exhaustive_budget)
+    indices of each size and lists each size it cut (`exhaustive_cut`).
+    `equivalence_report` spends one budget over the sizes in turn and
+    draws a size it cannot afford as a seeded random batch.  The
+    homomorphism and subset checks cap their sampled phases at 200 draws
+    of sizes up to 6 and 8, and record what they ran with in the verdict,
+    the homomorphism check with its exhaustive `pair_size` (2).
     The forward and local checks compare every ball they meet:
     `balls_skipped` is always 0.  A negative `max_size`, `samples` or
     `exhaustive_budget`, or a `sample_size` below 1, raises `CheckError`:
@@ -161,6 +167,25 @@ def _read_only(value) -> None:
             _read_only(item)
 
 
+_CHUNK = 1 << 15
+
+
+def _sweep(symbols: tuple[str, ...], cls: StructureClass, size: int, stop: int):
+    """Yield (indices, masks) runs of at most `_CHUNK` of the structures of
+    `size` elements with indices in [0, stop): a uint64 array and each
+    symbol's uint64 masks up to `MAX_BULK_SIZE`, a range and lists of
+    Python ints beyond.  Each caller picks its own `stop` (budget rule)."""
+    for start in range(0, stop, _CHUNK):
+        end = min(start + _CHUNK, stop)
+        if size <= bulk.MAX_BULK_SIZE:
+            indices = np.arange(start, end, dtype=np.uint64)
+            yield indices, decode_symbol_masks(indices, size, cls, symbols)
+        else:
+            indices = range(start, end)
+            decoded = [decode_symbol_masks(i, size, cls, symbols) for i in indices]
+            yield indices, {name: [m[name] for m in decoded] for name in sorted(symbols)}
+
+
 @_per_call
 def _pool(
     symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: int
@@ -180,14 +205,9 @@ def _pool(
     parts: dict[int, list[tuple[dict, np.ndarray]]] = {}
     start = 0
     for size in range(1, bounds.resolved_size(len(symbols)) + 1):
-        total = count_structures(symbols, size, cls)
-        if size <= bulk.MAX_BULK_SIZE:
-            masks = decode_symbol_masks(np.arange(total, dtype=np.uint64), size, cls, symbols)
-        else:
-            decoded = [decode_symbol_masks(i, size, cls, symbols) for i in range(total)]
-            masks = {name: [m[name] for m in decoded] for name in names}
-        parts[size] = [(masks, np.arange(start, start + total))]
-        start += total
+        for indices, masks in _sweep(symbols, cls, size, count_structures(symbols, size, cls)):
+            parts.setdefault(size, []).append((masks, np.arange(start, start + len(indices))))
+            start += len(indices)
     rng = random.Random(seed)
     # Every size is drawn before the first structure: the seed pins that order.
     sizes = [rng.randint(1, bounds.sample_size) for _ in range(bounds.samples)]
@@ -338,12 +358,12 @@ _PAIR_SIZE = 2
 
 
 def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...]):
-    """Yield (source size, source index, target size, target index) for every
+    """Yield (source size, source masks, target size, target masks) for every
     pair of structures up to `_PAIR_SIZE` with a homomorphism that moves a
     pair of the term's value outside it, sources then targets in
     enumeration order.
 
-    Every structure of each size is decoded and evaluated once.  Each of
+    Every structure of each size is swept and evaluated once.  Each of
     the kt**ks maps moves the source bits as `_move_bits` does.  Over a
     grid of sources by targets the map is a homomorphism where no moved
     symbol bit falls outside the target's mask, and it breaks safety where
@@ -354,10 +374,9 @@ def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...]):
     batches = {}
     for size in sizes:
         total = count_structures(symbols, size, StructureClass.ALL)
-        indices = np.arange(total, dtype=np.uint64)
-        masks = decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
-        # An empty signature has no masks to give the batch its length.
-        batches[size] = masks, bulk.bulk_eval_term(term, size, masks or {"": indices})
+        runs = [masks for _, masks in _sweep(symbols, StructureClass.ALL, size, total)]
+        masks = {name: np.concatenate([run[name] for run in runs]) for name in symbols}
+        batches[size] = masks, _values(term, size, masks, total)
     rows = max(1, _GRID // max([1] + [len(v) for _, v in batches.values()]))
     cols = max(1, _GRID // rows)
     for ks in sizes:
@@ -384,7 +403,7 @@ def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...]):
                         bad |= hit
                     found.extend((s0 + s, kt, t0 + t) for s, t in np.argwhere(bad).tolist())
             for s, kt, t in sorted(found):
-                yield ks, s, kt, t
+                yield ks, _structure_masks(smasks, s), kt, _structure_masks(batches[kt][0], t)
 
 
 def _violating_hom(ks: int, smasks: dict, svalue: int, kt: int, tmasks: dict, tvalue: int):
@@ -491,9 +510,7 @@ def check_homomorphism_safe(
         verdict.bounds["sampled_size_cap"] = size_cap
         return verdict
 
-    for ks, s, kt, t in _homsafe_hits(term, symbols):
-        source = decode_symbol_masks(s, ks, StructureClass.ALL, symbols)
-        target = decode_symbol_masks(t, kt, StructureClass.ALL, symbols)
+    for ks, source, kt, target in _homsafe_hits(term, symbols):
         verdict = failure(ks, source, kt, target)
         if verdict is None:
             raise AssertionError("bulk and mask evaluation disagree on a homomorphism")
@@ -623,47 +640,40 @@ def _chunk_parts(symbols: tuple[str, ...], size: int, start: int, stop: int):
 
 
 def _subsafe_exhaustive(
-    term: tm.Term, symbols: tuple[str, ...], max_size: int, bounds: Bounds, failure
+    term: tm.Term, symbols: tuple[str, ...], size: int, stop: int, failure
 ) -> Verdict | None:
-    """Exhaustive phase of the induced-substructure check.
+    """Exhaustive phase of the induced-substructure check on the first
+    `stop` structures of `size` elements.
 
-    Sizes up to `bulk.MAX_BULK_SIZE` are swept in chunks of `_CHUNK`
-    indices.  The term is evaluated once on each distinct structure a
-    chunk's proper subsets induce (`_chunk_parts`), each value is laid
-    over its subset's cells, and a structure fails where one of them has
-    a pair outside the structure's own value; `failure` re-derives the
-    chunk's first.  Larger sizes go to `failure` one structure at a time.
-    A size whose census exceeds the exhaustive budget is covered up to the
-    budget and left to the random phase beyond it.
+    Up to `bulk.MAX_BULK_SIZE`, per `_sweep` run, the term is evaluated
+    once on each distinct structure the run's proper subsets induce
+    (`_chunk_parts`), each value is laid over its subset's cells, and a
+    structure fails where one of them has a pair outside the structure's
+    own value; `failure` re-derives the run's first.  Larger sizes go to
+    `failure` one structure at a time.
     """
-    for size in range(1, max_size + 1):
-        total = count_structures(symbols, size, StructureClass.ALL)
-        budget = min(total, bounds.exhaustive_budget)
+    for indices, masks in _sweep(symbols, StructureClass.ALL, size, stop):
+        n = len(indices)
         if size > bulk.MAX_BULK_SIZE:
-            for index in range(budget):
-                masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
-                verdict = failure(size, masks, _proper_subsets(size))
+            for j in range(n):
+                verdict = failure(size, _structure_masks(masks, j), _proper_subsets(size))
                 if verdict is not None:
                     return verdict
             continue
-        for start in range(0, budget, _CHUNK):
-            stop = min(start + _CHUNK, budget)
-            indices = np.arange(start, stop, dtype=np.uint64)
-            masks = decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
-            # Every pair an induced value puts on each structure.
-            parts = np.zeros(stop - start, dtype=np.uint64)
-            for k, cells, distinct, count, inverse in _chunk_parts(symbols, size, start, stop):
-                values = _values(term, k, distinct, count)
-                for row, structure in zip(cells.tolist(), inverse):
-                    parts |= _move_bits(values, list(enumerate(row)))[structure]
-            bad = (parts & ~_values(term, size, masks, stop - start)) != 0
-            if bad.any():
-                index = start + int(np.argmax(bad))
-                masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
-                verdict = failure(size, masks, _proper_subsets(size))
-                if verdict is None:
-                    raise AssertionError("bulk and mask evaluation disagree on a subset")
-                return verdict
+        start = int(indices[0])
+        # Every pair an induced value puts on each structure.
+        parts = np.zeros(n, dtype=np.uint64)
+        for k, cells, distinct, count, inverse in _chunk_parts(symbols, size, start, start + n):
+            values = _values(term, k, distinct, count)
+            for row, structure in zip(cells.tolist(), inverse):
+                parts |= _move_bits(values, list(enumerate(row)))[structure]
+        bad = (parts & ~_values(term, size, masks, n)) != 0
+        if bad.any():
+            masks = _structure_masks(masks, int(np.argmax(bad)))
+            verdict = failure(size, masks, _proper_subsets(size))
+            if verdict is None:
+                raise AssertionError("bulk and mask evaluation disagree on a subset")
+            return verdict
     return None
 
 
@@ -753,16 +763,20 @@ def check_subseteq_safe(
     32 random subsets are tried in draw order, repeats dropped.  Both
     phases evaluate the term on whole batches; the first failing structure
     (in enumeration order, then in draw order) is re-derived one subset at
-    a time, which picks the reported subset and pair."""
+    a time, which picks the reported subset and pair.  Each size the
+    budget cut short is listed as `SizeCoverage` JSON under
+    `exhaustive_cut`, a key present only when some size was cut."""
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
-    max_size = bounds.resolved_size(len(symbols))
     draws = min(bounds.samples, 200)
     size_cap = min(bounds.sample_size, 8)
+    cut = []
 
     def reported(verdict: Verdict) -> Verdict:
         verdict.bounds["sampled_structures"] = draws
         verdict.bounds["sampled_size_cap"] = size_cap
+        if cut:
+            verdict.bounds["exhaustive_cut"] = cut
         return verdict
 
     def failure(size: int, masks: dict, subsets) -> Verdict | None:
@@ -781,9 +795,14 @@ def check_subseteq_safe(
             Verdict("subseteq-safe", "fail", counterexample, bounds.to_json(), seed)
         )
 
-    verdict = _subsafe_exhaustive(term, symbols, max_size, bounds, failure)
-    if verdict is not None:
-        return reported(verdict)
+    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
+        total = count_structures(symbols, size, StructureClass.ALL)
+        stop = min(total, bounds.exhaustive_budget)
+        if stop < total:
+            cut.append(SizeCoverage(size, total, "exhaustive", stop).to_json())
+        verdict = _subsafe_exhaustive(term, symbols, size, stop, failure)
+        if verdict is not None:
+            return reported(verdict)
     drawn, wholes, parts = _subset_draws(symbols, seed, draws, size_cap)
     bad = _sampled_flags(term, draws, wholes, parts)
     if bad.any():
@@ -1200,8 +1219,6 @@ def catalogue_matrix(bounds: Bounds | None = None, seed: int = 0) -> MatrixRepor
 
 # --- equivalence engine ----------------------------------------------------------
 
-_CHUNK = 1 << 15
-
 
 @dataclass
 class SizeCoverage:
@@ -1312,18 +1329,12 @@ def equivalence_report(
     budget = bounds.exhaustive_budget
     npr = np.random.default_rng(seed)
 
-    def bulk_compare(size, symbol_masks, base_index, exhaustive):
-        lmask = bulk.bulk_masks(lhs, size, symbol_masks)
-        rmask = bulk.bulk_masks(rhs, size, symbol_masks)
-        bad = lmask != rmask
+    def bulk_compare(size, symbol_masks):
+        # Up to size 8 every class lays masks over e1..ek in this order.
+        bad = bulk.bulk_masks(lhs, size, symbol_masks) != bulk.bulk_masks(rhs, size, symbol_masks)
         if not bad.any():
             return None
-        first = int(np.argmax(bad))
-        if exhaustive:
-            return structure_from_index(signature, size, cls, int(base_index + first))
-        return masks_to_structure(
-            {name: int(arr[first]) for name, arr in symbol_masks.items()}, size
-        )
+        return masks_to_structure(_structure_masks(symbol_masks, int(np.argmax(bad))), size)
 
     for size in range(1, max_size + 1):
         total = count_structures(signature, size, cls)
@@ -1336,20 +1347,17 @@ def equivalence_report(
             coverage.append(SizeCoverage(size, 1, "exhaustive", 1))
         elif size <= bulk.MAX_BULK_SIZE and total <= budget:
             budget -= total
-            for start in range(0, total, _CHUNK):
-                stop = min(start + _CHUNK, total)
-                indices = np.arange(start, stop, dtype=np.uint64)
-                masks = decode_symbol_masks(indices, size, cls, signature)
-                found = bulk_compare(size, masks, start, True)
+            for indices, masks in _sweep(signature, cls, size, total):
+                found = bulk_compare(size, masks)
                 if found is not None:
-                    coverage.append(SizeCoverage(size, total, "exhaustive", stop))
+                    coverage.append(SizeCoverage(size, total, "exhaustive", int(indices[-1]) + 1))
                     return _mismatch_report(lhs, rhs, found, coverage, 0, seed)
             coverage.append(SizeCoverage(size, total, "exhaustive", total))
         elif size <= bulk.MAX_BULK_SIZE and budget > 0:
             n = min(budget, _CHUNK * 2)
             budget -= n
             masks = bulk.random_symbol_masks(npr, n, size, cls, signature)
-            found = bulk_compare(size, masks, 0, False)
+            found = bulk_compare(size, masks)
             if found is not None:
                 coverage.append(SizeCoverage(size, total, "sampled", n))
                 return _mismatch_report(lhs, rhs, found, coverage, 0, seed)
@@ -1424,12 +1432,8 @@ def verify_counterexample(verdict: Verdict) -> bool:
 
     if kind == "invariant":
         structure = structure_from_json(data["structure"])
-        offence_of = {
-            "function-preserving": _fp_offence,
-            "total-function-preserving": _tfp_offence,
-            "injective-function-preserving": _ifp_offence,
-        }[verdict.property]
-        return offence_of(tm.eval_term(term, structure), structure) is not None
+        _, offence = _INVARIANTS[verdict.property]
+        return offence(tm.eval_term(term, structure), structure) is not None
 
     if kind == "homomorphism":
         source = structure_from_json(data["source"])

@@ -1,0 +1,117 @@
+"""Print the library's verdicts and reports as one JSON line per case.
+
+A refactor that must keep every verdict byte-identical is checked by
+running this on the parent and on the change and comparing the two
+outputs with `cmp`:
+
+    PYTHONPATH=src python tests/dump_outputs.py > after.jsonl
+
+The cases are the catalogue matrix at the benchmark's bounds (seeds 0-3),
+every check on the benchmark's compound terms, every `relalg run` preset
+envelope (without its wall time), seeded `verify_compilation` and
+`validate_synthesis` reports, and equivalence reports across budgets,
+classes and signatures.  The file is not a test module: pytest does not
+collect it.
+"""
+
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+from relalg import checkers, cli
+from relalg.checkers import Bounds, equivalence_report
+from relalg.logic import parse_formula
+from relalg.structures import StructureClass
+from relalg.synth import synthesize_forward, synthesize_local_injective, validate_synthesis
+from relalg.terms import parse_term, print_term
+from relalg.translate import random_posex_formula, verify_compilation
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from known import COMPOUND_CHECKS  # noqa: E402
+
+MATRIX_BOUNDS = Bounds(max_size=3, samples=200, sample_size=6)
+CHECK_BOUNDS = Bounds(samples=200, sample_size=6)
+CHECKS = (
+    "check_function_preserving",
+    "check_total_function_preserving",
+    "check_injective_function_preserving",
+    "check_homomorphism_safe",
+    "check_subseteq_safe",
+    "check_forward",
+    "check_local",
+)
+SYNTH_CASES = (
+    ("dom(f)", 1, False, Bounds(max_size=4, samples=200, sample_size=12)),
+    ("~g ; f", 1, False, Bounds(max_size=8, samples=200, exhaustive_budget=656_870)),
+    ("f ; f", 2, False, Bounds(max_size=3, samples=150)),
+    ("f^", 1, True, Bounds(max_size=4, samples=200, sample_size=12)),
+    ("f & g", 1, True, Bounds(max_size=5, samples=100, sample_size=10, exhaustive_budget=50_000)),
+)
+# (lhs, rhs, signature, class): equal and unequal pairs of terms, and of a
+# formula and a term, over every class and the empty signature.
+EQUIVALENCE_CASES = (
+    ("f <# g", "(f <+ g) & (f <+ g)", ("f", "g"), StructureClass.INJECTIVE_PARTIAL_FUNCTIONS),
+    ("f ; g", "g ; f", ("f", "g"), StructureClass.PARTIAL_FUNCTIONS),
+    ("f ; f", "f ; f ; f", ("f",), StructureClass.TOTAL_FUNCTIONS),
+    ("R ; S", "S ; R", ("R", "S"), StructureClass.ALL),
+    ("((R ; R ; R) & id) \\ (R | (R ; R))", "0", ("R", "S"), StructureClass.ALL),
+    ("R", "exists z. R(x,z) & R(z,y)", ("R",), StructureClass.ALL),
+    ("R ; S", "exists z. R(x,z) & S(z,y)", ("R", "S"), StructureClass.ALL),
+    ("id", "-(-id)", (), StructureClass.ALL),
+    ("id", "T", (), StructureClass.ALL),
+)
+EQUIVALENCE_BOUNDS = (
+    Bounds(),
+    Bounds(max_size=5, samples=300, sample_size=10),
+    Bounds(max_size=4, samples=50, exhaustive_budget=1_000),
+    Bounds(max_size=10, samples=20, sample_size=11, exhaustive_budget=70_000),
+    Bounds(max_size=3, samples=40, exhaustive_budget=0),
+)
+
+
+def emit(case: str, value) -> None:
+    print(json.dumps({"case": case, "value": value}, sort_keys=True))
+
+
+def side(text: str):
+    return parse_formula(text) if "(x" in text else parse_term(text)
+
+
+def main() -> None:
+    for seed in range(4):
+        emit(f"matrix:{seed}", checkers.catalogue_matrix(MATRIX_BOUNDS, seed).to_json())
+    for source, _ in COMPOUND_CHECKS:
+        for name in CHECKS:
+            for seed in (0, 23):
+                verdict = getattr(checkers, name)(parse_term(source), CHECK_BOUNDS, seed)
+                emit(f"{name}:{source}:{seed}", verdict.to_json())
+    for preset in cli.PRESETS:
+        for seed in (0, 23):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["run", preset, "--report", "json", "--seed", str(seed)])
+            envelope = json.loads(out.getvalue())
+            del envelope["wall_time"]
+            emit(f"run:{preset}:{seed}", {"exit": code, "envelope": envelope})
+    rng = random.Random("dump-outputs")
+    for i in range(12):
+        phi = random_posex_formula(rng, ("R", "S", "U")[: 1 + i % 3], max_depth=4)
+        check = verify_compilation(phi, None, Bounds(max_size=3, samples=350, sample_size=8), i)
+        emit(f"compile:{i}", {"term": print_term(check.term), "report": check.report.to_json()})
+    for source, radius, oriented, bounds in SYNTH_CASES:
+        synthesize = synthesize_local_injective if oriented else synthesize_forward
+        result = synthesize(parse_term(source), radius)
+        for seed in (0, 5):
+            report = validate_synthesis(result, parse_term(source), bounds, seed)
+            emit(f"synth:{source}:{oriented}:{seed}", report.to_json())
+    for lhs, rhs, signature, cls in EQUIVALENCE_CASES:
+        for n, bounds in enumerate(EQUIVALENCE_BOUNDS):
+            report = equivalence_report(side(lhs), side(rhs), signature, cls, bounds, n)
+            emit(f"equivalence:{lhs}:{rhs}:{cls.name}:{n}", report.to_json())
+
+
+if __name__ == "__main__":
+    main()

@@ -6,7 +6,8 @@ closure's row-hoisted tables.  The class predicates work on pairs, not on
 masks, and the isomorphism reference tries every permutation.  The pooled
 checks' references scan the pool one structure and one anchor at a time,
 on Python ints.  The ⊆-safety reference evaluates the term on every
-induced substructure of every structure, one subset at a time.
+induced substructure of every structure, one subset at a time.  The
+equivalence reference decodes and compares one index or draw at a time.
 """
 
 import random
@@ -19,6 +20,8 @@ from relalg import bulk
 from relalg.checkers import (
     _CHUNK,
     _INVARIANTS,
+    EquivalenceReport,
+    SizeCoverage,
     Verdict,
     _domain_order,
     _proper_subsets,
@@ -36,8 +39,10 @@ from relalg.structures import (
     masks_to_structure,
     random_masks,
     relation_mask,
+    structure_from_index,
     structure_to_json,
 )
+from relalg.logic import eval_formula
 from relalg.terms import Term, evaluate, eval_term, iter_nodes, print_term, sym, term_signature
 
 UNARY = ("complement", "converse", "dom", "ran", "antidom")
@@ -329,10 +334,13 @@ def scalar_subseteq_check(term, bounds, seed):
     """The ⊆-safety verdict without the re-verification: each size's
     structures in enumeration order, every proper subset evaluated on its
     own (a uint64 chunk at a time up to the bulk sizes), then each draw and
-    its random subsets in draw order, one Python-int evaluation each."""
+    its random subsets in draw order, one Python-int evaluation each.  A
+    size whose budget covers fewer than all its structures is listed under
+    `exhaustive_cut`."""
     symbols = term_signature(term)
     draws = min(bounds.samples, 200)
     size_cap = min(bounds.sample_size, 8)
+    cut = []
 
     def failure(size, masks, subsets):
         hit = _subset_hit(term, size, masks, subsets)
@@ -350,11 +358,16 @@ def scalar_subseteq_check(term, bounds, seed):
 
     def reported(verdict):
         verdict.bounds.update(sampled_structures=draws, sampled_size_cap=size_cap)
+        if cut:
+            verdict.bounds["exhaustive_cut"] = cut
         return verdict
 
     evaluate_bulk = partial(bulk.bulk_eval_term, term)
     for size in range(1, bounds.resolved_size(len(symbols)) + 1):
-        budget = min(count_structures(symbols, size, StructureClass.ALL), bounds.exhaustive_budget)
+        total = count_structures(symbols, size, StructureClass.ALL)
+        budget = min(total, bounds.exhaustive_budget)
+        if budget < total:
+            cut.append({"size": size, "total": total, "mode": "exhaustive", "checked": budget})
         if not symbols or size > bulk.MAX_BULK_SIZE:
             for index in range(budget):
                 masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
@@ -385,3 +398,78 @@ def scalar_subseteq_check(term, bounds, seed):
         if verdict is not None:
             return reported(verdict)
     return reported(Verdict("subseteq-safe", "pass-bounded", None, bounds.to_json(), seed))
+
+
+# --- equivalence reports, one index at a time ----------------------------------
+
+def formula_pairs(phi, structure):
+    """The pairs (x, y) satisfying phi, through `eval_formula` pair by pair."""
+    dom = structure.domain
+    return [(a, b) for a in dom for b in dom if eval_formula(phi, structure, {"x": a, "y": b})]
+
+
+def side_mask(side, size, masks):
+    """One side's value on one structure as a mask over its positions: a
+    term through the int kernels, a formula through `formula_pairs`."""
+    if isinstance(side, Term):
+        return evaluate(side, masks, int_ops(size).value)
+    structure = masks_to_structure(masks, size)
+    return relation_mask(formula_pairs(side, structure), structure.domain)
+
+
+def side_pairs(side, structure):
+    """One side's value on a structure, as sorted pair lists."""
+    value = eval_term(side, structure) if isinstance(side, Term) else formula_pairs(side, structure)
+    return [list(p) for p in sorted(value)]
+
+
+def scalar_equivalence_report(lhs, rhs, signature, cls, bounds, seed):
+    """The `equivalence_report` of two sides, each structure compared on
+    its own: every exhaustive index decoded alone and the reported one
+    built by `structure_from_index`; an over-budget size's numpy batch and
+    then the seeded draws one draw at a time.  A mismatch found in a run
+    of `_CHUNK` indices reports the run's end as checked."""
+    signature = tuple(sorted(signature))
+    coverage = []
+    budget = bounds.exhaustive_budget
+    npr = np.random.default_rng(seed)
+
+    def differs(size, masks):
+        return side_mask(lhs, size, masks) != side_mask(rhs, size, masks)
+
+    def mismatch(structure, random_checked):
+        left, right = side_pairs(lhs, structure), side_pairs(rhs, structure)
+        assert left != right
+        return EquivalenceReport(False, structure, left, right, coverage, random_checked, seed)
+
+    for size in range(1, bounds.resolved_size(len(signature)) + 1):
+        total = count_structures(signature, size, cls)
+        if not signature or (size <= bulk.MAX_BULK_SIZE and total <= budget):
+            # The empty signature's one structure per size costs no budget.
+            budget -= total if signature else 0
+            for index in range(total):
+                if differs(size, decode_symbol_masks(index, size, cls, signature)):
+                    checked = min(total, (index // _CHUNK + 1) * _CHUNK)
+                    coverage.append(SizeCoverage(size, total, "exhaustive", checked))
+                    return mismatch(structure_from_index(signature, size, cls, index), 0)
+            coverage.append(SizeCoverage(size, total, "exhaustive", total))
+        elif size <= bulk.MAX_BULK_SIZE and budget > 0:
+            n = min(budget, 2 * _CHUNK)
+            budget -= n
+            batch = bulk.random_symbol_masks(npr, n, size, cls, signature)
+            coverage.append(SizeCoverage(size, total, "sampled", n))
+            for j in range(n):
+                masks = {name: int(m[j]) for name, m in batch.items()}
+                if differs(size, masks):
+                    return mismatch(drawn_structure(masks, size), 0)
+        else:
+            coverage.append(SizeCoverage(size, total, "skipped", 0))
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(bounds.samples):
+        size = rng.randint(1, bounds.sample_size)
+        draws.append((size, random_masks(rng, size, signature, cls)))
+    for i, (size, masks) in enumerate(draws):
+        if differs(size, masks):
+            return mismatch(drawn_structure(masks, size), i + 1)
+    return EquivalenceReport(True, None, None, None, coverage, len(draws), seed)

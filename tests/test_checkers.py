@@ -165,6 +165,61 @@ def test_equivalence_report_positive_and_negative():
     assert split.counterexample is not None
 
 
+# Nonempty only where an element without a loop or a 2-cycle closes a
+# walk of three R steps: three distinct elements.  Over (R, S) the first
+# such structure is index 50,176 of size 3, in the second 32,768-index run.
+THREE_CYCLE = "((R ; R ; R) & id) \\ (R | (R ; R))"
+
+
+def test_equivalence_report_matches_the_index_by_index_reference():
+    rng = random.Random("equivalence-sweep")
+    every, total = StructureClass.ALL, StructureClass.TOTAL_FUNCTIONS
+    partial = StructureClass.PARTIAL_FUNCTIONS
+    injective = StructureClass.INJECTIVE_PARTIAL_FUNCTIONS
+    term, formula = parse_term, parse_formula
+    cases = [
+        (term(THREE_CYCLE), term("0"), ("R", "S"), every, Bounds(samples=10)),
+        # Sizes 1-6 exhaustive, 7 and 8 sampled, 9 skipped with budget left.
+        (term("f ; id"), term("f"), ("f",), total,
+         Bounds(max_size=9, samples=5, exhaustive_budget=50_069 + 2 * 65_536 + 1)),
+        # Size 4 sampled on the last 300 of the budget, size 5 skipped at 0.
+        (term("f ; (g ; f)"), term("(f ; g) ; f"), ("f", "g"), partial,
+         Bounds(max_size=5, samples=30, sample_size=10, exhaustive_budget=4_481)),
+        (term("f <# g"), expand_injunion(term("f <# g")), ("f", "g"), injective,
+         Bounds(max_size=3, samples=30)),
+        (term("f ; f"), term("f ; f ; f"), ("f",), total, Bounds()),
+        (formula("exists z. R(x,z) & R(z,y)"), term("R ; R"), ("R",), every,
+         Bounds(max_size=3, samples=40, sample_size=5)),
+        (formula("exists z. R(x,z) & S(z,y)"), term("R ; S"), ("R", "S"), every,
+         Bounds(max_size=3, samples=30, sample_size=4, exhaustive_budget=100)),
+        (formula("exists z. R(x,z) & R(z,y)"), term("R"), ("R",), every, LIGHT),
+        (term("R ; S"), term("S ; R"), ("R", "S"), every,
+         Bounds(max_size=3, samples=40, exhaustive_budget=0)),
+        # The empty signature: one structure per size, past size 8 too.
+        (formula("x = y"), term("id"), (), every, Bounds(max_size=10, samples=20, sample_size=11)),
+        (term("id"), term("-(-id) | (T ; 0)"), (), every,
+         Bounds(max_size=10, samples=20, sample_size=11, exhaustive_budget=0)),
+        (term("T ; -id"), term("T"), (), every, Bounds()),
+    ]
+    for n in range(8):
+        cls = list(StructureClass)[n % 4]
+        symbols = ("f", "g") if n % 2 else ("f",)
+        lhs, rhs = (random_term(rng, CATALOGUE, symbols, rng.randint(1, 4)) for _ in range(2))
+        cases.append((lhs, rhs, symbols, cls, Bounds(max_size=3, samples=25, sample_size=9)))
+    modes, classes, far = set(), set(), False
+    for seed, (lhs, rhs, signature, cls, bounds) in enumerate(cases):
+        expected = reference.scalar_equivalence_report(lhs, rhs, signature, cls, bounds, seed)
+        got = equivalence_report(lhs, rhs, signature, cls, bounds, seed)
+        assert got.to_json() == expected.to_json(), (lhs, rhs, cls, bounds)
+        modes.update(c.mode for c in got.coverage)
+        classes.add((cls, got.equivalent))
+        far |= not got.equivalent and got.coverage[-1].checked > checkers._CHUNK
+    assert modes == {"exhaustive", "sampled", "skipped"}
+    assert {cls for cls, _ in classes} == set(StructureClass)
+    assert {equivalent for _, equivalent in classes} == {True, False}
+    assert far
+
+
 def ball_row_verdict(term, left, right, radius=1):
     payload = {
         "kind": "ball-row-mismatch",
@@ -645,6 +700,14 @@ def differential_cases(rng, count, chains):
     return cases
 
 
+# The empty signature has one structure per size, so these reach the
+# sweep's int route past size 8 in every exhaustive phase.
+PAST_EIGHT = [
+    (parse_term(text), Bounds(max_size=10, samples=30, sample_size=12), 0)
+    for text in ("id", "T ; id", "-id")
+]
+
+
 def large(verdict) -> bool:
     """Whether a failure was found on a structure of ten or more elements."""
     found = verdict.counterexample or {}
@@ -658,7 +721,7 @@ def test_array_bounded_checks_match_the_per_anchor_scan(check, mode):
     # Nonempty only from ten elements on: the ten-chain's rows leave
     # their balls, and its domain's rows differ on isomorphic balls.
     chains = (TEN_CHAIN, f"dom({TEN_CHAIN})")
-    for n, (term, bounds, seed) in enumerate(differential_cases(rng, 20, chains)):
+    for n, (term, bounds, seed) in enumerate(differential_cases(rng, 20, chains) + PAST_EIGHT):
         max_radius = n % 4
         expected = reference.scalar_bounded_check(term, mode, bounds, seed, max_radius)
         got = check(term, bounds, seed, max_radius)
@@ -678,7 +741,8 @@ def test_array_invariant_scan_matches_the_scalar_scan(name):
         "injective-function-preserving": check_injective_function_preserving,
     }[name]
     statuses, sizes = set(), set()
-    for term, bounds, seed in differential_cases(rng, 24, (f"id | (({TEN_CHAIN}) ; T)",)):
+    cases = differential_cases(rng, 24, (f"id | (({TEN_CHAIN}) ; T)",)) + PAST_EIGHT
+    for term, bounds, seed in cases:
         expected = reference.scalar_invariant_check(name, term, bounds, seed)
         got = check(term, bounds, seed)
         assert got.to_json() == expected.to_json(), (print_term(term), bounds)
@@ -731,12 +795,15 @@ def test_array_subset_check_matches_the_per_subset_sweep():
         symbols = ((), ("R",), ("R", "S"))[n % 3]
         term = random_term(rng, CATALOGUE, symbols, rng.randint(2, 6))
         cases.append((term, mixes[n % 4], n))
-    phases, signatures, sampled_sizes = set(), set(), set()
+    # Size 4 over two symbols is cut at the budget: 600,000 of 2**32.
+    cases += [(parse_term("R ; S"), Bounds(max_size=4, samples=0), 0), *PAST_EIGHT]
+    phases, signatures, sampled_sizes, cut = set(), set(), set(), set()
     for term, bounds, seed in cases:
         expected = reference.scalar_subseteq_check(term, bounds, seed)
         got = check_subseteq_safe(term, bounds, seed)
         assert got.to_json() == expected.to_json(), (print_term(term), bounds, seed)
         signatures.add(term_signature(term))
+        cut.add("exhaustive_cut" in got.bounds)
         if got.passed:
             phases.add("pass")
             continue
@@ -748,6 +815,7 @@ def test_array_subset_check_matches_the_per_subset_sweep():
     assert phases == {"pass", "exhaustive", "sampled"}
     assert {(), ("R",), ("R", "S")} <= signatures
     assert sampled_sizes & {6, 7, 8}
+    assert cut == {True, False}
 
 
 def test_array_subset_check_refuses_a_hit_the_subset_route_denies(monkeypatch):
