@@ -32,6 +32,7 @@ from .structures import (
     is_homomorphism,
     isomorphism,
     masks_to_structure,
+    orbit_minimal,
     random_masks,
     structure_from_index,
     structure_from_json,
@@ -56,7 +57,10 @@ class Bounds:
     The subset check sweeps the first min(total, exhaustive_budget)
     indices of each size and lists each size it cut (`exhaustive_cut`).
     `equivalence_report` spends one budget over the sizes in turn and
-    draws a size it cannot afford as a seeded random batch.  The
+    draws a size it cannot afford as a seeded random batch.  Every
+    exhaustive sweep evaluates one structure per isomorphism class (its
+    orbit-minimal index, `_sweep`), but budgets, cuts and `checked` count
+    labelled indices, so a verdict does not depend on the filter.  The
     homomorphism and subset checks cap their sampled phases at 200 draws
     of sizes up to 6 and 8, and record what they ran with in the verdict,
     the homomorphism check with its exhaustive `pair_size` (2).
@@ -170,20 +174,47 @@ def _read_only(value) -> None:
 _CHUNK = 1 << 15
 
 
-def _sweep(symbols: tuple[str, ...], cls: StructureClass, size: int, stop: int):
-    """Yield (indices, masks) runs of at most `_CHUNK` of the structures of
-    `size` elements with indices in [0, stop): a uint64 array and each
-    symbol's uint64 masks up to `MAX_BULK_SIZE`, a range and lists of
-    Python ints beyond.  Each caller picks its own `stop` (budget rule)."""
-    for start in range(0, stop, _CHUNK):
+def _sweep(symbols: tuple[str, ...], cls: StructureClass, size: int, stop: int, first: int = 0):
+    """Yield (run, indices, masks) for the labelled runs [start, end) of at
+    most `_CHUNK` indices that cover [first, stop) of the structures of
+    `size` elements: `run` is range(start, end), `indices` the run's
+    orbit-minimal indices (`structures.orbit_minimal`, every index where no
+    marks are built) as a uint64 array, and `masks` their uint64 masks per
+    symbol; past `MAX_BULK_SIZE`, every index of the run as a range and
+    lists of Python ints.  Each caller picks its own `stop` (budget rule),
+    in labelled indices, and reports labelled counts.
+
+    No verdict moves.  Every property the callers test is preserved by
+    relabelling the domain, and a skipped index has an isomorphic copy that
+    comes earlier in the same scan and inside the same [0, stop), which
+    passes or fails as it does.  So the first failing structure is never
+    skipped.  Neither side of the first homomorphism-grid hit is: an
+    earlier copy of either would make an earlier hit.  In the forward and
+    local checks, a copy maps each anchor to one with the same ball key and
+    the same row, so the first structure to show a key (each bucket's
+    stored row, structure and anchor) is kept, and so is the first ball-row
+    mismatch.
+    """
+    for start in range(first, stop, _CHUNK):
         end = min(start + _CHUNK, stop)
         if size <= bulk.MAX_BULK_SIZE:
-            indices = np.arange(start, end, dtype=np.uint64)
-            yield indices, decode_symbol_masks(indices, size, cls, symbols)
+            indices = orbit_minimal(start, end, size, cls, len(symbols))
+            yield range(start, end), indices, decode_symbol_masks(indices, size, cls, symbols)
         else:
             indices = range(start, end)
             decoded = [decode_symbol_masks(i, size, cls, symbols) for i in indices]
-            yield indices, {name: [m[name] for m in decoded] for name in sorted(symbols)}
+            yield indices, indices, {name: [m[name] for m in decoded] for name in sorted(symbols)}
+
+
+def _evaluated(symbols: tuple[str, ...], cls: StructureClass, size: int, stop: int) -> int:
+    """How many structures `_sweep` visits over [0, stop), without decoding
+    them."""
+    if size > bulk.MAX_BULK_SIZE:
+        return stop
+    return sum(
+        len(orbit_minimal(start, min(start + _CHUNK, stop), size, cls, len(symbols)))
+        for start in range(0, stop, _CHUNK)
+    )
 
 
 @_per_call
@@ -193,9 +224,10 @@ def _pool(
     """The structures the fp/tfp/ifp, forward and local checks scan, as one
     (size, masks, positions) group per size, sizes ascending.
 
-    The pool is every index of every size up to the resolved bound, then
-    `samples` seeded draws of sizes 1..sample_size; `positions` numbers a
-    group's structures in that order, ascending.  Each symbol's masks are a
+    The pool is every index of every size up to the resolved bound that
+    `_sweep` visits, then `samples` seeded draws of sizes 1..sample_size;
+    `positions` numbers a group's structures in that order, ascending, by
+    the place each holds in the labelled pool.  Each symbol's masks are a
     uint64 array up to `MAX_BULK_SIZE` and a list of Python ints beyond,
     over e1..e_size as `drawn_structure` reads them.  ALL-class codes lie
     over the string-sorted domain, which differs from size 10 on; no check
@@ -205,9 +237,11 @@ def _pool(
     parts: dict[int, list[tuple[dict, np.ndarray]]] = {}
     start = 0
     for size in range(1, bounds.resolved_size(len(symbols)) + 1):
-        for indices, masks in _sweep(symbols, cls, size, count_structures(symbols, size, cls)):
-            parts.setdefault(size, []).append((masks, np.arange(start, start + len(indices))))
-            start += len(indices)
+        total = count_structures(symbols, size, cls)
+        for _, indices, masks in _sweep(symbols, cls, size, total):
+            positions = start + np.asarray(indices, dtype=np.int64)
+            parts.setdefault(size, []).append((masks, positions))
+        start += total
     rng = random.Random(seed)
     # Every size is drawn before the first structure: the seed pins that order.
     sizes = [rng.randint(1, bounds.sample_size) for _ in range(bounds.samples)]
@@ -359,11 +393,11 @@ _PAIR_SIZE = 2
 
 def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...]):
     """Yield (source size, source masks, target size, target masks) for every
-    pair of structures up to `_PAIR_SIZE` with a homomorphism that moves a
-    pair of the term's value outside it, sources then targets in
-    enumeration order.
+    pair of structures up to `_PAIR_SIZE` that `_sweep` visits with a
+    homomorphism that moves a pair of the term's value outside it, sources
+    then targets in enumeration order.
 
-    Every structure of each size is swept and evaluated once.  Each of
+    Every visited structure of each size is evaluated once.  Each of
     the kt**ks maps moves the source bits as `_move_bits` does.  Over a
     grid of sources by targets the map is a homomorphism where no moved
     symbol bit falls outside the target's mask, and it breaks safety where
@@ -374,9 +408,10 @@ def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...]):
     batches = {}
     for size in sizes:
         total = count_structures(symbols, size, StructureClass.ALL)
-        runs = [masks for _, masks in _sweep(symbols, StructureClass.ALL, size, total)]
-        masks = {name: np.concatenate([run[name] for run in runs]) for name in symbols}
-        batches[size] = masks, _values(term, size, masks, total)
+        runs = list(_sweep(symbols, StructureClass.ALL, size, total))
+        masks = {name: np.concatenate([run[name] for *_, run in runs]) for name in symbols}
+        n = sum(len(indices) for _, indices, _ in runs)
+        batches[size] = masks, _values(term, size, masks, n)
     rows = max(1, _GRID // max([1] + [len(v) for _, v in batches.values()]))
     cols = max(1, _GRID // rows)
     for ks in sizes:
@@ -612,16 +647,15 @@ def _distinct(words: dict, k: int, shape: tuple[int, ...]):
 @_per_call
 def _chunk_parts(symbols: tuple[str, ...], size: int, start: int, stop: int):
     """The structures induced on the proper subsets of the ALL-class
-    structures of `size` elements with indices in [start, stop).
+    structures of `size` elements that `_sweep` visits in the run [start,
+    stop).
 
     One (k, cells, distinct, count, inverse) per subset size k: row j of
     `cells` holds the `_cells` of the j-th k-element subset in
     `_proper_subsets` order, `distinct` and `count` the structures to
     evaluate the term on (`_distinct`), and inverse[j, i] the index among
     them of the structure subset j induces on the chunk's i-th structure."""
-    masks = decode_symbol_masks(
-        np.arange(start, stop, dtype=np.uint64), size, StructureClass.ALL, symbols
-    )
+    ((_, indices, masks),) = _sweep(symbols, StructureClass.ALL, size, stop, start)
     by_size: dict[int, list[list[int]]] = {}
     for subset in _proper_subsets(size):
         by_size.setdefault(len(subset), []).append(_cells(subset, size))
@@ -634,7 +668,7 @@ def _chunk_parts(symbols: tuple[str, ...], size: int, start: int, stop: int):
             )
             for name, m in masks.items()
         }
-        shape = (len(rows), stop - start)
+        shape = (len(rows), len(indices))
         parts.append((k, np.array(rows, dtype=np.uint8), *_distinct(words, k, shape)))
     return tuple(parts)
 
@@ -642,8 +676,8 @@ def _chunk_parts(symbols: tuple[str, ...], size: int, start: int, stop: int):
 def _subsafe_exhaustive(
     term: tm.Term, symbols: tuple[str, ...], size: int, stop: int, failure
 ) -> Verdict | None:
-    """Exhaustive phase of the induced-substructure check on the first
-    `stop` structures of `size` elements.
+    """Exhaustive phase of the induced-substructure check on the structures
+    `_sweep` visits among the first `stop` of `size` elements.
 
     Up to `bulk.MAX_BULK_SIZE`, per `_sweep` run, the term is evaluated
     once on each distinct structure the run's proper subsets induce
@@ -652,7 +686,7 @@ def _subsafe_exhaustive(
     own value; `failure` re-derives the run's first.  Larger sizes go to
     `failure` one structure at a time.
     """
-    for indices, masks in _sweep(symbols, StructureClass.ALL, size, stop):
+    for run, indices, masks in _sweep(symbols, StructureClass.ALL, size, stop):
         n = len(indices)
         if size > bulk.MAX_BULK_SIZE:
             for j in range(n):
@@ -660,10 +694,11 @@ def _subsafe_exhaustive(
                 if verdict is not None:
                     return verdict
             continue
-        start = int(indices[0])
+        if not n:  # a run with no orbit-minimal index
+            continue
         # Every pair an induced value puts on each structure.
         parts = np.zeros(n, dtype=np.uint64)
-        for k, cells, distinct, count, inverse in _chunk_parts(symbols, size, start, start + n):
+        for k, cells, distinct, count, inverse in _chunk_parts(symbols, size, run.start, run.stop):
             values = _values(term, k, distinct, count)
             for row, structure in zip(cells.tolist(), inverse):
                 parts |= _move_bits(values, list(enumerate(row)))[structure]
@@ -799,7 +834,8 @@ def check_subseteq_safe(
         total = count_structures(symbols, size, StructureClass.ALL)
         stop = min(total, bounds.exhaustive_budget)
         if stop < total:
-            cut.append(SizeCoverage(size, total, "exhaustive", stop).to_json())
+            evaluated = _evaluated(symbols, StructureClass.ALL, size, stop)
+            cut.append(SizeCoverage(size, total, "exhaustive", stop, evaluated).to_json())
         verdict = _subsafe_exhaustive(term, symbols, size, stop, failure)
         if verdict is not None:
             return reported(verdict)
@@ -1222,10 +1258,16 @@ def catalogue_matrix(bounds: Bounds | None = None, seed: int = 0) -> MatrixRepor
 
 @dataclass
 class SizeCoverage:
+    """What one size's phase covered.  `checked` counts labelled structures
+    (an exhaustive size's indices [0, checked)); `representatives` counts
+    the structures actually evaluated: the orbit-minimal ones among them
+    where `_sweep` filters, every checked one otherwise."""
+
     size: int
     total: int
     mode: str  # "exhaustive" | "sampled" | "skipped"
     checked: int
+    representatives: int
 
     def to_json(self) -> dict:
         return {
@@ -1233,6 +1275,7 @@ class SizeCoverage:
             "total": self.total,
             "mode": self.mode,
             "checked": self.checked,
+            "representatives": self.representatives,
         }
 
 
@@ -1312,13 +1355,15 @@ def equivalence_report(
     """Compare two terms (or a term and a formula) over a structure class.
 
     Exhaustive over each size up to the resolved bound while the cumulative
-    evaluation budget lasts; an over-budget size degrades to seeded random
-    mask batches with coverage recorded.  A second phase draws `samples`
-    random structures of sizes 1..sample_size from `random.Random(seed)`;
-    the draws of a bulk size are evaluated in one batch per size, the
-    others one by one, and `random_checked` is the position of the first
-    mismatching draw (all draws when none differs).  The first
-    counterexample (in enumeration order, then in draw order) is
+    evaluation budget lasts, charged in labelled structures (one per size
+    for the empty signature) though `_sweep` evaluates one per orbit; an
+    over-budget size degrades to seeded random mask batches, and a size
+    past the spent budget is skipped, with coverage recorded.  A second
+    phase draws `samples` random structures of sizes 1..sample_size from
+    `random.Random(seed)`; the draws of a bulk size are evaluated in one
+    batch per size, the others one by one, and `random_checked` is the
+    position of the first mismatching draw (all draws when none differs).
+    The first counterexample (in enumeration order, then in draw order) is
     re-verified through `eval_term` and the Tarskian `eval_formula` before
     being reported.
     """
@@ -1338,32 +1383,33 @@ def equivalence_report(
 
     for size in range(1, max_size + 1):
         total = count_structures(signature, size, cls)
-        if not signature:
-            # One bare domain per size; compare directly.
+        if not signature and budget:
+            # One bare domain per size, at any size; compare directly.
+            budget -= 1
             structure = structure_from_index(signature, size, cls, 0)
+            coverage.append(SizeCoverage(size, 1, "exhaustive", 1, 1))
             if _scalar_value(lhs, structure) != _scalar_value(rhs, structure):
-                coverage.append(SizeCoverage(size, 1, "exhaustive", 1))
                 return _mismatch_report(lhs, rhs, structure, coverage, 0, seed)
-            coverage.append(SizeCoverage(size, 1, "exhaustive", 1))
         elif size <= bulk.MAX_BULK_SIZE and total <= budget:
             budget -= total
-            for indices, masks in _sweep(signature, cls, size, total):
+            evaluated = 0
+            for run, indices, masks in _sweep(signature, cls, size, total):
+                evaluated += len(indices)
                 found = bulk_compare(size, masks)
                 if found is not None:
-                    coverage.append(SizeCoverage(size, total, "exhaustive", int(indices[-1]) + 1))
+                    coverage.append(SizeCoverage(size, total, "exhaustive", run.stop, evaluated))
                     return _mismatch_report(lhs, rhs, found, coverage, 0, seed)
-            coverage.append(SizeCoverage(size, total, "exhaustive", total))
+            coverage.append(SizeCoverage(size, total, "exhaustive", total, evaluated))
         elif size <= bulk.MAX_BULK_SIZE and budget > 0:
             n = min(budget, _CHUNK * 2)
             budget -= n
             masks = bulk.random_symbol_masks(npr, n, size, cls, signature)
+            coverage.append(SizeCoverage(size, total, "sampled", n, n))
             found = bulk_compare(size, masks)
             if found is not None:
-                coverage.append(SizeCoverage(size, total, "sampled", n))
                 return _mismatch_report(lhs, rhs, found, coverage, 0, seed)
-            coverage.append(SizeCoverage(size, total, "sampled", n))
         else:
-            coverage.append(SizeCoverage(size, total, "skipped", 0))
+            coverage.append(SizeCoverage(size, total, "skipped", 0, 0))
 
     rng = random.Random(seed)
     draws = []

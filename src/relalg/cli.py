@@ -124,6 +124,16 @@ def _csv(text: str | None) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _coverage_line(report) -> str:
+    """An equivalence report's coverage, one size after another: labelled
+    structures checked of the total, and how many were evaluated."""
+    sizes = (
+        f"size {c.size} {c.mode} {c.checked}/{c.total} ({c.representatives} evaluated)"
+        for c in report.coverage
+    )
+    return "coverage: " + (", ".join(sizes) or "none")
+
+
 # --- subcommand handlers -----------------------------------------------------------
 
 
@@ -151,6 +161,7 @@ def _cmd_translate(args) -> _Outcome:
         bounds = b.to_json()
         status = "pass" if check.ok else "fail"
         text.append(f"check:   {'equivalent' if check.ok else 'MISMATCH'}")
+        text.append(_coverage_line(check.report))
         if not check.ok:
             text.append(f"  counterexample: {payload['check']['counterexample']}")
     return _Outcome(status, payload, text, bounds)
@@ -341,6 +352,7 @@ def _cmd_synth(args) -> _Outcome:
         text.append(
             f"validation: {'equivalent' if report.equivalent else 'MISMATCH'}"
         )
+        text.append(_coverage_line(report))
     return _Outcome(status, payload, text, bounds)
 
 

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, lru_cache
-from itertools import repeat
+from itertools import permutations, product, repeat
 from math import comb, factorial
 from operator import and_, or_
 from pathlib import Path
@@ -694,6 +694,123 @@ def decode_symbol_masks(
             codes = table[codes]
         out[name] = _digit_masks((codes // base**p % base for p in range(k)), k, partial)
     return {name: out[name] for name in ordered}
+
+
+# --- orbit-minimal indices ---------------------------------------------------
+#
+# Up to MAX_BULK_SIZE an index is its symbols' code tuple read as one number,
+# the first symbol's code most significant, so index order is the
+# lexicographic order of code tuples, and a relabelling of e1..ek acts on each
+# code alone.  An index is orbit-minimal when no relabelling gives a smaller
+# one.  Marks need a one-symbol relabel table of k! codes per code.  They are
+# built for two or more symbols, where that table is smaller than the space it
+# filters, and up to `_RELABEL_LIMIT` table entries, since the table is built
+# whole even for a budget-cut prefix (ALL at size 5 would need 5! * 2**25).
+
+_RELABEL_LIMIT = 1 << 21
+_MARK_BLOCK = 1 << 15
+
+
+def orbit_marked(count: int, k: int, cls: StructureClass) -> bool:
+    """Whether `orbit_minimal` filters the structures of `count` symbols and
+    size k; where it does not, it returns every index."""
+    per = space_size(k, cls)
+    return count >= 2 and 2 <= k <= MAX_BULK_SIZE and factorial(k) * per <= _RELABEL_LIMIT
+
+
+def orbit_minimal(start: int, end: int, k: int, cls: StructureClass, count: int) -> np.ndarray:
+    """The orbit-minimal indices in [start, end) of the structures of
+    `count` symbols and size k, ascending, as uint64; every index there
+    where `orbit_marked` is false."""
+    if not orbit_marked(count, k, cls) or start >= end:
+        return np.arange(start, end, dtype=np.uint64)
+    found = []
+    for block in range(start // _MARK_BLOCK, (end - 1) // _MARK_BLOCK + 1):
+        base = block * _MARK_BLOCK
+        marks = np.unpackbits(_block_marks(count, k, cls, block), bitorder="little")
+        lo, hi = max(start - base, 0), min(end - base, _MARK_BLOCK)
+        found.append(np.flatnonzero(marks[lo:hi]) + (base + lo))
+    return np.concatenate(found).astype(np.uint64)
+
+
+@lru_cache(maxsize=4096)  # 4 KB a block
+def _block_marks(count: int, k: int, cls: StructureClass, block: int) -> np.ndarray:
+    """The orbit-minimal marks of one block of `_MARK_BLOCK` indices, as
+    read-only little-endian packed bits.
+
+    A code tuple is least in its orbit exactly when its first code is least
+    among that code's images and no relabelling fixing the first code
+    lowers the rest: one that moves the first code raises it.  So only the
+    first code's stabiliser is tried on the rest, lexicographically."""
+    per = space_size(k, cls)
+    start = block * _MARK_BLOCK
+    indices = np.arange(start, min(start + _MARK_BLOCK, per**count), dtype=np.uint64)
+    table, least, fixing, fixes = _relabelling(k, cls)
+    codes = []
+    for _ in range(count):
+        codes.append((indices % per).astype(np.intp))
+        indices = indices // per
+    first, *rest = codes[::-1]
+    keep, stabiliser = least[first], fixing[first]
+    for group in np.flatnonzero(np.bincount(stabiliser[keep], minlength=len(fixes))):
+        perms = fixes[group][:, None]
+        rows = np.flatnonzero(keep & (stabiliser == group))
+        # -1, 0, 1: the relabelled rest below, equal to or above the rest so far.
+        order = np.zeros((len(perms), len(rows)), dtype=np.int8)
+        for code in rest:
+            mine = code[rows]
+            image = table[perms, mine]
+            order = np.where(order == 0, (image > mine).view(np.int8) - (image < mine), order)
+        keep[rows] = (order >= 0).all(axis=0)
+    packed = np.packbits(keep, bitorder="little")
+    packed.flags.writeable = False
+    return packed
+
+
+@cache
+def _relabelling(k: int, cls: StructureClass):
+    """The one-symbol relabel table of size k: (table, least, fixing, fixes).
+
+    table[p, c] is the code of code c relabelled by the p-th permutation of
+    e1..ek other than the identity, in `itertools.permutations` order;
+    least[c] says whether c is least among its images; fixes lists the
+    distinct stabilisers, as table rows, and fixing[c] indexes c's.
+
+    Only the swaps of adjacent elements are relabelled bit by bit.  A
+    permutation other than the identity puts some i + 1 before i; swapping
+    the two gives a permutation earlier in lexicographic order, so each row
+    is one swap's row read through an earlier row."""
+    per = space_size(k, cls)
+    masks = decode_symbol_masks(np.arange(per, dtype=np.uint64), k, cls, ("",))[""]
+    ranked = np.argsort(masks)
+
+    def relabelled(image_of):
+        image = np.zeros_like(masks)
+        for a, b in product(range(k), repeat=2):
+            cell = np.uint64(image_of[a] * k + image_of[b])
+            image |= (masks >> np.uint64(a * k + b) & np.uint64(1)) << cell
+        return ranked[np.searchsorted(masks, image, sorter=ranked)]
+
+    swaps = [{i: i + 1, i + 1: i} for i in range(k - 1)]
+    swapped = [relabelled([swap.get(a, a) for a in range(k)]) for swap in swaps]
+    perms = list(permutations(range(k)))
+    table = np.empty((len(perms) - 1, per), dtype=np.min_scalar_type(per - 1))
+    row_of = {perms[0]: np.arange(per)}
+    for p, perm in enumerate(perms[1:]):
+        i = next(i for i in range(k - 1) if perm.index(i + 1) < perm.index(i))
+        table[p] = swapped[i][row_of[tuple(swaps[i].get(v, v) for v in perm)]]
+        row_of[perm] = table[p]
+    codes = np.arange(per)
+    least = (table >= codes).all(axis=0)
+    fixed = table == codes
+    _, first, fixing = np.unique(
+        np.packbits(fixed, axis=0), axis=1, return_index=True, return_inverse=True
+    )
+    fixing = fixing.reshape(-1).astype(np.min_scalar_type(len(first) - 1))
+    fixes = tuple(np.flatnonzero(fixed[:, c]) for c in first)
+    for array in (table, least, fixing, *fixes):
+        array.flags.writeable = False
+    return table, least, fixing, fixes
 
 
 def structure_from_index(

@@ -11,7 +11,7 @@ equivalence reference decodes and compares one index or draw at a time.
 """
 
 import random
-from functools import partial
+from functools import cache, partial
 from itertools import permutations
 
 import numpy as np
@@ -37,8 +37,10 @@ from relalg.structures import (
     drawn_structure,
     int_ops,
     masks_to_structure,
+    orbit_marked,
     random_masks,
     relation_mask,
+    space_size,
     structure_from_index,
     structure_to_json,
 )
@@ -367,7 +369,16 @@ def scalar_subseteq_check(term, bounds, seed):
         total = count_structures(symbols, size, StructureClass.ALL)
         budget = min(total, bounds.exhaustive_budget)
         if budget < total:
-            cut.append({"size": size, "total": total, "mode": "exhaustive", "checked": budget})
+            evaluated = representatives(len(symbols), size, StructureClass.ALL, budget)
+            cut.append(
+                {
+                    "size": size,
+                    "total": total,
+                    "mode": "exhaustive",
+                    "checked": budget,
+                    "representatives": evaluated,
+                }
+            )
         if not symbols or size > bulk.MAX_BULK_SIZE:
             for index in range(budget):
                 masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
@@ -428,7 +439,9 @@ def scalar_equivalence_report(lhs, rhs, signature, cls, bounds, seed):
     its own: every exhaustive index decoded alone and the reported one
     built by `structure_from_index`; an over-budget size's numpy batch and
     then the seeded draws one draw at a time.  A mismatch found in a run
-    of `_CHUNK` indices reports the run's end as checked."""
+    of `_CHUNK` indices reports the run's end as checked, and as
+    representatives the orbit-minimal indices up to there (`representatives`).
+    The empty signature's one structure per size costs one of the budget."""
     signature = tuple(sorted(signature))
     coverage = []
     budget = bounds.exhaustive_budget
@@ -442,28 +455,31 @@ def scalar_equivalence_report(lhs, rhs, signature, cls, bounds, seed):
         assert left != right
         return EquivalenceReport(False, structure, left, right, coverage, random_checked, seed)
 
+    def exhaustive(size, total, checked):
+        evaluated = representatives(len(signature), size, cls, checked)
+        return SizeCoverage(size, total, "exhaustive", checked, evaluated)
+
     for size in range(1, bounds.resolved_size(len(signature)) + 1):
         total = count_structures(signature, size, cls)
-        if not signature or (size <= bulk.MAX_BULK_SIZE and total <= budget):
-            # The empty signature's one structure per size costs no budget.
-            budget -= total if signature else 0
+        if (not signature or size <= bulk.MAX_BULK_SIZE) and total <= budget:
+            budget -= total
             for index in range(total):
                 if differs(size, decode_symbol_masks(index, size, cls, signature)):
                     checked = min(total, (index // _CHUNK + 1) * _CHUNK)
-                    coverage.append(SizeCoverage(size, total, "exhaustive", checked))
+                    coverage.append(exhaustive(size, total, checked))
                     return mismatch(structure_from_index(signature, size, cls, index), 0)
-            coverage.append(SizeCoverage(size, total, "exhaustive", total))
-        elif size <= bulk.MAX_BULK_SIZE and budget > 0:
+            coverage.append(exhaustive(size, total, total))
+        elif signature and size <= bulk.MAX_BULK_SIZE and budget > 0:
             n = min(budget, 2 * _CHUNK)
             budget -= n
             batch = bulk.random_symbol_masks(npr, n, size, cls, signature)
-            coverage.append(SizeCoverage(size, total, "sampled", n))
+            coverage.append(SizeCoverage(size, total, "sampled", n, n))
             for j in range(n):
                 masks = {name: int(m[j]) for name, m in batch.items()}
                 if differs(size, masks):
                     return mismatch(drawn_structure(masks, size), 0)
         else:
-            coverage.append(SizeCoverage(size, total, "skipped", 0))
+            coverage.append(SizeCoverage(size, total, "skipped", 0, 0))
     rng = random.Random(seed)
     draws = []
     for _ in range(bounds.samples):
@@ -473,3 +489,67 @@ def scalar_equivalence_report(lhs, rhs, signature, cls, bounds, seed):
         if differs(size, masks):
             return mismatch(drawn_structure(masks, size), i + 1)
     return EquivalenceReport(True, None, None, None, coverage, len(draws), seed)
+
+
+# --- orbit-minimal indices, every permutation on the whole index ---------------
+
+@cache
+def relabel_table(size, cls):
+    """table[p, c]: the code of one symbol's code c relabelled by the p-th
+    permutation of e1..e_size, identity first, through the code's k x k
+    bit matrix."""
+    per = space_size(size, cls)
+    masks = decode_symbol_masks(np.arange(per, dtype=np.uint64), size, cls, ("R",))["R"]
+    cells = np.arange(size * size, dtype=np.uint64)
+    bits = (masks[:, None] >> cells & np.uint64(1)).astype(bool).reshape(per, size, size)
+    ranked = np.argsort(masks)
+    table = []
+    for perm in permutations(range(size)):
+        back = np.argsort(perm)
+        # Pair (a, b) moves to (perm[a], perm[b]).
+        moved = bits[:, back][:, :, back].reshape(per, -1)
+        images = np.bitwise_or.reduce(np.where(moved, np.uint64(1) << cells, np.uint64(0)), axis=1)
+        codes = ranked[np.searchsorted(masks, images, sorter=ranked)]
+        assert (masks[codes] == images).all()
+        table.append(codes)
+    return np.array(table)
+
+
+def orbit_minimal_flags(count, size, cls, stop):
+    """Whether each index in [0, stop) of the structures of `count` symbols
+    and `size` elements is no larger than the index of any relabelling."""
+    per = space_size(size, cls)
+    index = np.arange(stop, dtype=np.uint64)
+    codes, rest = [], index
+    for _ in range(count):
+        codes.append(rest % np.uint64(per))
+        rest = rest // np.uint64(per)
+    codes.reverse()
+    least = np.ones(stop, dtype=bool)
+    for row in relabel_table(size, cls):
+        image = np.zeros(stop, dtype=np.uint64)
+        for code in codes:
+            image = image * np.uint64(per) + row[code].astype(np.uint64)
+        least &= image >= index
+    return least
+
+
+def representatives(count, size, cls, stop):
+    """How many structures the reduced sweep evaluates among [0, stop):
+    the orbit-minimal ones where marks are built, all of them elsewhere."""
+    if not orbit_marked(count, size, cls):
+        return stop
+    return int(orbit_minimal_flags(count, size, cls, stop).sum())
+
+
+def labelled_sweep(symbols, cls, size, stop, first=0):
+    """`checkers._sweep` without the orbit filter: every index of each run."""
+    for start in range(first, stop, _CHUNK):
+        end = min(start + _CHUNK, stop)
+        if size <= bulk.MAX_BULK_SIZE:
+            indices = np.arange(start, end, dtype=np.uint64)
+            yield range(start, end), indices, decode_symbol_masks(indices, size, cls, symbols)
+        else:
+            indices = range(start, end)
+            decoded = [decode_symbol_masks(i, size, cls, symbols) for i in indices]
+            yield indices, indices, {name: [m[name] for m in decoded] for name in sorted(symbols)}

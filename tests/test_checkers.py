@@ -39,6 +39,7 @@ from relalg.structures import (
     Structure,
     StructureClass,
     ball,
+    count_structures,
     decode_symbol_masks,
     drawn_structure,
     enumerate_structures,
@@ -596,10 +597,20 @@ def test_pool_decodes_to_the_structures_the_old_pool_built(cls, max_size):
         for j, position in enumerate(positions.tolist()):
             pooled[position] = drawn_structure(_structure_masks(masks, j), size)
         assert all(isinstance(m, np.ndarray) == (size <= 8) for m in masks.values())
-    assert sorted(pooled) == list(range(len(pooled)))
-    pooled = [pooled[p] for p in range(len(pooled))]
-    assert pooled == old_pool(symbols, cls, bounds, 5)
-    assert max(len(s.domain) for s in pooled) >= 10
+    # The exhaustive part keeps the orbit-minimal indices at their labelled
+    # positions (every index at size 1); every draw follows.
+    old = old_pool(symbols, cls, bounds, 5)
+    kept, start = [], 0
+    for size in range(1, bounds.resolved_size(2) + 1):
+        total = count_structures(symbols, size, cls)
+        flags = reference.orbit_minimal_flags(2, size, cls, total)
+        assert flags.sum() < total or size == 1
+        kept += (start + np.flatnonzero(flags)).tolist()
+        start += total
+    kept += range(start, len(old))
+    assert sorted(pooled) == kept
+    assert [pooled[p] for p in kept] == [old[p] for p in kept]
+    assert max(len(s.domain) for s in pooled.values()) >= 10
 
 
 # Relates x to f^9(x) when x's first ten iterates are distinct, so it is
