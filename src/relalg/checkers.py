@@ -1363,6 +1363,10 @@ def equivalence_report(
     `random.Random(seed)`; the draws of a bulk size are evaluated in one
     batch per size, the others one by one, and `random_checked` is the
     position of the first mismatching draw (all draws when none differs).
+    Draws of a size the exhaustive phase covered in full are drawn and
+    counted but not evaluated: up to `MAX_BULK_SIZE` (and at any size for
+    the empty signature) each equals a labelled structure of that size and
+    class, none of which differs.
     The first counterexample (in enumeration order, then in draw order) is
     re-verified through `eval_term` and the Tarskian `eval_formula` before
     being reported.
@@ -1394,6 +1398,8 @@ def equivalence_report(
             budget -= total
             evaluated = 0
             for run, indices, masks in _sweep(signature, cls, size, total):
+                if not len(indices):  # a run with no orbit-minimal index
+                    continue
                 evaluated += len(indices)
                 found = bulk_compare(size, masks)
                 if found is not None:
@@ -1416,7 +1422,8 @@ def equivalence_report(
     for _ in range(bounds.samples):
         size = rng.randint(1, bounds.sample_size)
         draws.append((size, random_masks(rng, size, signature, cls)))
-    first = _first_sampled_mismatch(lhs, rhs, signature, draws)
+    covered = {c.size for c in coverage if c.mode == "exhaustive" and c.checked == c.total}
+    first = _first_sampled_mismatch(lhs, rhs, signature, draws, covered)
     if first is None:
         return EquivalenceReport(True, None, None, None, coverage, len(draws), seed)
     size, masks = draws[first]
@@ -1425,18 +1432,22 @@ def equivalence_report(
     )
 
 
-def _first_sampled_mismatch(lhs, rhs, signature, draws) -> int | None:
+def _first_sampled_mismatch(lhs, rhs, signature, draws, covered) -> int | None:
     """The index of the first draw on which the two sides differ, or None.
 
-    Draws of a bulk size are compared in one uint64 batch per size; the rest
-    (larger sizes, and every draw of an empty signature, which has no masks
-    to batch) are evaluated one by one in draw order, up to the earliest
-    mismatch the batches found.
+    Draws of a size in `covered`, one the exhaustive phase checked in full,
+    cannot differ and are not evaluated.  Draws of another bulk size are
+    compared in one uint64 batch per size; the rest (larger sizes, and
+    every draw of an empty signature, which has no masks to batch) are
+    evaluated one by one in draw order, up to the earliest mismatch the
+    batches found.
     """
     first = len(draws)
     by_size: dict[int, list[int]] = {}
     one_by_one: list[int] = []
     for index, (size, _) in enumerate(draws):
+        if size in covered:
+            continue
         if signature and size <= bulk.MAX_BULK_SIZE:
             by_size.setdefault(size, []).append(index)
         else:

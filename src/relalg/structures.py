@@ -55,7 +55,7 @@ class StructureClass(Enum):
         """Whether a relation, as a mask over k elements, lies in the class;
         on a uint64 array of masks (k <= MAX_BULK_SIZE), a bool per mask."""
         batch = not isinstance(mask, int)
-        ops = BulkOps(k) if batch else int_ops(k)
+        ops = batch_ops(k) if batch else int_ops(k)
 
         def functional(r):
             return ops.diff(ops.compose(ops.converse(r), r), ops.diag) == 0
@@ -627,6 +627,12 @@ class BulkOps:
 def int_ops(k: int) -> BulkOps:
     """The kernel table on Python ints, for one structure of size k."""
     return BulkOps(k, batch=False)
+
+
+@cache
+def batch_ops(k: int) -> BulkOps:
+    """The kernel table on uint64 arrays, for batches of size-k structures."""
+    return BulkOps(k)
 
 
 @cache

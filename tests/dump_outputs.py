@@ -16,8 +16,9 @@ every check on the benchmark's compound terms, every `relalg run` preset
 envelope (without its wall time), seeded `verify_compilation` and
 `validate_synthesis` reports, and equivalence reports across budgets,
 classes and signatures.  `ORBIT_CASES` reach a failure inside an
-orbit-filtered run of every exhaustive sweep.  The file is not a test
-module: pytest does not collect it.
+orbit-filtered run of every exhaustive sweep, and `SEAM_CASE` a first
+mismatch past the first block of `bulk.bulk_eval_term`.  The file is not a
+test module: pytest does not collect it.
 """
 
 import argparse
@@ -97,6 +98,19 @@ ORBIT_CASES = (
     ("check_subseteq_safe", "R ; S", Bounds(max_size=4, samples=0)),
 )
 
+# An over-budget three-symbol ALL batch of 65,536 random structures at size
+# 3 whose first mismatch lies past the first `bulk.BLOCK` structures: the
+# right side adds the diagonal to U only where R is full and S holds an
+# asymmetric 3-cycle (so never at sizes 1-2), and differs where U lacks a
+# loop.  Seed 12, picked by a search over seeds 0-39, puts the first
+# mismatch at batch index 17,418: past the first two blocks of 8,192.
+S_ARROW = "((S \\ id) \\ S^)"
+SEAM_CASE = (
+    "U", f"U | (~(T ; -R ; T) & ({S_ARROW} ; {S_ARROW} ; {S_ARROW}) & id)",
+    ("R", "S", "U"), StructureClass.ALL,
+    Bounds(max_size=3, samples=0, exhaustive_budget=4_104 + 65_536), 12,
+)
+
 
 WITHOUT: set[str] = set()
 
@@ -154,6 +168,9 @@ def main() -> None:
         for n, bounds in enumerate(EQUIVALENCE_BOUNDS):
             report = equivalence_report(side(lhs), side(rhs), signature, cls, bounds, n)
             emit(f"equivalence:{lhs}:{rhs}:{cls.name}:{n}", report.to_json())
+    lhs, rhs, signature, cls, bounds, seed = SEAM_CASE
+    report = equivalence_report(side(lhs), side(rhs), signature, cls, bounds, seed)
+    emit(f"seam:{lhs}:{rhs}:{seed}", report.to_json())
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ checks' references scan the pool one structure and one anchor at a time,
 on Python ints.  The ⊆-safety reference evaluates the term on every
 induced substructure of every structure, one subset at a time.  The
 equivalence reference decodes and compares one index or draw at a time.
+The bulk formula route's bit transposition is checked against the one-pass-
+per-pair-bit loops it replaced.
 """
 
 import random
@@ -553,3 +555,28 @@ def labelled_sweep(symbols, cls, size, stop, first=0):
             indices = range(start, end)
             decoded = [decode_symbol_masks(i, size, cls, symbols) for i in indices]
             yield indices, indices, {name: [m[name] for m in decoded] for name in sorted(symbols)}
+
+
+# --- bit transposition of the bulk formula route, one pass per pair bit --------
+
+def per_bit_table(masks, k):
+    """`bulk._bit_table`, one `packbits` pass per pair bit: n masks as a
+    (words, k, k) table, bit s of word w the bit of structure 64 * w + s."""
+    n, words = len(masks), -(-len(masks) // 64)
+    octets = np.asarray(masks, dtype="<u8").view(np.uint8).reshape(n, 8)
+    table = np.zeros((k * k, 8 * words), dtype=np.uint8)
+    for p in range(k * k):
+        bits = octets[:, p >> 3] & (1 << (p & 7))
+        table[p, : -(-n // 8)] = np.packbits(bits, bitorder="little")
+    return table.view("<u8").T.reshape(words, k, k)
+
+
+def per_bit_masks(table, k, n):
+    """`bulk._table_masks`, one `unpackbits` pass per pair bit: the first n
+    masks of a (words, k, k) table."""
+    rows = np.ascontiguousarray(table.reshape(len(table), k * k).T, dtype="<u8")
+    out = np.zeros(n, dtype=np.uint64)
+    for p in range(k * k):
+        bits = np.unpackbits(rows[p].view(np.uint8), count=n, bitorder="little")
+        out |= bits.astype(np.uint64) << np.uint64(p)
+    return out

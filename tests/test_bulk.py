@@ -6,10 +6,20 @@ import tracemalloc
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import is_injective_partial_function, is_partial_function, is_total_function
+from reference import (
+    is_injective_partial_function,
+    is_partial_function,
+    is_total_function,
+    per_bit_masks,
+    per_bit_table,
+)
 
+from relalg import terms as tm
 from relalg.bulk import (
+    BLOCK,
     MAX_BULK_SIZE,
+    _bit_table,
+    _table_masks,
     bulk_eval_formula,
     bulk_eval_term,
     decode_symbol_masks,
@@ -37,7 +47,7 @@ from relalg.structures import (
     masks_to_structure,
     random_structure,
 )
-from relalg.terms import CATALOGUE, eval_term, random_term
+from relalg.terms import CATALOGUE, Term, eval_term, random_term, sym
 
 ALL = StructureClass.ALL
 PF = StructureClass.PARTIAL_FUNCTIONS
@@ -277,3 +287,71 @@ def test_bulk_term_eval_exhaustive_size_two():
         for i in range(total):
             s = structure_from_masks_at(masks, 2, i)
             assert _mask_pairs(int(out[i]), s.domain) == eval_term(t, s), text
+
+
+TRANSPOSE_SIZES = (1, 63, 64, 65, 1000, 20_000)
+
+
+def test_bit_transposition_round_trips_and_matches_the_per_bit_reference():
+    rng = np.random.default_rng(21)
+    for k in range(1, MAX_BULK_SIZE + 1):
+        mask_all = np.uint64((1 << k * k) - 1)
+        for n in TRANSPOSE_SIZES:
+            masks = rng.integers(0, 1 << 64, n, dtype=np.uint64, endpoint=False) & mask_all
+            table = _bit_table(masks, k)
+            assert table.shape == (-(-n // 64), k, k)
+            assert np.array_equal(table, per_bit_table(masks, k)), (k, n)
+            back = _table_masks(table, k, n)
+            assert back.dtype == np.uint64 and np.array_equal(back, masks), (k, n)
+            # A formula's table has bits set past the batch (negation sets
+            # them) and, in a padded last word, past n: none may show.
+            noise = rng.integers(0, 1 << 64, table.shape, dtype=np.uint64, endpoint=False)
+            assert np.array_equal(_table_masks(noise, k, n), per_bit_masks(noise, k, n)), (k, n)
+
+
+def test_bulk_formula_eval_matches_define_relation_at_every_size():
+    rng = np.random.default_rng(5)
+    for k in range(1, MAX_BULK_SIZE + 1):
+        for n in TRANSPOSE_SIZES:
+            masks = random_symbol_masks(rng, n, k, ALL, ("f", "g"))
+            positions = sorted({0, n // 2, n - 1, int(rng.integers(n))})
+            for text in BULK_FORMULAS:
+                phi = parse_formula(text)
+                out = bulk_eval_formula(phi, k, masks)
+                for i in positions:
+                    s = structure_from_masks_at(masks, k, i)
+                    want = define_relation(phi, "x", "y", s, pad_missing=True)
+                    assert _mask_pairs(int(out[i]), s.domain) == want, (text, k, n, i)
+
+
+def deep_term(levels: int) -> Term:
+    """A term nested `levels` deep whose every level uses the level below
+    twice, so each value is freed only at its second use."""
+    t = sym("f")
+    binary = ("union", "inter", "diff", "compose", "semijoin", "prefunion", "injunion")
+    for level in range(levels):
+        inner = Term("converse", (t,)) if level % 3 else Term("union", (t, Term("id")))
+        t = Term(binary[level % len(binary)], (Term("compose", (t, sym("g"))), inner))
+    return t
+
+
+def test_blocked_term_eval_matches_unblocked_slices():
+    rng = random.Random(31)
+    terms = [random_term(rng, set(CATALOGUE) | {"injunion"}, ("f", "g"), 12) for _ in range(4)]
+    terms.append(deep_term(300))
+    for k in (1, 3, 8):
+        ops = BulkOps(k)
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+            masks = random_symbol_masks(np.random.default_rng(n + k), n, k, ALL, ("f", "g"))
+            for t in terms:
+                got = bulk_eval_term(t, k, masks)
+                # Each slice evaluated whole, with no block split inside it.
+                want = np.concatenate([
+                    tm.evaluate(
+                        t,
+                        {name: m[start:start + 1000] for name, m in masks.items()},
+                        lambda op, args, n=min(1000, n - start): ops.apply(op, args, n),
+                    )
+                    for start in range(0, n, 1000)
+                ])
+                assert got.dtype == np.uint64 and np.array_equal(got, want), (k, n)
