@@ -338,7 +338,7 @@ def _cmd_synth(args) -> _Outcome:
     text.append(f"term: {payload['result']['term']}")
     text.append(
         f"term size: {tm.term_size(result.term)}, {result.nodes} DAG nodes, "
-        f"{result.probes} probes"
+        f"{result.probes} probes, probe depth {result.probe_depth}"
     )
     status = "ok"
     bounds = None

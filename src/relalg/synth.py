@@ -11,8 +11,11 @@ breadth-first numbering.
 Synthesis enumerates all abstract types of the given radius and asks the
 oracle about a minimal realization of each, and about the realization's
 ball-preserving extensions, to catch oracles that look further than the
-radius allows.  A term oracle is evaluated on bit masks built straight
-from the realization's edges; a callable one gets the named structure.
+radius allows.  A term oracle is probed in per-size batches: the probes
+of a chunk of types on at most eight elements run as one uint64 batch per
+size through `bulk.bulk_eval_term`, on masks built straight from the
+realizations' edges, and larger ones one at a time on Python ints.  A
+callable oracle gets each named structure, one at a time and in order.
 The answers become a reduced ordered decision diagram (Bryant, 1986) over
 one atom table, the existence of each word and the equality of each pair
 of words' endpoints: a set of types that one word answers is a leaf, and
@@ -24,16 +27,21 @@ preferential union (converse and the injective union when oriented), and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
+from typing import NamedTuple
 
-from . import terms as tm
+import numpy as np
+
+from . import bulk, terms as tm
 from .checkers import Bounds, EquivalenceReport, equivalence_report
 from .structures import (
+    MAX_BULK_SIZE,
     Relation,
     Structure,
     StructureClass,
+    batch_ops,
     int_ops,
     structure_to_json,
 )
@@ -76,7 +84,7 @@ class NeighborhoodType:
     rows: tuple[tuple[int | None, ...] | None, ...]
     words: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def letters(self) -> tuple[Letter, ...]:
         return type_letters(self.symbols, self.oriented)
 
@@ -515,9 +523,26 @@ class _Extender:
         return label, self.count, tuple(tuple(self.edges[s]) for s in self.symbols)
 
 
+class _Family(NamedTuple):
+    """A realization's extensions, and its probes' sizes and added edges.
+
+    Probe 0 is the realization itself and probe j + 1 is `extensions[j]`.
+    Probe j has `sizes[j]` elements, and `added[j]` holds the masks of the
+    edges it adds, one per symbol, over its own size.  `batched` holds the
+    same masks as uint64 columns, and 0 for a probe larger than
+    `MAX_BULK_SIZE`, which is evaluated one at a time.  The arrays are
+    shared through the cache, so they are read-only.
+    """
+
+    extensions: tuple[Extension, ...]
+    sizes: np.ndarray
+    added: tuple[tuple[int, ...], ...]
+    batched: np.ndarray
+
+
 def _extensions(
     t: NeighborhoodType, base: dict[str, frozenset[tuple[int, int]]], probe_depth: int
-) -> tuple[Extension, ...]:
+) -> _Family:
     """Ball-preserving extensions of the realization, labelled for reports.
 
     At frontier nodes, every grouping of the missing outgoing symbols gets
@@ -548,7 +573,7 @@ def _extension_family(
     oriented: bool,
     probe_depth: int,
     frontier: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...],
-) -> tuple[Extension, ...]:
+) -> _Family:
     """`_extensions` for a realization with n nodes and these frontier nodes,
     each with its missing outgoing and incoming symbols; many types share
     one family, so it is built once and shared (immutable)."""
@@ -583,7 +608,17 @@ def _extension_family(
                     out.append(ext.build(
                         f"an incoming {s}-chain at {_element_name(i, n)}, {depth} deeper"
                     ))
-    return tuple(out)
+    sizes = np.array([n, *(n + fresh for _, fresh, _ in out)])
+    added = ((0,) * len(symbols), *(
+        tuple(_edge_mask(e, n + fresh) for e in edges) for _, fresh, edges in out
+    ))
+    batched = np.array(
+        [masks if k <= MAX_BULK_SIZE else (0,) * len(symbols) for k, masks in zip(sizes, added)],
+        dtype=np.uint64,
+    ).T
+    sizes.setflags(write=False)
+    batched.setflags(write=False)
+    return _Family(tuple(out), sizes, added, batched)
 
 
 def _edge_mask(edges, k: int) -> int:
@@ -593,35 +628,90 @@ def _edge_mask(edges, k: int) -> int:
     return mask
 
 
-def _row_reader(oracle: tm.Term | Oracle, t: NeighborhoodType, base):
-    """`row(fresh, added)`: the oracle's root row, as a bit set over element
-    indices, on the realization plus `fresh` elements and the `added` edges
-    (one tuple per symbol).
+# A type's probe plan: the type, its realization's edges
+# (`_realization_edges`) and its extension family.
+Plan = tuple[NeighborhoodType, dict[str, frozenset[tuple[int, int]]], _Family]
 
-    A term oracle is evaluated on bit masks built straight from the edges,
-    the realization's nodes at indices 0..n-1 and the fresh elements after
-    them; the root is element 0, so its row is the mask's first k bits
-    whatever k is.  A callable oracle gets the named structure.
+
+def _chunks(
+    types: Sequence[NeighborhoodType], probe_depth: int
+) -> Iterator[tuple[int, list[Plan]]]:
+    """The types in enumeration order, each with its realization's edges and
+    extension family, in chunks of about `bulk.BLOCK` probes; each chunk
+    comes with the index of its first type."""
+    chunk: list[Plan] = []
+    start = probes = 0
+    for i, t in enumerate(types):
+        base = _realization_edges(t)
+        family = _extensions(t, base, probe_depth)
+        chunk.append((t, base, family))
+        probes += len(family.sizes)
+        if probes >= bulk.BLOCK:
+            yield start, chunk
+            chunk, start, probes = [], i + 1, 0
+    if chunk:
+        yield start, chunk
+
+
+def _widen(masks: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
+    """Masks over n x n matrices laid out over k x k, n <= k <= 8 for each
+    entry: row i moves from bit i*n to bit i*k.  A row i >= n starts at or
+    past bit n*n, and i*n <= 56, so it reads 0."""
+    row = (np.uint64(1) << n) - np.uint64(1)
+    out = masks & row
+    for i in range(1, k):
+        out |= ((masks >> (n * np.uint64(i))) & row) << np.uint64(i * k)
+    return out
+
+
+def _term_rows(oracle: tm.Term, chunk: list[Plan]) -> list[int]:
+    """The term oracle's root row on every probe of a chunk, in order: each
+    type's realization, then its extensions.
+
+    The probes on at most `MAX_BULK_SIZE` elements run as one batch per size
+    through `bulk.bulk_eval_term`: each realization's masks, built over its
+    n nodes, are widened to the probe's k elements and joined with the
+    family's added edges.  Larger probes run one at a time on Python ints.
+    The root is element 0, so its row is the mask's first k bits whatever k
+    is.
     """
+    symbols = chunk[0][0].symbols
+    counts = [len(family.sizes) for _, _, family in chunk]
+    sizes = np.concatenate([family.sizes for _, _, family in chunk])
+    added = np.concatenate([family.batched for _, _, family in chunk], axis=1)
+    nodes = [t.node_count() for t, _, _ in chunk]
+    realized = np.array(
+        [[_edge_mask(base[s], n) if n <= MAX_BULK_SIZE else 0 for s in symbols]
+         for n, (_, base, _) in zip(nodes, chunk)],
+        dtype=np.uint64,
+    )
+    owner = np.repeat(np.arange(len(chunk)), counts)
+    node_counts = np.repeat(np.array(nodes, dtype=np.uint64), counts)
+    rows = np.zeros(len(sizes), dtype=np.uint64)
+    for k in range(1, MAX_BULK_SIZE + 1):
+        at = np.flatnonzero(sizes == k)
+        if not len(at):
+            continue
+        of, n = owner[at], node_counts[at]
+        masks = {s: _widen(realized[of, j], n, k) | added[j, at] for j, s in enumerate(symbols)}
+        rows[at] = bulk.bulk_eval_term(oracle, k, masks) & batch_ops(k).row0
+    out = rows.tolist()
+    first = np.cumsum([0, *counts[:-1]])
+    for p in np.flatnonzero(sizes > MAX_BULK_SIZE).tolist():
+        _, base, family = chunk[owner[p]]
+        k = int(sizes[p])
+        extra = family.added[p - first[owner[p]]]
+        masks = {s: _edge_mask(base[s], k) | m for s, m in zip(symbols, extra)}
+        out[p] = tm.evaluate(oracle, masks, int_ops(k).value) & ((1 << k) - 1)
+    return out
+
+
+def _called_rows(oracle: Oracle, t: NeighborhoodType, base, family: _Family) -> Iterator[int]:
+    """The callable oracle's root row, as a bit set over element indices, on
+    the named realization and then on each extension, one call at a time."""
     n = t.node_count()
-    if isinstance(oracle, tm.Term):
-        base_masks: dict[int, dict[str, int]] = {}
-
-        def row(fresh: int, added: tuple) -> int:
-            k = n + fresh
-            masks = base_masks.get(k)
-            if masks is None:
-                masks = base_masks[k] = {s: _edge_mask(base[s], k) for s in t.symbols}
-            if fresh:
-                masks = {s: m | _edge_mask(e, k) for (s, m), e in zip(masks.items(), added)}
-            return tm.evaluate(oracle, masks, int_ops(k).value) & ((1 << k) - 1)
-
-        return row
-    if not callable(oracle):
-        raise SynthesisError("oracle must be a term or a callable on structures")
     root = _element_name(0, n)
-
-    def row(fresh: int, added: tuple) -> int:
+    for fresh, added in ((0, ()), *((fresh, added) for _, fresh, added in family.extensions)):
         index = {_element_name(j, n): j for j in range(n + fresh)}
         out = 0
         for a, b in oracle(_structure(n, base, fresh, added)):
@@ -629,30 +719,23 @@ def _row_reader(oracle: tm.Term | Oracle, t: NeighborhoodType, base):
                 if b not in index:
                     raise SynthesisError(f"oracle maps the root to {b!r}, outside the structure")
                 out |= 1 << index[b]
-        return out
-
-    return row
+        yield out
 
 
-def _probe_type(
-    t: NeighborhoodType,
-    oracle: tm.Term | Oracle,
-    type_index: int,
-    probe_depth: int,
-) -> tuple[int | None, int]:
-    """The oracle's root target on the realization (a node index, None for
-    an empty row), after stability checks, and the number of oracle
-    evaluations that took."""
+def _checked_row(
+    t: NeighborhoodType, type_index: int, base, family: _Family, rows: Iterable[int]
+) -> int:
+    """The root row on the realization, after the checks on the type's probe
+    rows, given in probe order: synthesis stops at the first row that holds
+    more than one element, or that an extension changes, with the probe as
+    witness."""
     n = t.node_count()
     root = _element_name(0, n)
-    base = _realization_edges(t)
-    row_of = _row_reader(oracle, t, base)
 
     def names(row: int) -> list[str]:
         return sorted(_element_name(j, n) for j in range(row.bit_length()) if row >> j & 1)
 
-    def checked_row(fresh: int, added: tuple, label: str | None) -> int:
-        row = row_of(fresh, added)
+    def checked(row: int, fresh: int, added: tuple, label: str | None) -> int:
         if row & (row - 1):
             where = f" under {label}" if label else ""
             raise SynthesisError(
@@ -665,10 +748,10 @@ def _probe_type(
             )
         return row
 
-    base_row = checked_row(0, (), None)
-    family = _extensions(t, base, probe_depth)
-    for label, fresh, added in family:
-        row = checked_row(fresh, added, label)
+    rows = iter(rows)
+    base_row = checked(next(rows), 0, (), None)
+    for (label, fresh, added), row in zip(family.extensions, rows):
+        checked(row, fresh, added, label)
         if row != base_row:
             raise SynthesisError(
                 f"oracle is not {t.radius}-bounded: {label} changes the root row "
@@ -679,8 +762,43 @@ def _probe_type(
                     "root": root,
                 },
             )
-    target = base_row.bit_length() - 1 if base_row else None
-    return target, 1 + len(family)
+    return base_row
+
+
+def _probe(
+    oracle: tm.Term | Oracle, types: Sequence[NeighborhoodType], probe_depth: int
+) -> tuple[list[int | None], int]:
+    """Each type's root target on its realization (a node index, None for an
+    empty row) after the checks, and the number of probes that took.
+
+    A term oracle's rows come a chunk of types at a time from `_term_rows`;
+    a type whose rows all equal its realization's one-element or empty row
+    passes, and any other is replayed through `_checked_row`, which raises
+    at the probe that fails first.  A callable oracle's rows are read
+    lazily, in order, through the same `_checked_row`.
+    """
+    term = isinstance(oracle, tm.Term)
+    if not term and not callable(oracle):
+        raise SynthesisError("oracle must be a term or a callable on structures")
+    targets: list[int | None] = []
+    probes = 0
+    for start, chunk in _chunks(types, probe_depth):
+        chunk_rows = _term_rows(oracle, chunk) if term else None
+        offset = 0
+        for i, (t, base, family) in enumerate(chunk, start):
+            count = len(family.sizes)
+            if term:
+                rows = chunk_rows[offset : offset + count]
+                row = rows[0]
+                passed = not row & (row - 1) and rows.count(row) == count
+            else:
+                rows, passed = _called_rows(oracle, t, base, family), False
+            if not passed:
+                row = _checked_row(t, i, base, family, rows)
+            targets.append(row.bit_length() - 1 if row else None)
+            offset += count
+        probes += offset
+    return targets, probes
 
 
 # --- synthesis ---------------------------------------------------------------------------
@@ -695,6 +813,10 @@ class SynthesisResult:
     positive: int
     nodes: int  # distinct DAG nodes of the term
     probes: int  # oracle evaluations spent probing the types
+    # The depth of the trees the extensions hang beyond the radius ("looking
+    # d deeper" in their labels): acceptance says nothing about an oracle
+    # that looks further.
+    probe_depth: int
 
     def to_json(self) -> dict:
         return {
@@ -706,6 +828,7 @@ class SynthesisResult:
             "positive": self.positive,
             "nodes": self.nodes,
             "probes": self.probes,
+            "probe_depth": self.probe_depth,
         }
 
 
@@ -782,11 +905,12 @@ def _synthesize(
     """Probe every type of the radius, then build the decision diagram.
 
     Each abstract type's realization, and each of its ball-preserving
-    extensions, is handed to the oracle (a term oracle as bit masks, a
-    callable as a named structure); a row that changes under an extension,
-    or holds more than one element, stops synthesis with the witness.  The
-    probed types then feed `_diagram`, whose term agrees with the oracle on
-    every element whose type was probed.
+    extensions, is handed to the oracle (`_probe`: a term oracle as batches
+    of bit masks, a callable as one named structure at a time); a row that
+    changes under an extension, or holds more than one element, stops
+    synthesis with the witness.  The probed types then feed `_diagram`,
+    whose term agrees with the oracle on every element whose type was
+    probed.
     """
     if symbols is None:
         if isinstance(oracle, tm.Term):
@@ -797,17 +921,13 @@ def _synthesize(
             )
     symbols = tuple(sorted(symbols))
     types = enumerate_types(symbols, radius, oriented)
-    probed = []
-    probes = 0
-    for k, t in enumerate(types):
-        target, spent = _probe_type(t, oracle, k, probe_depth)
-        probes += spent
-        probed.append((_existing_words(t), target))
+    targets, probes = _probe(oracle, types, probe_depth)
+    probed = [(_existing_words(t), target) for t, target in zip(types, targets)]
     term = _diagram(types[0], probed, oriented)
-    positive = sum(target is not None for _, target in probed)
+    positive = sum(target is not None for target in targets)
     nodes = sum(1 for _ in tm.iter_nodes(term))
     return SynthesisResult(
-        term, radius, oriented, symbols, len(types), positive, nodes, probes
+        term, radius, oriented, symbols, len(types), positive, nodes, probes, probe_depth
     )
 
 

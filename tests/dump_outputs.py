@@ -9,12 +9,15 @@ outputs with `cmp`:
 `--without KEY` (repeatable) drops every dict entry named KEY, so a
 change that adds a field can be compared with a parent that lacks it:
 `--without representatives` for the coverage count of orbit-minimal
-structures.
+structures, `--without probe_depth` for the probe depth of a synthesis
+result.
 
 The cases are the catalogue matrix at the benchmark's bounds (seeds 0-3),
 every check on the benchmark's compound terms, every `relalg run` preset
 envelope (without its wall time), seeded `verify_compilation` and
-`validate_synthesis` reports, and equivalence reports across budgets,
+`validate_synthesis` reports, the synthesis results of the benchmark's
+oracles, the messages and details of oracles the probes reject,
+`estimate_radius` searches, and equivalence reports across budgets,
 classes and signatures.  `ORBIT_CASES` reach a failure inside an
 orbit-filtered run of every exhaustive sweep, and `SEAM_CASE` a first
 mismatch past the first block of `bulk.bulk_eval_term`.  The file is not a
@@ -33,12 +36,19 @@ from relalg import checkers, cli
 from relalg.checkers import Bounds, equivalence_report
 from relalg.logic import parse_formula
 from relalg.structures import StructureClass
-from relalg.synth import synthesize_forward, synthesize_local_injective, validate_synthesis
+from relalg.synth import (
+    SynthesisError,
+    estimate_radius,
+    synthesize_forward,
+    synthesize_local_injective,
+    validate_synthesis,
+)
 from relalg.terms import parse_term, print_term
 from relalg.translate import random_posex_formula, verify_compilation
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from known import COMPOUND_CHECKS  # noqa: E402
+from workloads import SYNTH_ORACLES  # noqa: E402
 
 MATRIX_BOUNDS = Bounds(max_size=3, samples=200, sample_size=6)
 CHECK_BOUNDS = Bounds(samples=200, sample_size=6)
@@ -57,6 +67,21 @@ SYNTH_CASES = (
     ("f ; f", 2, False, Bounds(max_size=3, samples=150)),
     ("f^", 1, True, Bounds(max_size=4, samples=200, sample_size=12)),
     ("f & g", 1, True, Bounds(max_size=5, samples=100, sample_size=10, exhaustive_budget=50_000)),
+)
+# (oracle, radius, symbols, oriented): oracles the probes reject, at an
+# extension or on the realization itself.
+REJECTED_SYNTHESES = (
+    ("f ; g", 0, ("f", "g"), False),
+    ("f ; g", 1, ("f", "g"), False),
+    ("f^", 1, ("f",), False),
+    ("f^ ; f^ ; f^", 2, ("f",), True),
+    ("f | g", 1, ("f", "g"), False),
+    ("(f & g) ; f ; f", 2, ("f", "g"), False),
+    ("(f & g) ; (f | g)", 2, ("f", "g"), False),
+)
+# (oracle, max_radius, oriented): radius searches that fail and succeed.
+RADIUS_ESTIMATES = (
+    ("ran(f)", 2, False), ("ran(f)", 3, True), ("dom(f)", 2, False), ("dom(f)", 3, True),
 )
 # (lhs, rhs, signature, class): equal and unequal pairs of terms, and of a
 # formula and a term, over every class and the empty signature.
@@ -164,6 +189,29 @@ def main() -> None:
         for seed in (0, 5):
             report = validate_synthesis(result, parse_term(source), bounds, seed)
             emit(f"synth:{source}:{oriented}:{seed}", report.to_json())
+    synthesized = {(source, radius, oriented) for source, radius, oriented, _ in SYNTH_ORACLES}
+    synthesized |= {(source, radius, oriented) for source, radius, oriented, _ in SYNTH_CASES}
+    for source, radius, oriented in sorted(synthesized):
+        synthesize = synthesize_local_injective if oriented else synthesize_forward
+        result = synthesize(parse_term(source), radius)
+        emit(f"synthesis:{source}:{radius}:{oriented}", result.to_json())
+    for source, radius, symbols, oriented in REJECTED_SYNTHESES:
+        synthesize = synthesize_local_injective if oriented else synthesize_forward
+        try:
+            synthesize(parse_term(source), radius, symbols)
+        except SynthesisError as exc:
+            failure = {"message": str(exc), "details": exc.details}
+        else:
+            failure = None
+        emit(f"rejected:{source}:{radius}:{oriented}", failure)
+    for source, max_radius, oriented in RADIUS_ESTIMATES:
+        est = estimate_radius(parse_term(source), max_radius, oriented=oriented)
+        emit(f"estimate:{source}:{max_radius}:{oriented}", {
+            "radius": est.radius,
+            "attempts": est.attempts,
+            "failure": est.failure,
+            "result": est.result and est.result.to_json(),
+        })
     for lhs, rhs, signature, cls in EQUIVALENCE_CASES:
         for n, bounds in enumerate(EQUIVALENCE_BOUNDS):
             report = equivalence_report(side(lhs), side(rhs), signature, cls, bounds, n)

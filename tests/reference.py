@@ -9,7 +9,9 @@ on Python ints.  The ⊆-safety reference evaluates the term on every
 induced substructure of every structure, one subset at a time.  The
 equivalence reference decodes and compares one index or draw at a time.
 The bulk formula route's bit transposition is checked against the one-pass-
-per-pair-bit loops it replaced.
+per-pair-bit loops it replaced.  Synthesis probing is checked against one
+scalar evaluation per probe, on masks built from each probe's edge lists,
+and the per-type check loop that raised on the first failing probe.
 """
 
 import random
@@ -47,6 +49,14 @@ from relalg.structures import (
     structure_to_json,
 )
 from relalg.logic import eval_formula
+from relalg.synth import (
+    SynthesisError,
+    _element_name,
+    _extensions,
+    _realization_edges,
+    _structure,
+    enumerate_types,
+)
 from relalg.terms import Term, evaluate, eval_term, iter_nodes, print_term, sym, term_signature
 
 UNARY = ("complement", "converse", "dom", "ran", "antidom")
@@ -580,3 +590,84 @@ def per_bit_masks(table, k, n):
         bits = np.unpackbits(rows[p].view(np.uint8), count=n, bitorder="little")
         out |= bits.astype(np.uint64) << np.uint64(p)
     return out
+
+
+# --- synthesis probing, one scalar evaluation per probe ------------------------
+
+def _edge_mask(edges, k):
+    mask = 0
+    for a, b in edges:
+        mask |= 1 << (a * k + b)
+    return mask
+
+
+def scalar_probe_row(oracle, t, base, fresh=0, added=()):
+    """A term oracle's root row on the realization of t plus `fresh`
+    elements and the `added` edges (one tuple per symbol): one
+    `terms.evaluate` on Python-int masks of the probe's own size."""
+    k = t.node_count() + fresh
+    masks = {s: _edge_mask(base[s], k) for s in t.symbols}
+    if fresh:
+        masks = {s: m | _edge_mask(e, k) for (s, m), e in zip(masks.items(), added)}
+    return evaluate(oracle, masks, int_ops(k).value) & ((1 << k) - 1)
+
+
+def scalar_probe_rows(oracle, t, probe_depth):
+    """(fresh, row) for the realization of t and then each extension."""
+    base = _realization_edges(t)
+    family = _extensions(t, base, probe_depth).extensions
+    return [
+        (fresh, scalar_probe_row(oracle, t, base, fresh, added))
+        for fresh, added in ((0, ()), *((f, a) for _, f, a in family))
+    ]
+
+
+def scalar_probe_type(t, oracle, type_index, probe_depth):
+    """The checked root target of one type, probe by probe: the first row
+    with more than one element, or that differs from the realization's,
+    raises `SynthesisError` with the probe as witness."""
+    n = t.node_count()
+    root = _element_name(0, n)
+    base = _realization_edges(t)
+
+    def names(row):
+        return sorted(_element_name(j, n) for j in range(row.bit_length()) if row >> j & 1)
+
+    def checked_row(fresh, added, label):
+        row = scalar_probe_row(oracle, t, base, fresh, added)
+        if row & (row - 1):
+            where = f" under {label}" if label else ""
+            raise SynthesisError(
+                f"oracle is not function-preserving at type {type_index}{where}: "
+                f"the root maps to {names(row)}",
+                details={
+                    "realization": structure_to_json(_structure(n, base, fresh, added)),
+                    "root": root,
+                },
+            )
+        return row
+
+    base_row = checked_row(0, (), None)
+    for label, fresh, added in _extensions(t, base, probe_depth).extensions:
+        row = checked_row(fresh, added, label)
+        if row != base_row:
+            raise SynthesisError(
+                f"oracle is not {t.radius}-bounded: {label} changes the root row "
+                f"from {names(base_row)} to {names(row)} at type {type_index}",
+                details={
+                    "realization": structure_to_json(_structure(n, base)),
+                    "extension": structure_to_json(_structure(n, base, fresh, added)),
+                    "root": root,
+                },
+            )
+    return base_row.bit_length() - 1 if base_row else None
+
+
+def scalar_probe_failure(oracle, radius, symbols, oriented, probe_depth=1):
+    """(message, details) of the first type whose probes fail, or None."""
+    for i, t in enumerate(enumerate_types(symbols, radius, oriented)):
+        try:
+            scalar_probe_type(t, oracle, i, probe_depth)
+        except SynthesisError as exc:
+            return str(exc), exc.details
+    return None

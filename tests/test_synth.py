@@ -4,8 +4,9 @@ import json
 import random
 
 import pytest
+from reference import scalar_probe_failure, scalar_probe_rows
 
-from relalg import synth
+from relalg import bulk, synth
 from relalg.checkers import Bounds, EquivalenceReport
 from relalg.structures import StructureClass, enumerate_structures, random_structure
 from relalg.synth import (
@@ -41,6 +42,8 @@ def brute_force_types(signature, radius, oriented, max_size):
 def test_letter_order():
     assert type_letters(("g", "f"), False) == (("f", False), ("g", False))
     assert type_letters(("f",), True) == (("f", False), ("f", True))
+    t = enumerate_types(("g", "f"), 1, oriented=True)[5]
+    assert t.letters is t.letters == type_letters(("f", "g"), True)
 
 
 def test_type_counts_forward():
@@ -140,7 +143,9 @@ def test_radius_two_composition_is_a_few_nodes():
     result = synthesize_forward(parse_term("f ; g"), 2)
     assert result.nodes == len(list(iter_nodes(result.term))) <= 16
     assert result.term is parse_term("f ; g")
-    assert result.probes > result.types_considered
+    # The README's example: probes are counted one per (type, extension),
+    # however they are batched.
+    assert (result.types_considered, result.probes, result.probe_depth) == (888, 21_492, 1)
 
 
 C07 = (
@@ -248,6 +253,69 @@ def test_oriented_probe_rejection_keeps_its_message_and_details():
     }
 
 
+# (symbols, oriented, radius, probe depth): oriented two-symbol types at
+# radius 2 exceed the enumeration budget.  Complement rows depend on the
+# probe's size, so they show a mask laid out over the wrong size.
+PROBE_SPACES = [
+    (symbols, oriented, radius, 1)
+    for symbols in (("f",), ("f", "g"))
+    for oriented in (False, True)
+    for radius in (0, 1, 2)
+    if not (oriented and len(symbols) == 2 and radius == 2)
+] + [(("f",), False, 1, 3), (("f", "g"), True, 1, 2)]
+PROBE_ORACLES = {
+    1: ("f ; f", "-(f ; f^)", "ran(f) <+ ~f"),
+    2: ("f ; g", "-(f <+ g^)", "(f & g) ; ran(g)"),
+}
+
+
+def test_batched_probe_rows_match_the_scalar_reader():
+    sizes, seams = set(), 0
+    for symbols, oriented, radius, depth in PROBE_SPACES:
+        types = enumerate_types(symbols, radius, oriented)
+        chunks = list(synth._chunks(types, depth))
+        seams += len(chunks) - 1
+        for source in PROBE_ORACLES[len(symbols)]:
+            oracle = parse_term(source)
+            for start, chunk in chunks:
+                rows = iter(synth._term_rows(oracle, chunk))
+                for i, (t, _, _) in enumerate(chunk, start):
+                    assert t is types[i]
+                    for fresh, want in scalar_probe_rows(oracle, t, depth):
+                        sizes.add(t.node_count() + fresh)
+                        assert next(rows) == want, (source, symbols, oriented, radius, i, fresh)
+                assert next(rows, None) is None
+    assert max(sizes) > bulk.MAX_BULK_SIZE and min(sizes) == 1
+    assert seams >= 2  # the radius-2 two-symbol forward types span three chunks
+
+
+@pytest.mark.parametrize(
+    "source,radius,symbols,oriented",
+    [
+        ("f ; g", 0, ("f", "g"), False),
+        ("f ; g", 1, ("f", "g"), False),
+        ("f^", 1, ("f",), False),
+        ("f^ ; f^ ; f^", 2, ("f",), True),
+        ("f | g", 1, ("f", "g"), False),
+        ("(f & g) ; f ; f", 2, ("f", "g"), False),
+        ("(f & g) ; (f | g)", 2, ("f", "g"), False),
+    ],
+)
+@pytest.mark.parametrize("block", [None, 64])
+def test_probe_rejections_match_the_scalar_check(
+    source, radius, symbols, oriented, block, monkeypatch
+):
+    # With 64-probe chunks, the radius-2 rejections (types 78 and 84) lie
+    # past the first chunks.
+    if block:
+        monkeypatch.setattr(bulk, "BLOCK", block)
+    synthesize = synthesize_local_injective if oriented else synthesize_forward
+    with pytest.raises(SynthesisError) as err:
+        synthesize(parse_term(source), radius, symbols)
+    message, details = scalar_probe_failure(parse_term(source), radius, symbols, oriented)
+    assert (str(err.value), err.value.details) == (message, details)
+
+
 def test_probes_reject_backward_looking_oracles():
     with pytest.raises(SynthesisError) as err:
         synthesize_forward(parse_term("f^"), 1, symbols=("f",))
@@ -317,4 +385,5 @@ def test_synthesis_result_to_json():
     assert doc["oriented"] is False
     assert doc["symbols"] == ["f"]
     assert (doc["nodes"], doc["probes"]) == (result.nodes, result.probes) == (3, 16)
+    assert doc["probe_depth"] == result.probe_depth == 1
     assert parse_term(doc["term"]) == result.term
