@@ -18,6 +18,8 @@ the ordinary `Structure` reported for it.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import cache
+from itertools import permutations
 
 import numpy as np
 
@@ -25,12 +27,11 @@ from . import logic, terms as tm
 from .structures import BulkOps, MAX_BULK_SIZE, decode_symbol_masks  # noqa: F401  (re-exported)
 from .structures import StructureClass, _digit_masks, batch_ops
 
-_U0 = np.uint64(0)
-_U1 = np.uint64(1)
 # The shift of each bit of a byte, as a column.
 _BYTE_WEIGHTS = np.arange(8, dtype=np.uint8)[:, None]
 
-# Structures per block of `bulk_eval_term`: 64 KiB per uint64 temporary.
+# Structures per block of `bulk_eval_term` and `random_symbol_masks`: 64 KiB
+# per uint64 temporary.
 BLOCK = 1 << 13
 
 
@@ -128,37 +129,79 @@ def bulk_masks(
 
 
 # --- random mask batches ------------------------------------------------------
+#
+# Each class has one distribution at every size.  ALL sets each pair with
+# probability 1/2.  PARTIAL_FUNCTIONS maps each element to none or one of
+# the k elements, each with probability 1/(k + 1), TOTAL_FUNCTIONS to one
+# of the k, each 1/k.  INJECTIVE_PARTIAL_FUNCTIONS draws a uniform
+# permutation and keeps each element's edge to its image on a fair coin.
+# `structures.random_masks` draws the same from a `random.Random`.
+
+# Rows per function-class code: at most 9**4 codes a table.
+_ROWS = 4
+
 
 def random_symbol_masks(
-    rng: np.random.Generator,
-    n: int,
-    k: int,
-    cls: StructureClass,
-    symbols: Sequence[str],
-) -> dict[str, np.ndarray]:
-    """Seeded random mask batches, one array per symbol."""
-    ops = batch_ops(k)
-    out: dict[str, np.ndarray] = {}
-    for name in sorted(symbols):
-        if cls is StructureClass.ALL:
-            lo = rng.integers(0, 1 << 32, n, dtype=np.uint64)
-            hi = rng.integers(0, 1 << 32, n, dtype=np.uint64)
-            out[name] = ((hi << np.uint64(32)) | lo) & ops.mask_all
-        elif cls is StructureClass.TOTAL_FUNCTIONS:
-            digits = rng.integers(0, k, (n, k), dtype=np.uint64)
-            out[name] = _digit_masks(digits.T, k, partial=False)
-        else:
-            digits = rng.integers(0, k + 1, (n, k), dtype=np.uint64)
-            if cls is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
-                used = np.zeros((n, k), dtype=bool)
-                rows = np.arange(n)
-                for p in range(k):
-                    dp = digits[:, p]
-                    has = dp > _U0
-                    target = np.where(has, dp - _U1, _U0).astype(np.int64)
-                    taken = used[rows, target] & has
-                    digits[taken, p] = _U0
-                    fresh = has & ~taken
-                    used[rows[fresh], target[fresh]] = True
-            out[name] = _digit_masks(digits.T, k, partial=True)
+    rng: np.random.Generator, n: int, k: int, cls: StructureClass, symbols: Sequence[str]
+) -> dict:
+    """n seeded random structures of k elements in `cls`, as each symbol's
+    masks over e1..ek: a uint64 array up to `MAX_BULK_SIZE`, a list of
+    Python ints beyond.  The draws run in blocks of `BLOCK` structures,
+    the symbols in sorted order within a block.  Up to `MAX_BULK_SIZE` a
+    bounded draw covers a whole word, a group of function rows looked up
+    in a cached table, or an injective structure's permutation and coins;
+    beyond, it covers a digit per element (a bit per pair for ALL)."""
+    wide = k > MAX_BULK_SIZE
+    draw = _wide_masks if wide else _narrow_masks
+    out = {name: [] if wide else np.empty(n, dtype=np.uint64) for name in sorted(symbols)}
+    for start in range(0, n, BLOCK):
+        end = min(start + BLOCK, n)
+        for masks in out.values():
+            masks[start:end] = draw(rng, end - start, k, cls)
     return out
+
+
+def _narrow_masks(rng: np.random.Generator, m: int, k: int, cls: StructureClass) -> np.ndarray:
+    if cls is StructureClass.ALL:
+        return rng.integers(0, 1 << 64, m, dtype=np.uint64) >> np.uint64(64 - k * k)
+    if cls is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
+        perms, coins = _injective_tables(k)
+        codes = rng.integers(0, len(perms) << k, m)
+        return perms[codes >> k] & coins[codes & (1 << k) - 1]
+    masks = np.zeros(m, dtype=np.uint64)
+    for row in range(0, k, _ROWS):
+        table = _row_table(k, cls, min(_ROWS, k - row))
+        masks |= table[rng.integers(0, len(table), m)] << np.uint64(row * k)
+    return masks
+
+
+def _wide_masks(rng: np.random.Generator, m: int, k: int, cls: StructureClass) -> list[int]:
+    if cls is StructureClass.ALL:
+        rows = np.packbits(rng.integers(0, 2, (m, k * k), dtype=np.uint8), axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    partial = cls is not StructureClass.TOTAL_FUNCTIONS
+    if cls is StructureClass.INJECTIVE_PARTIAL_FUNCTIONS:
+        digits = rng.permuted(np.tile(np.arange(1, k + 1), (m, 1)), axis=1) * rng.integers(0, 2, (m, k))
+    else:
+        digits = rng.integers(0, k + partial, (m, k))
+    return [_digit_masks(row, k, partial) for row in digits.tolist()]
+
+
+@cache
+def _row_table(k: int, cls: StructureClass, rows: int) -> np.ndarray:
+    """The table a group of `rows` function rows looks its code up in: the
+    mask each code's digits place on rows 0..rows - 1 at size k."""
+    codes = np.arange((k + (cls is not StructureClass.TOTAL_FUNCTIONS)) ** rows, dtype=np.uint64)
+    return decode_symbol_masks(codes, k, cls, ("",))[""] & np.uint64((1 << rows * k) - 1)
+
+
+@cache
+def _injective_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perms, coins) at size k: perms[p] the mask of the p-th permutation
+    of e1..ek in `itertools.permutations` order, coins[b] the rows of the
+    elements whose bit is set in b."""
+    images = np.array(list(permutations(range(1, k + 1))), dtype=np.uint64)
+    bits = np.arange(1 << k, dtype=np.uint64)
+    row = np.uint64((1 << k) - 1)
+    coins = sum((bits >> np.uint64(p) & np.uint64(1)) * (row << np.uint64(p * k)) for p in range(k))
+    return _digit_masks(images.T, k, partial=True), coins

@@ -9,10 +9,9 @@ concrete counterexample was found and re-verified before being reported.
 from __future__ import annotations
 
 import math
-import random
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, partial, wraps
 from itertools import combinations, product
 
@@ -33,10 +32,11 @@ from .structures import (
     isomorphism,
     masks_to_structure,
     orbit_minimal,
-    random_masks,
+    relation_mask,
     structure_from_index,
     structure_from_json,
     structure_to_json,
+    _domain_of,
     _reach_depths,
     _sorted_domain,
 )
@@ -63,7 +63,11 @@ class Bounds:
     labelled indices, so a verdict does not depend on the filter.  The
     homomorphism and subset checks cap their sampled phases at 200 draws
     of sizes up to 6 and 8, and record what they ran with in the verdict,
-    the homomorphism check with its exhaustive `pair_size` (2).
+    the homomorphism check with its exhaustive `pair_size` (2).  Every
+    sampled phase draws its sizes, then each size's structures, from numpy
+    streams seeded from (seed, phase, size) (`_by_size`), and never draws
+    a size its exhaustive phase covered in full; a negative seed raises
+    `CheckError`.  The `bulk` module states each class's distribution.
     The forward and local checks compare every ball they meet:
     `balls_skipped` is always 0.  A negative `max_size`, `samples` or
     `exhaustive_budget`, or a `sample_size` below 1, raises `CheckError`:
@@ -89,12 +93,7 @@ class Bounds:
         return 4 if symbol_count <= 1 else 3
 
     def to_json(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "samples": self.samples,
-            "sample_size": self.sample_size,
-            "exhaustive_budget": self.exhaustive_budget,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -110,13 +109,7 @@ class Verdict:
         return self.status == "pass-bounded"
 
     def to_json(self) -> dict:
-        return {
-            "property": self.property,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "bounds": self.bounds,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # The term-independent arrays of the `_sharing` block in progress, by
@@ -217,6 +210,29 @@ def _evaluated(symbols: tuple[str, ...], cls: StructureClass, size: int, stop: i
     )
 
 
+# The sampled phases, each with its own streams (`_stream`).
+_POOL, _PAIRS, _SUBSETS, _BATCHES, _TAIL = range(5)
+
+
+def _stream(seed: int, phase: int, *size: int) -> np.random.Generator:
+    """The generator of a sampled phase's sizes, or of one size's draws.
+    Every check draws its sizes before anything else, so it refuses a
+    negative seed whichever phase would end it."""
+    if seed < 0:
+        raise CheckError(f"seed must be at least 0, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, *size)))
+
+
+def _by_size(seed: int, phase: int, sizes: np.ndarray, covered=()):
+    """(size, positions, generator) for each size in `sizes` outside
+    `covered`, ascending: where it was drawn, and its own stream, so its
+    draws do not depend on the other sizes.  A size an exhaustive phase
+    passed in full is not drawn: each draw would equal a structure that
+    phase passed (at any size for the function classes)."""
+    for size in sorted(set(sizes.tolist()) - set(covered)):
+        yield size, np.flatnonzero(sizes == size), _stream(seed, phase, size)
+
+
 @_per_call
 def _pool(
     symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: int
@@ -225,7 +241,10 @@ def _pool(
     (size, masks, positions) group per size, sizes ascending.
 
     The pool is every index of every size up to the resolved bound that
-    `_sweep` visits, then `samples` seeded draws of sizes 1..sample_size;
+    `_sweep` visits, then `samples` draws of sizes 1..sample_size from the
+    pool's streams (`_by_size`), of which those of a swept size are
+    neither drawn nor pooled: each equals a swept structure, so it shows
+    no failure and no ball key that an earlier structure did not.
     `positions` numbers a group's structures in that order, ascending, by
     the place each holds in the labelled pool.  Each symbol's masks are a
     uint64 array up to `MAX_BULK_SIZE` and a list of Python ints beyond,
@@ -236,24 +255,21 @@ def _pool(
     names = sorted(symbols)
     parts: dict[int, list[tuple[dict, np.ndarray]]] = {}
     start = 0
-    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
+    sizes = _stream(seed, _POOL).integers(1, bounds.sample_size + 1, bounds.samples)
+    swept = range(1, bounds.resolved_size(len(symbols)) + 1)
+    for size in swept:
         total = count_structures(symbols, size, cls)
         for _, indices, masks in _sweep(symbols, cls, size, total):
             positions = start + np.asarray(indices, dtype=np.int64)
             parts.setdefault(size, []).append((masks, positions))
         start += total
-    rng = random.Random(seed)
-    # Every size is drawn before the first structure: the seed pins that order.
-    sizes = [rng.randint(1, bounds.sample_size) for _ in range(bounds.samples)]
-    draws = [random_masks(rng, size, symbols, cls) for size in sizes]
-    for size in sorted(set(sizes)):
-        picked = [i for i, drawn in enumerate(sizes) if drawn == size]
-        masks = {name: [draws[i][name] for i in picked] for name in names}
-        parts.setdefault(size, []).append((masks, start + np.array(picked)))
+    for size, at, rng in _by_size(seed, _POOL, sizes, swept):
+        masks = bulk.random_symbol_masks(rng, len(at), size, cls, symbols)
+        parts.setdefault(size, []).append((masks, start + at))
 
     def joined(chunks: list, size: int):
         if size <= bulk.MAX_BULK_SIZE:
-            return np.concatenate([np.asarray(c, dtype=np.uint64) for c in chunks])
+            return np.concatenate(chunks)
         return [word for chunk in chunks for word in chunk]
 
     return tuple(
@@ -266,15 +282,18 @@ def _pool(
     )
 
 
-def _values(term: tm.Term, size: int, masks: dict, n: int):
-    """The term's value on each of a pool group's n structures: a uint64
-    array from `bulk.bulk_eval_term` up to `MAX_BULK_SIZE`, Python ints
-    from `terms.evaluate` beyond."""
+def _values(obj, size: int, masks: dict, n: int):
+    """A term's (or formula's) value on each of n structures given by their
+    masks over e1..e_size: a uint64 array from the bulk kernels up to
+    `MAX_BULK_SIZE`; beyond, Python ints, a term's from `int_ops(size)` and
+    a formula's through its structure (`_scalar_value`)."""
     if size <= bulk.MAX_BULK_SIZE:
         # An empty signature has no masks to give the batch its length.
-        return bulk.bulk_eval_term(term, size, masks or {"": np.zeros(n, dtype=np.uint64)})
-    ops = int_ops(size).value
-    return [tm.evaluate(term, _structure_masks(masks, j), ops) for j in range(n)]
+        return bulk.bulk_masks(obj, size, masks or {"": np.zeros(n, dtype=np.uint64)})
+    each = (_structure_masks(masks, j) for j in range(n))
+    if isinstance(obj, tm.Term):
+        return [tm.evaluate(obj, m, int_ops(size).value) for m in each]
+    return [relation_mask(_scalar_value(obj, drawn_structure(m, size)), _domain_of(size)) for m in each]
 
 
 def _structure_masks(masks: dict, j: int) -> dict[str, int]:
@@ -512,14 +531,18 @@ def check_homomorphism_safe(
 
     Exhaustive over every map between structures of at most `pair_size`
     (2) elements as a bit-mask grid (`_homsafe_hits`), then
-    `sampled_pairs` random pairs of sizes up to `sampled_size_cap`.
-    `_violating_hom` searches each sampled pair to the end and re-derives
-    a grid hit's map and pair.
+    `sampled_pairs` random pairs of sizes up to `sampled_size_cap`: the
+    phase's stream draws each pair's two sizes, and each size's stream
+    (`_by_size`) its sources and targets in pair order.  A pair whose
+    sides both lie within `pair_size` is not searched: the grid tried
+    every map between such structures.  `_violating_hom` searches each
+    other pair to the end and re-derives a grid hit's map and pair.
     """
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
     pairs = min(bounds.samples, 200)
     size_cap = min(bounds.sample_size, 6)
+    sizes = _stream(seed, _PAIRS).integers(1, size_cap + 1, 2 * pairs)
 
     def failure(ks: int, smasks: dict, kt: int, tmasks: dict) -> Verdict | None:
         svalue, tvalue = _int_value(term, ks, smasks), _int_value(term, kt, tmasks)
@@ -550,14 +573,15 @@ def check_homomorphism_safe(
         if verdict is None:
             raise AssertionError("bulk and mask evaluation disagree on a homomorphism")
         return counted(verdict)
-    rng = random.Random(seed)
-    for _ in range(pairs):
-        size_a = rng.randint(1, size_cap)
-        size_b = rng.randint(1, size_cap)
+    drawn: list = [None] * len(sizes)
+    for size, at, rng in _by_size(seed, _PAIRS, sizes):
+        masks = bulk.random_symbol_masks(rng, len(at), size, StructureClass.ALL, symbols)
+        for j, slot in enumerate(at.tolist()):
+            drawn[slot] = size, _structure_masks(masks, j)
+    for (ks, source), (kt, target) in zip(drawn[::2], drawn[1::2]):
         # Draws' e1..ek order is their sorted domain: sizes stay below ten.
-        source = random_masks(rng, size_a, symbols)
-        verdict = failure(size_a, source, size_b, random_masks(rng, size_b, symbols))
-        if verdict is not None:
+        verdict = max(ks, kt) > _PAIR_SIZE and failure(ks, source, kt, target)
+        if verdict:
             return counted(verdict)
     return counted(
         Verdict("homomorphism-safe", "pass-bounded", None, bounds.to_json(), seed)
@@ -713,44 +737,37 @@ def _subsafe_exhaustive(
 
 
 @_per_call
-def _subset_draws(symbols: tuple[str, ...], seed: int, count: int, size_cap: int):
-    """The sampled phase's `count` draws from `random.Random(seed)`, in
-    draw order, and their batches: (draws, wholes, parts).
+def _subset_draws(symbols: tuple[str, ...], seed: int, sizes: tuple[int, ...], covered: tuple):
+    """The sampled phase's draws of the given sizes, in draw order, and
+    their batches: (draws, wholes, parts).
 
-    Each draw is a structure of 1..size_cap elements and its 32 random
-    subsets, repeats dropped.  `draws` holds them as (sizes, masks, codes,
-    starts): draw i has sizes[i] elements and masks[name][i], and
-    codes[starts[i]:starts[i + 1]] are its subsets in the order drawn, as
-    bit masks of positions (`_draw` reads one back).  `wholes` groups the
-    draws by size as (size, draw indices, masks).  `parts` groups the
-    pairs of a draw and one of its proper subsets by subset size k, as
+    Each draw is a structure and its 32 subsets, each uniform over the
+    subsets of its positions, tried in the order drawn with repeats
+    dropped.  Each size's stream (`_by_size`) draws its structures, then
+    their subsets; a size in `covered`, which the exhaustive phase swept in
+    full, is not drawn.  draws[i] is draw i as (size, masks, subsets), in
+    Python ints and position tuples, None where not drawn.  `wholes` groups
+    the drawn ones by size as (size, draw indices, masks).  `parts` groups
+    the pairs of a draw and one of its proper subsets by subset size k, as
     (k, draw, cells, distinct, count, inverse): each pair's draw index and
     `_cells`, then the distinct induced structures as in `_chunk_parts`,
     inverse[i] naming the i-th pair's."""
-    rng = random.Random(seed)
-    sizes, drawn, codes, starts = [], [], [], [0]
-    for _ in range(count):
-        size = rng.randint(1, size_cap)
-        # Draws' e1..ek order is their sorted domain: sizes stay below ten.
-        drawn.append(random_masks(rng, size, symbols))
-        picked = [
-            sum(1 << p for p in rng.sample(range(size), rng.randint(0, size))) for _ in range(32)
-        ]
-        sizes.append(size)
-        codes.extend(dict.fromkeys(picked))
-        starts.append(len(codes))
-    masks = {name: np.array([m[name] for m in drawn], dtype=np.uint64) for name in symbols}
-    by_size = np.array(sizes, dtype=np.uint8)
+    masks = {name: np.zeros(len(sizes), dtype=np.uint64) for name in symbols}
+    draws: list = [None] * len(sizes)
     wholes = []
-    for size in sorted(set(sizes)):
-        rows = np.flatnonzero(by_size == size)
-        wholes.append((size, rows, {name: m[rows] for name, m in masks.items()}))
     pairs: dict[int, list[tuple[int, list[int]]]] = {}
-    for i, size in enumerate(sizes):
-        for code in codes[starts[i] : starts[i + 1]]:
-            subset = _positions(code)
-            if 0 < len(subset) < size:
-                pairs.setdefault(len(subset), []).append((i, _cells(subset, size)))
+    for size, rows, rng in _by_size(seed, _SUBSETS, np.array(sizes), covered):
+        # Draws' e1..ek order is their sorted domain: sizes stay below ten.
+        drawn = bulk.random_symbol_masks(rng, len(rows), size, StructureClass.ALL, symbols)
+        codes = rng.integers(0, 1 << size, (len(rows), 32)).tolist()
+        for name, m in drawn.items():
+            masks[name][rows] = m
+        wholes.append((size, rows, drawn))
+        for j, i in enumerate(rows.tolist()):
+            draws[i] = size, _structure_masks(drawn, j), list(map(_positions, dict.fromkeys(codes[j])))
+            for subset in draws[i][2]:
+                if 0 < len(subset) < size:
+                    pairs.setdefault(len(subset), []).append((i, _cells(subset, size)))
     parts = []
     for k, found in sorted(pairs.items()):
         rows = np.array([i for i, _ in found])
@@ -758,21 +775,12 @@ def _subset_draws(symbols: tuple[str, ...], seed: int, count: int, size_cap: int
         moves = [(cells[:, p], p) for p in range(k * k)]
         words = {name: _move_bits(m[rows], moves) for name, m in masks.items()}
         parts.append((k, rows, cells, *_distinct(words, k, rows.shape)))
-    draws = (by_size, masks, np.array(codes, dtype=np.uint8), np.array(starts))
-    return draws, tuple(wholes), tuple(parts)
+    return tuple(draws), tuple(wholes), tuple(parts)
 
 
 def _positions(code: int) -> tuple[int, ...]:
     """The positions in a bit mask, ascending."""
     return tuple(p for p in range(code.bit_length()) if code >> p & 1)
-
-
-def _draw(draws: tuple, i: int):
-    """The i-th draw of `_subset_draws` as (size, masks, subsets): Python
-    ints, and position tuples in the order drawn."""
-    sizes, masks, codes, starts = draws
-    subsets = [_positions(code) for code in codes[starts[i] : starts[i + 1]].tolist()]
-    return int(sizes[i]), {name: int(m[i]) for name, m in masks.items()}, subsets
 
 
 def _sampled_flags(term: tm.Term, n: int, wholes: tuple, parts: tuple) -> np.ndarray:
@@ -794,18 +802,19 @@ def check_subseteq_safe(
 ) -> Verdict:
     """The term's value on an induced substructure embeds into its value
     on the whole structure.  The sampled phase's count and size cap are
-    reported as `sampled_structures` and `sampled_size_cap`; each draw's
-    32 random subsets are tried in draw order, repeats dropped.  Both
-    phases evaluate the term on whole batches; the first failing structure
-    (in enumeration order, then in draw order) is re-derived one subset at
-    a time, which picks the reported subset and pair.  Each size the
-    budget cut short is listed as `SizeCoverage` JSON under
-    `exhaustive_cut`, a key present only when some size was cut."""
+    reported as `sampled_structures` and `sampled_size_cap`; its draws
+    are `_subset_draws`, of sizes from the phase's stream.  Both phases
+    evaluate the term on whole batches; the first failing structure (in
+    enumeration order, then in draw order) is re-derived one subset at a
+    time, which picks the reported subset and pair.  Each size the budget
+    cut short is listed as `SizeCoverage` JSON under `exhaustive_cut`, a
+    key present only when some size was cut."""
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
     draws = min(bounds.samples, 200)
     size_cap = min(bounds.sample_size, 8)
-    cut = []
+    sizes = _stream(seed, _SUBSETS).integers(1, size_cap + 1, draws)
+    cut, covered = [], []
 
     def reported(verdict: Verdict) -> Verdict:
         verdict.bounds["sampled_structures"] = draws
@@ -836,13 +845,15 @@ def check_subseteq_safe(
         if stop < total:
             evaluated = _evaluated(symbols, StructureClass.ALL, size, stop)
             cut.append(SizeCoverage(size, total, "exhaustive", stop, evaluated).to_json())
+        else:
+            covered.append(size)
         verdict = _subsafe_exhaustive(term, symbols, size, stop, failure)
         if verdict is not None:
             return reported(verdict)
-    drawn, wholes, parts = _subset_draws(symbols, seed, draws, size_cap)
+    drawn, wholes, parts = _subset_draws(symbols, seed, tuple(sizes.tolist()), tuple(covered))
     bad = _sampled_flags(term, draws, wholes, parts)
     if bad.any():
-        verdict = failure(*_draw(drawn, int(np.argmax(bad))))
+        verdict = failure(*drawn[int(np.argmax(bad))])
         if verdict is None:
             raise AssertionError("bulk and mask evaluation disagree on a subset")
         return reported(verdict)
@@ -1270,13 +1281,7 @@ class SizeCoverage:
     representatives: int
 
     def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "total": self.total,
-            "mode": self.mode,
-            "checked": self.checked,
-            "representatives": self.representatives,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -1290,17 +1295,9 @@ class EquivalenceReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "counterexample": (
-                structure_to_json(self.counterexample) if self.counterexample else None
-            ),
-            "lhs_pairs": self.lhs_pairs,
-            "rhs_pairs": self.rhs_pairs,
-            "coverage": [c.to_json() for c in self.coverage],
-            "random_checked": self.random_checked,
-            "seed": self.seed,
-        }
+        data = asdict(self)
+        data["counterexample"] = self.counterexample and structure_to_json(self.counterexample)
+        return data
 
 
 def _scalar_value(obj, structure: Structure):
@@ -1357,33 +1354,34 @@ def equivalence_report(
     Exhaustive over each size up to the resolved bound while the cumulative
     evaluation budget lasts, charged in labelled structures (one per size
     for the empty signature) though `_sweep` evaluates one per orbit; an
-    over-budget size degrades to seeded random mask batches, and a size
-    past the spent budget is skipped, with coverage recorded.  A second
-    phase draws `samples` random structures of sizes 1..sample_size from
-    `random.Random(seed)`; the draws of a bulk size are evaluated in one
-    batch per size, the others one by one, and `random_checked` is the
-    position of the first mismatching draw (all draws when none differs).
-    Draws of a size the exhaustive phase covered in full are drawn and
-    counted but not evaluated: up to `MAX_BULK_SIZE` (and at any size for
-    the empty signature) each equals a labelled structure of that size and
-    class, none of which differs.
-    The first counterexample (in enumeration order, then in draw order) is
-    re-verified through `eval_term` and the Tarskian `eval_formula` before
-    being reported.
+    over-budget size degrades to one random batch of up to 65,536
+    structures from its own stream, and a size past the spent budget is
+    skipped, with coverage recorded.  A second phase, the tail, draws
+    `samples` sizes of 1..sample_size and then each size's structures
+    (`_by_size`), compared in one batch per size (`_values`: terms on
+    masks past `MAX_BULK_SIZE` too, formulas through their structures);
+    a size whose first draw lies past a mismatch already found is not
+    drawn.  `random_checked` is the position of the first mismatching draw
+    (all draws when none differs).  The first counterexample (in
+    enumeration order, then in draw order) is re-verified through
+    `eval_term` and the Tarskian `eval_formula` before being reported.
     """
     bounds = bounds or Bounds()
     signature = tuple(sorted(signature))
     max_size = bounds.resolved_size(len(signature))
     coverage: list[SizeCoverage] = []
     budget = bounds.exhaustive_budget
-    npr = np.random.default_rng(seed)
+    sizes = _stream(seed, _TAIL).integers(1, bounds.sample_size + 1, bounds.samples)
 
-    def bulk_compare(size, symbol_masks):
-        # Up to size 8 every class lays masks over e1..ek in this order.
-        bad = bulk.bulk_masks(lhs, size, symbol_masks) != bulk.bulk_masks(rhs, size, symbol_masks)
-        if not bad.any():
+    def first_difference(size: int, masks: dict, n: int):
+        # (j, structure) for the first of n structures the sides tell apart.
+        left, right = _values(lhs, size, masks, n), _values(rhs, size, masks, n)
+        bad = left != right if size <= bulk.MAX_BULK_SIZE else [a != b for a, b in zip(left, right)]
+        if not np.any(bad):
             return None
-        return masks_to_structure(_structure_masks(symbol_masks, int(np.argmax(bad))), size)
+        j = int(np.argmax(bad))
+        # Every class lays its masks over e1..ek in numeric order.
+        return j, drawn_structure(_structure_masks(masks, j), size)
 
     for size in range(1, max_size + 1):
         total = count_structures(signature, size, cls)
@@ -1401,76 +1399,34 @@ def equivalence_report(
                 if not len(indices):  # a run with no orbit-minimal index
                     continue
                 evaluated += len(indices)
-                found = bulk_compare(size, masks)
+                found = first_difference(size, masks, len(indices))
                 if found is not None:
                     coverage.append(SizeCoverage(size, total, "exhaustive", run.stop, evaluated))
-                    return _mismatch_report(lhs, rhs, found, coverage, 0, seed)
+                    return _mismatch_report(lhs, rhs, found[1], coverage, 0, seed)
             coverage.append(SizeCoverage(size, total, "exhaustive", total, evaluated))
         elif size <= bulk.MAX_BULK_SIZE and budget > 0:
             n = min(budget, _CHUNK * 2)
             budget -= n
-            masks = bulk.random_symbol_masks(npr, n, size, cls, signature)
+            masks = bulk.random_symbol_masks(_stream(seed, _BATCHES, size), n, size, cls, signature)
             coverage.append(SizeCoverage(size, total, "sampled", n, n))
-            found = bulk_compare(size, masks)
+            found = first_difference(size, masks, n)
             if found is not None:
-                return _mismatch_report(lhs, rhs, found, coverage, 0, seed)
+                return _mismatch_report(lhs, rhs, found[1], coverage, 0, seed)
         else:
             coverage.append(SizeCoverage(size, total, "skipped", 0, 0))
 
-    rng = random.Random(seed)
-    draws = []
-    for _ in range(bounds.samples):
-        size = rng.randint(1, bounds.sample_size)
-        draws.append((size, random_masks(rng, size, signature, cls)))
-    covered = {c.size for c in coverage if c.mode == "exhaustive" and c.checked == c.total}
-    first = _first_sampled_mismatch(lhs, rhs, signature, draws, covered)
+    # The tail: a size the exhaustive phase checked in full is not drawn.
+    covered = [c.size for c in coverage if c.mode == "exhaustive" and c.checked == c.total]
+    first = None
+    for size, at, rng in _by_size(seed, _TAIL, sizes, covered):
+        if first is None or at[0] < first[0]:
+            masks = bulk.random_symbol_masks(rng, len(at), size, cls, signature)
+            found = first_difference(size, masks, len(at))
+            if found is not None and (first is None or at[found[0]] < first[0]):
+                first = at[found[0]], found[1]
     if first is None:
-        return EquivalenceReport(True, None, None, None, coverage, len(draws), seed)
-    size, masks = draws[first]
-    return _mismatch_report(
-        lhs, rhs, drawn_structure(masks, size), coverage, first + 1, seed
-    )
-
-
-def _first_sampled_mismatch(lhs, rhs, signature, draws, covered) -> int | None:
-    """The index of the first draw on which the two sides differ, or None.
-
-    Draws of a size in `covered`, one the exhaustive phase checked in full,
-    cannot differ and are not evaluated.  Draws of another bulk size are
-    compared in one uint64 batch per size; the rest (larger sizes, and
-    every draw of an empty signature, which has no masks to batch) are
-    evaluated one by one in draw order, up to the earliest mismatch the
-    batches found.
-    """
-    first = len(draws)
-    by_size: dict[int, list[int]] = {}
-    one_by_one: list[int] = []
-    for index, (size, _) in enumerate(draws):
-        if size in covered:
-            continue
-        if signature and size <= bulk.MAX_BULK_SIZE:
-            by_size.setdefault(size, []).append(index)
-        else:
-            one_by_one.append(index)
-    for size, indices in sorted(by_size.items()):
-        symbol_masks = {
-            name: np.fromiter(
-                (draws[i][1][name] for i in indices), np.uint64, len(indices)
-            )
-            for name in signature
-        }
-        bad = bulk.bulk_masks(lhs, size, symbol_masks) != bulk.bulk_masks(
-            rhs, size, symbol_masks
-        )
-        if bad.any():
-            first = min(first, indices[int(np.argmax(bad))])
-    for index in one_by_one:
-        if index >= first:
-            break
-        structure = drawn_structure(draws[index][1], draws[index][0])
-        if _scalar_value(lhs, structure) != _scalar_value(rhs, structure):
-            return index
-    return first if first < len(draws) else None
+        return EquivalenceReport(True, None, None, None, coverage, len(sizes), seed)
+    return _mismatch_report(lhs, rhs, first[1], coverage, int(first[0]) + 1, seed)
 
 
 # --- counterexample re-verification ----------------------------------------------

@@ -277,35 +277,35 @@ def enumerate_types(
     if not symbols:
         raise SynthesisError("need at least one relation symbol")
     out: list[NeighborhoodType] = []
-    letters = type_letters(symbols, oriented)
-
-    def advance(builder: _TypeBuilder, node: int, letter_idx: int) -> None:
-        while True:
-            if letter_idx == len(letters):
-                node += 1
-                letter_idx = 0
-            if node == len(builder.depths):
-                if len(out) >= budget:
-                    raise SynthesisError(
-                        f"type enumeration exceeded its budget of {budget}"
-                    )
-                out.append(builder.finish())
-                return
-            if not builder.has_row(node):
-                node += 1
-                letter_idx = 0
-                continue
-            if (node, letter_idx) in builder.slots:
-                letter_idx += 1
-                continue
-            break
-        for choice in builder.choices(node, letter_idx):
-            branch = builder.copy()
-            if branch.assign(node, letter_idx, choice):
-                advance(branch, node, letter_idx + 1)
-
-    advance(_TypeBuilder(symbols, oriented, radius), 0, 0)
+    _advance(_TypeBuilder(symbols, oriented, radius), 0, 0, out, budget)
     return out
+
+
+def _advance(builder: _TypeBuilder, node: int, letter_idx: int, out: list, budget: int) -> None:
+    """Append to `out` every type that completes `builder` from the slot
+    (node, letter_idx) on.  A module-level function, so no closure refers
+    to itself and a dropped type list is freed at once."""
+    while True:
+        if letter_idx == len(builder.letters):
+            node += 1
+            letter_idx = 0
+        if node == len(builder.depths):
+            if len(out) >= budget:
+                raise SynthesisError(f"type enumeration exceeded its budget of {budget}")
+            out.append(builder.finish())
+            return
+        if not builder.has_row(node):
+            node += 1
+            letter_idx = 0
+            continue
+        if (node, letter_idx) in builder.slots:
+            letter_idx += 1
+            continue
+        break
+    for choice in builder.choices(node, letter_idx):
+        branch = builder.copy()
+        if branch.assign(node, letter_idx, choice):
+            _advance(branch, node, letter_idx + 1, out, budget)
 
 
 def _element_name(j: int, nodes: int) -> str:

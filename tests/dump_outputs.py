@@ -20,19 +20,23 @@ oracles, the messages and details of oracles the probes reject,
 `estimate_radius` searches, and equivalence reports across budgets,
 classes and signatures.  `ORBIT_CASES` reach a failure inside an
 orbit-filtered run of every exhaustive sweep, and `SEAM_CASE` a first
-mismatch past the first block of `bulk.bulk_eval_term`.  The file is not a
-test module: pytest does not collect it.
+mismatch past the first block of `bulk.bulk_eval_term`.  The `stream`
+cases print one sha256 digest per sampled phase, class and size of that
+phase's draws at seeds 0-3, so a change can show with `cmp` that it left
+the sampled stream alone.  The file is not a test module: pytest does not
+collect it.
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import random
 import sys
 from pathlib import Path
 
-from relalg import checkers, cli
+from relalg import bulk, checkers, cli
 from relalg.checkers import Bounds, equivalence_report
 from relalg.logic import parse_formula
 from relalg.structures import StructureClass
@@ -127,15 +131,23 @@ ORBIT_CASES = (
 # 3 whose first mismatch lies past the first `bulk.BLOCK` structures: the
 # right side adds the diagonal to U only where R is full and S holds an
 # asymmetric 3-cycle (so never at sizes 1-2), and differs where U lacks a
-# loop.  Seed 12, picked by a search over seeds 0-39, puts the first
-# mismatch at batch index 17,418: past the first two blocks of 8,192.
+# loop.  Seed 0, the first of seeds 0-39 to put the first mismatch past
+# the first two blocks of 8,192, puts it at batch index 31,922.
 S_ARROW = "((S \\ id) \\ S^)"
 SEAM_CASE = (
     "U", f"U | (~(T ; -R ; T) & ({S_ARROW} ; {S_ARROW} ; {S_ARROW}) & id)",
     ("R", "S", "U"), StructureClass.ALL,
-    Bounds(max_size=3, samples=0, exhaustive_budget=4_104 + 65_536), 12,
+    Bounds(max_size=3, samples=0, exhaustive_budget=4_104 + 65_536), 0,
 )
 
+
+PHASES = {
+    "pool": checkers._POOL,
+    "pairs": checkers._PAIRS,
+    "subsets": checkers._SUBSETS,
+    "batches": checkers._BATCHES,
+    "tail": checkers._TAIL,
+}
 
 WITHOUT: set[str] = set()
 
@@ -154,6 +166,22 @@ def emit(case: str, value) -> None:
 
 def side(text: str):
     return parse_formula(text) if "(x" in text else parse_term(text)
+
+
+def digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def stream_digests(seed: int, phase: int) -> dict:
+    """The digest of a phase's first 200 sizes of 1-12, and of 50 two-symbol
+    draws of every class and size 1-12 from each size's stream."""
+    digests = {"sizes": digest(checkers._stream(seed, phase).integers(1, 13, 200).tolist())}
+    for cls in StructureClass:
+        for size in range(1, 13):
+            rng = checkers._stream(seed, phase, size)
+            masks = bulk.random_symbol_masks(rng, 50, size, cls, ("f", "g"))
+            digests[f"{cls.name}:{size}"] = digest({n: [int(m) for m in v] for n, v in masks.items()})
+    return digests
 
 
 def main() -> None:
@@ -219,6 +247,9 @@ def main() -> None:
     lhs, rhs, signature, cls, bounds, seed = SEAM_CASE
     report = equivalence_report(side(lhs), side(rhs), signature, cls, bounds, seed)
     emit(f"seam:{lhs}:{rhs}:{seed}", report.to_json())
+    for seed in range(4):
+        for name, phase in PHASES.items():
+            emit(f"stream:{name}:{seed}", stream_digests(seed, phase))
 
 
 if __name__ == "__main__":

@@ -8,13 +8,16 @@ checks' references scan the pool one structure and one anchor at a time,
 on Python ints.  The ⊆-safety reference evaluates the term on every
 induced substructure of every structure, one subset at a time.  The
 equivalence reference decodes and compares one index or draw at a time.
-The bulk formula route's bit transposition is checked against the one-pass-
-per-pair-bit loops it replaced.  Synthesis probing is checked against one
+Every sampled phase's reference draws every size it draws, from the same
+streams (`stream_draws`), and evaluates each draw in turn, so it also
+evaluates the draws of the sizes the library leaves undrawn because an
+exhaustive phase covered them.  The bulk formula route's bit
+transposition is checked against the one-pass-per-pair-bit loops it
+replaced.  Synthesis probing is checked against one
 scalar evaluation per probe, on masks built from each probe's edge lists,
 and the per-type check loop that raised on the first failing probe.
 """
 
-import random
 from functools import cache, partial
 from itertools import permutations
 
@@ -22,13 +25,18 @@ import numpy as np
 
 from relalg import bulk
 from relalg.checkers import (
+    _BATCHES,
     _CHUNK,
     _INVARIANTS,
+    _POOL,
+    _SUBSETS,
+    _TAIL,
     EquivalenceReport,
     SizeCoverage,
     Verdict,
     _domain_order,
     _proper_subsets,
+    _stream,
     _subset_bad,
     _subset_hit,
 )
@@ -42,7 +50,6 @@ from relalg.structures import (
     int_ops,
     masks_to_structure,
     orbit_marked,
-    random_masks,
     relation_mask,
     space_size,
     structure_from_index,
@@ -204,19 +211,38 @@ def brute_force_isomorphism(left, anchors_left, right, anchors_right):
     return None
 
 
+# --- sampled phases, every draw in draw order ---------------------------------
+
+def size_streams(seed, phase, sizes):
+    """(size, positions, generator) for every size in `sizes`, covered or
+    not: the positions that drew it and the stream of its draws."""
+    sizes = np.asarray(sizes)
+    for size in sorted(set(sizes.tolist())):
+        yield size, np.flatnonzero(sizes == size).tolist(), _stream(seed, phase, size)
+
+
+def stream_draws(seed, phase, sizes, symbols, cls):
+    """Every draw of a sampled phase whose draws have the given sizes, in
+    draw order, as (size, masks) with Python-int masks."""
+    drawn = {}
+    for size, at, rng in size_streams(seed, phase, sizes):
+        masks = bulk.random_symbol_masks(rng, len(at), size, cls, symbols)
+        for j, position in enumerate(at):
+            drawn[position] = size, {name: int(m[j]) for name, m in masks.items()}
+    return [drawn[position] for position in range(len(sizes))]
+
+
 # --- the pooled checks, one structure and one anchor at a time -----------------
 
 def scalar_pool(symbols, cls, bounds, seed):
     """The (size, masks) entries of the checks' pool in pool order, each
     index decoded on its own: every index of every size up to the resolved
-    bound, then the seeded draws."""
+    bound, then every seeded draw."""
     for size in range(1, bounds.resolved_size(len(symbols)) + 1):
         for index in range(count_structures(symbols, size, cls)):
             yield size, decode_symbol_masks(index, size, cls, symbols)
-    rng = random.Random(seed)
-    sizes = [rng.randint(1, bounds.sample_size) for _ in range(bounds.samples)]
-    for size in sizes:
-        yield size, random_masks(rng, size, symbols, cls)
+    sizes = _stream(seed, _POOL).integers(1, bounds.sample_size + 1, bounds.samples)
+    yield from stream_draws(seed, _POOL, sizes, symbols, cls)
 
 
 def scalar_invariant_check(name, term, bounds, seed):
@@ -348,7 +374,7 @@ def scalar_subseteq_check(term, bounds, seed):
     """The ⊆-safety verdict without the re-verification: each size's
     structures in enumeration order, every proper subset evaluated on its
     own (a uint64 chunk at a time up to the bulk sizes), then each draw and
-    its random subsets in draw order, one Python-int evaluation each.  A
+    its subsets in draw order, one Python-int evaluation each.  A
     size whose budget covers fewer than all its structures is listed under
     `exhaustive_cut`."""
     symbols = term_signature(term)
@@ -410,14 +436,17 @@ def scalar_subseteq_check(term, bounds, seed):
                 index = start + int(np.argmax(bad))
                 masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
                 return reported(failure(size, masks, _proper_subsets(size)))
-    rng = random.Random(seed)
-    for _ in range(draws):
-        size = rng.randint(1, size_cap)
-        masks = random_masks(rng, size, symbols)
-        picked = [
-            tuple(sorted(rng.sample(range(size), rng.randint(0, size)))) for _ in range(32)
-        ]
-        verdict = failure(size, masks, dict.fromkeys(picked))
+    drawn = {}
+    sizes = _stream(seed, _SUBSETS).integers(1, size_cap + 1, draws)
+    for size, at, rng in size_streams(seed, _SUBSETS, sizes):
+        batch = bulk.random_symbol_masks(rng, len(at), size, StructureClass.ALL, symbols)
+        codes = rng.integers(0, 1 << size, (len(at), 32)).tolist()
+        for j, position in enumerate(at):
+            masks = {name: int(m[j]) for name, m in batch.items()}
+            subsets = [tuple(p for p in range(size) if code >> p & 1) for code in codes[j]]
+            drawn[position] = size, masks, dict.fromkeys(subsets)
+    for position in range(draws):
+        verdict = failure(*drawn[position])
         if verdict is not None:
             return reported(verdict)
     return reported(Verdict("subseteq-safe", "pass-bounded", None, bounds.to_json(), seed))
@@ -449,15 +478,14 @@ def side_pairs(side, structure):
 def scalar_equivalence_report(lhs, rhs, signature, cls, bounds, seed):
     """The `equivalence_report` of two sides, each structure compared on
     its own: every exhaustive index decoded alone and the reported one
-    built by `structure_from_index`; an over-budget size's numpy batch and
-    then the seeded draws one draw at a time.  A mismatch found in a run
+    built by `structure_from_index`; an over-budget size's batch and then
+    every seeded draw one draw at a time.  A mismatch found in a run
     of `_CHUNK` indices reports the run's end as checked, and as
     representatives the orbit-minimal indices up to there (`representatives`).
     The empty signature's one structure per size costs one of the budget."""
     signature = tuple(sorted(signature))
     coverage = []
     budget = bounds.exhaustive_budget
-    npr = np.random.default_rng(seed)
 
     def differs(size, masks):
         return side_mask(lhs, size, masks) != side_mask(rhs, size, masks)
@@ -484,7 +512,7 @@ def scalar_equivalence_report(lhs, rhs, signature, cls, bounds, seed):
         elif signature and size <= bulk.MAX_BULK_SIZE and budget > 0:
             n = min(budget, 2 * _CHUNK)
             budget -= n
-            batch = bulk.random_symbol_masks(npr, n, size, cls, signature)
+            batch = bulk.random_symbol_masks(_stream(seed, _BATCHES, size), n, size, cls, signature)
             coverage.append(SizeCoverage(size, total, "sampled", n, n))
             for j in range(n):
                 masks = {name: int(m[j]) for name, m in batch.items()}
@@ -492,15 +520,11 @@ def scalar_equivalence_report(lhs, rhs, signature, cls, bounds, seed):
                     return mismatch(drawn_structure(masks, size), 0)
         else:
             coverage.append(SizeCoverage(size, total, "skipped", 0, 0))
-    rng = random.Random(seed)
-    draws = []
-    for _ in range(bounds.samples):
-        size = rng.randint(1, bounds.sample_size)
-        draws.append((size, random_masks(rng, size, signature, cls)))
-    for i, (size, masks) in enumerate(draws):
+    sizes = _stream(seed, _TAIL).integers(1, bounds.sample_size + 1, bounds.samples)
+    for i, (size, masks) in enumerate(stream_draws(seed, _TAIL, sizes, signature, cls)):
         if differs(size, masks):
             return mismatch(drawn_structure(masks, size), i + 1)
-    return EquivalenceReport(True, None, None, None, coverage, len(draws), seed)
+    return EquivalenceReport(True, None, None, None, coverage, bounds.samples, seed)
 
 
 # --- orbit-minimal indices, every permutation on the whole index ---------------

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from relalg import terms as tm
 from relalg.bulk import (
     BLOCK,
     MAX_BULK_SIZE,
+    _ROWS,
     _bit_table,
     _table_masks,
     bulk_eval_formula,
@@ -40,9 +42,11 @@ from relalg.logic import (
 from relalg.structures import (
     BulkOps,
     StructureClass,
+    _domain_of,
     _mask_pairs,
     _sorted_domain,
     count_structures,
+    drawn_structure,
     enumerate_structures,
     masks_to_structure,
     random_structure,
@@ -98,29 +102,33 @@ def reference_digit_masks(digits, k, partial):
 
 
 def reference_random_symbol_masks(rng, n, k, cls, symbols):
-    out = {}
-    for name in sorted(symbols):
-        if cls is ALL:
-            lo = rng.integers(0, 1 << 32, n, dtype=np.uint64)
-            hi = rng.integers(0, 1 << 32, n, dtype=np.uint64)
-            out[name] = ((hi << np.uint64(32)) | lo) & np.uint64((1 << k * k) - 1)
-        elif cls is TF:
-            out[name] = reference_digit_masks(rng.integers(0, k, (n, k), dtype=np.uint64), k, False)
-        else:
-            digits = rng.integers(0, k + 1, (n, k), dtype=np.uint64)
+    """The same draws (k <= MAX_BULK_SIZE), each code read back into one
+    digit per element and placed a value at a time: a function-class code
+    per group of `_ROWS` rows, an injective code as a permutation of e1..ek
+    in `itertools.permutations` order and one coin bit per element."""
+    out = {name: [] for name in sorted(symbols)}
+    base = k + (cls is not TF)
+    for start in range(0, n, BLOCK):
+        m = min(BLOCK, n - start)
+        for name in sorted(symbols):
+            if cls is ALL:
+                out[name].append(rng.integers(0, 1 << 64, m, dtype=np.uint64) >> np.uint64(64 - k * k))
+                continue
+            digits = np.zeros((m, k), dtype=np.uint64)
             if cls is IPF:
-                used = np.zeros((n, k), dtype=bool)
-                rows = np.arange(n)
+                images = np.array(list(permutations(range(1, k + 1))), dtype=np.uint64)
+                codes = rng.integers(0, len(images) << k, m)
                 for p in range(k):
-                    dp = digits[:, p]
-                    has = dp > 0
-                    target = np.where(has, dp - np.uint64(1), np.uint64(0)).astype(np.int64)
-                    taken = used[rows, target] & has
-                    digits[taken, p] = 0
-                    fresh = has & ~taken
-                    used[rows[fresh], target[fresh]] = True
-            out[name] = reference_digit_masks(digits, k, True)
-    return out
+                    coin = (codes >> p & 1).astype(np.uint64)
+                    digits[:, p] = images[codes >> k, p] * coin
+            else:
+                for row in range(0, k, _ROWS):
+                    width = min(_ROWS, k - row)
+                    codes = rng.integers(0, base**width, m)
+                    for p in range(width):
+                        digits[:, row + p] = codes // base**p % base
+            out[name].append(reference_digit_masks(digits, k, cls is not TF))
+    return {name: np.concatenate(parts) for name, parts in out.items()}
 
 
 def test_digit_placement_matches_the_value_by_value_decoder():
@@ -141,16 +149,34 @@ def test_digit_placement_matches_the_value_by_value_decoder():
 
 def test_random_masks_lie_in_their_class():
     rng = np.random.default_rng(9)
-    preds = {
-        PF: is_partial_function,
-        TF: lambda r: is_total_function(r, tuple(f"e{i}" for i in range(1, 5))),
-        IPF: is_injective_partial_function,
-    }
-    for cls, pred in preds.items():
-        masks = random_symbol_masks(rng, 200, 4, cls, ("f",))
-        for i in range(200):
-            s = structure_from_masks_at(masks, 4, i)
-            assert pred(s.relations["f"]), (cls, i)
+    for k in range(1, 13):
+        preds = {
+            ALL: lambda r: all(a in domain and b in domain for a, b in r),
+            PF: is_partial_function,
+            TF: lambda r: is_total_function(r, domain),
+            IPF: is_injective_partial_function,
+        }
+        domain = _domain_of(k)
+        for cls, pred in preds.items():
+            masks = random_symbol_masks(rng, 200, k, cls, ("f", "g"))
+            assert all(isinstance(m, np.ndarray) == (k <= MAX_BULK_SIZE) for m in masks.values())
+            for i in range(200):
+                drawn = {name: int(m[i]) for name, m in masks.items()}
+                assert all(0 <= mask < 1 << k * k for mask in drawn.values()), (cls, k, i)
+                s = drawn_structure(drawn, k)
+                assert all(pred(s.relations[name]) for name in drawn), (cls, k, i)
+
+
+def test_random_masks_cross_block_seams_as_the_reference_draws():
+    for k in (3, 8):
+        for cls in (ALL, PF, TF, IPF):
+            for n in (BLOCK - 1, BLOCK, BLOCK + 1):
+                got = random_symbol_masks(np.random.default_rng(n), n, k, cls, ("g", "f"))
+                want = reference_random_symbol_masks(np.random.default_rng(n), n, k, cls, ("f", "g"))
+                assert list(got) == ["f", "g"]
+                for name in ("f", "g"):
+                    assert got[name].shape == (n,) and np.array_equal(got[name], want[name])
+                    assert cls.contains(got[name], k).all(), (k, cls, n)
 
 
 @settings(max_examples=60, deadline=None)

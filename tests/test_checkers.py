@@ -293,7 +293,8 @@ def test_bounded_checks_count_the_balls_they_could_not_compare():
 
 
 def test_bounded_checks_confirm_every_failure_they_meet(monkeypatch):
-    bounds = Bounds(max_size=2, samples=10, sample_size=3)
+    # f ; g fails at radius 1 on three elements, which the sweep covers.
+    bounds = Bounds(max_size=3, samples=10, sample_size=4)
     verdict = check_forward(parse_term("f^"), bounds)
     assert verdict.counterexample["radius"] == 3 and verdict.bounds["max_radius"] == 3
     assert check_forward(parse_term("f ; g"), bounds).bounds["radius"] == 2
@@ -570,14 +571,18 @@ def test_bulk_homomorphism_phase_matches_the_scalar_pair_loop(monkeypatch):
     assert statuses == {"pass-bounded", "fail"}
 
 
+def pool_sizes(bounds, seed):
+    """The sizes of the pool's draws."""
+    return checkers._stream(seed, checkers._POOL).integers(1, bounds.sample_size + 1, bounds.samples)
+
+
 def old_pool(symbols, cls, bounds, seed):
     """The pool as the checks built it before `_pool`: every enumerated
-    structure, then, once all sizes are drawn, one `random_structure` each."""
+    structure, then every draw, those of a swept size included, decoded
+    one at a time."""
     pool = list(enumerate_structures(symbols, bounds.resolved_size(len(symbols)), cls))
-    rng = random.Random(seed)
-    sizes = [rng.randint(1, max(1, bounds.sample_size)) for _ in range(bounds.samples)]
-    pool += [random_structure(rng, size, symbols, cls) for size in sizes]
-    return pool
+    draws = reference.stream_draws(seed, checkers._POOL, pool_sizes(bounds, seed), symbols, cls)
+    return pool + [drawn_structure(masks, size) for size, masks in draws]
 
 
 @pytest.mark.parametrize(
@@ -598,7 +603,7 @@ def test_pool_decodes_to_the_structures_the_old_pool_built(cls, max_size):
             pooled[position] = drawn_structure(_structure_masks(masks, j), size)
         assert all(isinstance(m, np.ndarray) == (size <= 8) for m in masks.values())
     # The exhaustive part keeps the orbit-minimal indices at their labelled
-    # positions (every index at size 1); every draw follows.
+    # positions (every index at size 1); every draw of a larger size follows.
     old = old_pool(symbols, cls, bounds, 5)
     kept, start = [], 0
     for size in range(1, bounds.resolved_size(2) + 1):
@@ -607,7 +612,9 @@ def test_pool_decodes_to_the_structures_the_old_pool_built(cls, max_size):
         assert flags.sum() < total or size == 1
         kept += (start + np.flatnonzero(flags)).tolist()
         start += total
-    kept += range(start, len(old))
+    drawn = np.flatnonzero(pool_sizes(bounds, 5) > bounds.resolved_size(2))
+    assert 0 < len(drawn) < bounds.samples
+    kept += (start + drawn).tolist()
     assert sorted(pooled) == kept
     assert [pooled[p] for p in kept] == [old[p] for p in kept]
     assert max(len(s.domain) for s in pooled.values()) >= 10
@@ -637,15 +644,15 @@ def test_invariant_failing_first_on_a_large_draw_reports_as_before():
 
 def test_forward_visits_anchors_in_structure_domain_order_on_large_draws():
     term = parse_term(TEN_CHAIN)
-    pool = old_pool(("f",), StructureClass.PARTIAL_FUNCTIONS, Bounds(), 12)
+    pool = old_pool(("f",), StructureClass.PARTIAL_FUNCTIONS, Bounds(), 21)
     first = next(s for s in pool if eval_term(term, s))
     value = eval_term(term, first)
     anchors = [a for a in first.domain if any(x == a for x, _ in value)]
-    # e11 precedes e3 in domain order, though not in numeric order.
-    assert len(first.domain) == 12 and anchors[:2] == ["e11", "e3"]
+    # e12 precedes e5 in domain order, though not in numeric order.
+    assert len(first.domain) == 12 and anchors[:2] == ["e12", "e5"]
     inside = set(ball(first, anchors[0], 3).domain)
     row = [b for b in first.domain if (anchors[0], b) in value]
-    verdict = check_forward(term, Bounds(), 12)
+    verdict = check_forward(term, Bounds(), 21)
     assert verdict.counterexample == {
         "kind": "row-outside-ball",
         "term": print_term(term),
@@ -697,9 +704,10 @@ def test_pooled_checks_build_a_structure_only_for_a_counterexample(monkeypatch):
 
 def differential_cases(rng, count, chains):
     """(term, bounds, seed) triples: each of `chains` (terms over f) under
-    Bounds() at seed 3, then random catalogue terms over one or two
-    symbols, every other one without constants, under varied bounds."""
-    cases = [(parse_term(text), Bounds(), 3) for text in chains]
+    Bounds() at seed 4, whose pools of every class draw a ten-chain, then
+    random catalogue terms over one or two symbols, every other one
+    without constants, under varied bounds."""
+    cases = [(parse_term(text), Bounds(), 4) for text in chains]
     while len(cases) < count:
         n = len(cases)
         basis = set(CATALOGUE) - ({"id", "empty", "top"} if n % 2 else set())

@@ -1,18 +1,18 @@
 """equivalence_report's seeded sampled phase: bulk batches for sizes up to
-MAX_BULK_SIZE, one-by-one evaluation above, the same draws and the same
-first counterexample as evaluating every sample in turn, and no evaluation
-of a draw whose size the exhaustive phase covered in full."""
+MAX_BULK_SIZE, Python-int masks through the int kernels above, the same
+draws and the same first counterexample as evaluating every sample in turn,
+and no draw of a size the exhaustive phase covered in full."""
 
 import random
 
-from reference import scalar_equivalence_report
+from reference import scalar_equivalence_report, stream_draws
 
 from relalg import bulk, checkers, logic
 from relalg import terms as tm
 from relalg.bulk import MAX_BULK_SIZE
 from relalg.checkers import Bounds, equivalence_report
 from relalg.logic import parse_formula
-from relalg.structures import StructureClass, random_structure
+from relalg.structures import StructureClass, drawn_structure
 from relalg.terms import CATALOGUE, parse_term, random_term
 from relalg.translate import compile_posex, random_posex_formula
 
@@ -26,12 +26,16 @@ RARELY_APART = (
 )
 
 
+def tail_sizes(seed, bounds):
+    """The sizes of the tail's draws."""
+    return checkers._stream(seed, checkers._TAIL).integers(1, bounds.sample_size + 1, bounds.samples)
+
+
 def reference_sampled_phase(lhs, rhs, signature, cls, bounds, seed):
     """Every sample drawn and evaluated in turn through the scalar route."""
-    rng = random.Random(seed)
-    for checked in range(1, bounds.samples + 1):
-        size = rng.randint(1, bounds.sample_size)
-        structure = random_structure(rng, size, signature, cls)
+    draws = stream_draws(seed, checkers._TAIL, tail_sizes(seed, bounds), signature, cls)
+    for checked, (size, masks) in enumerate(draws, 1):
+        structure = drawn_structure(masks, size)
         if checkers._scalar_value(lhs, structure) != checkers._scalar_value(rhs, structure):
             return checkers._mismatch_report(lhs, rhs, structure, [], checked, seed)
     return checkers.EquivalenceReport(True, None, None, None, [], bounds.samples, seed)
@@ -111,17 +115,13 @@ def test_sampled_phase_evaluates_bulk_sizes_only_in_batches(monkeypatch):
             bounds = Bounds(max_size=0, samples=200, sample_size=12)
             report = equivalence_report(lhs, rhs, ("f", "g"), cls, bounds, 7)
             assert report.equivalent and report.random_checked == 200
-            rng = random.Random(7)
-            large = []
-            for _ in range(200):
-                size = rng.randint(1, 12)
-                random_structure(rng, size, ("f", "g"), cls)
-                if size > MAX_BULK_SIZE:
-                    large.append(size)
+            large = [size for size in tail_sizes(7, bounds).tolist() if size > MAX_BULK_SIZE]
             assert large
-            scalar_terms = 2 if isinstance(rhs, tm.Term) else 1
-            assert sorted(sizes["eval_term"]) == sorted(large * scalar_terms)
-            assert sizes["define_relation"] == ([] if scalar_terms == 2 else large)
+            # Terms evaluate a large draw on its masks; a formula builds its
+            # structure.
+            assert sizes["eval_term"] == []
+            formulas = not isinstance(rhs, tm.Term)
+            assert sorted(sizes["define_relation"]) == sorted(large * formulas)
             sizes["eval_term"].clear()
             sizes["define_relation"].clear()
 

@@ -1,7 +1,9 @@
 """Word-type enumeration and term synthesis from black-box oracles."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from reference import scalar_probe_failure, scalar_probe_rows
@@ -387,3 +389,15 @@ def test_synthesis_result_to_json():
     assert (doc["nodes"], doc["probes"]) == (result.nodes, result.probes) == (3, 16)
     assert doc["probe_depth"] == result.probe_depth == 1
     assert parse_term(doc["term"]) == result.term
+
+
+def test_a_dropped_type_list_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        types = enumerate_types(("f", "g"), 2)
+        assert len(types) == 888
+        first, last = weakref.ref(types[0]), weakref.ref(types[-1])
+        del types
+        assert first() is None and last() is None
+    finally:
+        gc.enable()
