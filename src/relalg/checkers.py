@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial, wraps
 from itertools import combinations, product
 
@@ -33,7 +33,6 @@ from .structures import (
     masks_to_structure,
     orbit_minimal,
     relation_mask,
-    structure_from_index,
     structure_from_json,
     structure_to_json,
     _domain_of,
@@ -51,16 +50,15 @@ class Bounds:
     """Search effort knobs shared by all checkers.
 
     max_size None lets each checker pick its default: exhaustive to size 3
-    for two-symbol terms and size 4 otherwise.  Checks spend
-    `exhaustive_budget` in one of three ways.  The fp/tfp/ifp, forward and
-    local checks and the homomorphism grid ignore it and sweep every index.
-    The subset check sweeps the first min(total, exhaustive_budget)
-    indices of each size and lists each size it cut (`exhaustive_cut`).
-    `equivalence_report` spends one budget over the sizes in turn and
-    draws a size it cannot afford as a seeded random batch.  Every
-    exhaustive sweep evaluates one structure per isomorphism class (its
-    orbit-minimal index, `_sweep`), but budgets, cuts and `checked` count
-    labelled indices, so a verdict does not depend on the filter.  The
+    for two-symbol terms and size 4 otherwise.  Every check and
+    `equivalence_report` spends `exhaustive_budget` by one rule (`_plan`):
+    one budget over the sizes in turn, each size swept in full if the rest
+    affords it, else drawn as one seeded random batch of what is left (at
+    most 65,536) up to size 8, else skipped.  A check lists every size it
+    did not sweep in full under `exhaustive_cut` in its verdict's bounds.
+    Every exhaustive sweep evaluates one structure per isomorphism class
+    (its orbit-minimal index, `_sweep`), but budgets, cuts and `checked`
+    count labelled indices, so a verdict does not depend on the filter.  The
     homomorphism and subset checks cap their sampled phases at 200 draws
     of sizes up to 6 and 8, and record what they ran with in the verdict,
     the homomorphism check with its exhaustive `pair_size` (2).  Every
@@ -167,27 +165,83 @@ def _read_only(value) -> None:
 _CHUNK = 1 << 15
 
 
-def _sweep(symbols: tuple[str, ...], cls: StructureClass, size: int, stop: int, first: int = 0):
-    """Yield (run, indices, masks) for the labelled runs [start, end) of at
-    most `_CHUNK` indices that cover [first, stop) of the structures of
-    `size` elements: `run` is range(start, end), `indices` the run's
+@dataclass(frozen=True)
+class SizeCoverage:
+    """What one size's phase covered.  `checked` counts labelled structures
+    (an exhaustive size's indices [0, checked)); `representatives` counts
+    the structures actually evaluated: the orbit-minimal ones among them
+    where `_sweep` filters, every checked one otherwise."""
+
+    size: int
+    total: int
+    mode: str  # "exhaustive" | "sampled" | "skipped"
+    checked: int
+    representatives: int
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+def _plan(symbols: tuple, cls: StructureClass, bounds: Bounds) -> tuple[SizeCoverage, ...]:
+    """How each size up to the resolved bound is covered, one
+    `SizeCoverage` per size: the one budget rule.  The
+    `exhaustive_budget` labelled structures are spent over the sizes in
+    turn.  A size is exhaustive, swept in full, when its total fits what is
+    left and it is at most `MAX_BULK_SIZE` or the signature is empty (one
+    structure per size); else, up to `MAX_BULK_SIZE` while budget is left,
+    sampled: min(left, 65,536) draws of its `_BATCHES` stream; else
+    skipped.  `representatives` repeats `checked` until a sweep counts."""
+    left, plan = bounds.exhaustive_budget, []
+    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
+        total = count_structures(symbols, size, cls)
+        if total <= left and (size <= bulk.MAX_BULK_SIZE or not symbols):
+            mode, n = "exhaustive", total
+        elif size <= bulk.MAX_BULK_SIZE and left:
+            mode, n = "sampled", min(left, 2 * _CHUNK)
+        else:
+            mode, n = "skipped", 0
+        left -= n
+        plan.append(SizeCoverage(size, total, mode, n, n))
+    return tuple(plan)
+
+
+def _cut(verdict: Verdict, plan: tuple[SizeCoverage, ...]) -> Verdict:
+    """The verdict, listing under `exhaustive_cut` each size of the plan
+    not swept in full; no key when every size was."""
+    cut = [cover.to_json() for cover in plan if cover.mode != "exhaustive"]
+    if cut:
+        verdict.bounds["exhaustive_cut"] = cut
+    return verdict
+
+
+def _sweep(symbols: tuple, cls: StructureClass, cover: SizeCoverage, seed: int, first: int = 0):
+    """Yield (run, indices, masks) for the structures one size's plan entry
+    (`_plan`) covers, from position `first` on.
+
+    An exhaustive size is every index, in labelled runs [start, end) of at
+    most `_CHUNK` indices: `run` is range(start, end), `indices` the run's
     orbit-minimal indices (`structures.orbit_minimal`, every index where no
     marks are built) as a uint64 array, and `masks` their uint64 masks per
     symbol; past `MAX_BULK_SIZE`, every index of the run as a range and
-    lists of Python ints.  Each caller picks its own `stop` (budget rule),
-    in labelled indices, and reports labelled counts.
+    lists of Python ints.  A sampled size is one run of its `checked` draws
+    from its `_BATCHES` stream, every position an index, from 0 whatever
+    `first`.  A skipped size yields nothing.
 
-    No verdict moves.  Every property the callers test is preserved by
-    relabelling the domain, and a skipped index has an isomorphic copy that
-    comes earlier in the same scan and inside the same [0, stop), which
-    passes or fails as it does.  So the first failing structure is never
-    skipped.  Neither side of the first homomorphism-grid hit is: an
-    earlier copy of either would make an earlier hit.  In the forward and
-    local checks, a copy maps each anchor to one with the same ball key and
-    the same row, so the first structure to show a key (each bucket's
-    stored row, structure and anchor) is kept, and so is the first ball-row
-    mismatch.
+    No verdict moves by the filter.  Every property the callers test is
+    preserved by relabelling the domain, and a skipped index has an
+    isomorphic copy that comes earlier in the same scan, which passes or
+    fails as it does.  So the first failing structure is never skipped.
+    Neither side of the first homomorphism-grid hit is: an earlier copy of
+    either would make an earlier hit.  In the forward and local checks, a
+    copy maps each anchor to one with the same ball key and the same row,
+    so the first structure to show a key (each bucket's stored row,
+    structure and anchor) is kept, and so is the first ball-row mismatch.
     """
+    size, stop = cover.size, cover.checked
+    if cover.mode == "sampled":
+        masks = bulk.random_symbol_masks(_stream(seed, _BATCHES, size), stop, size, cls, symbols)
+        yield range(stop), np.arange(stop, dtype=np.uint64), masks
+        return
     for start in range(first, stop, _CHUNK):
         end = min(start + _CHUNK, stop)
         if size <= bulk.MAX_BULK_SIZE:
@@ -197,17 +251,6 @@ def _sweep(symbols: tuple[str, ...], cls: StructureClass, size: int, stop: int, 
             indices = range(start, end)
             decoded = [decode_symbol_masks(i, size, cls, symbols) for i in indices]
             yield indices, indices, {name: [m[name] for m in decoded] for name in sorted(symbols)}
-
-
-def _evaluated(symbols: tuple[str, ...], cls: StructureClass, size: int, stop: int) -> int:
-    """How many structures `_sweep` visits over [0, stop), without decoding
-    them."""
-    if size > bulk.MAX_BULK_SIZE:
-        return stop
-    return sum(
-        len(orbit_minimal(start, min(start + _CHUNK, stop), size, cls, len(symbols)))
-        for start in range(0, stop, _CHUNK)
-    )
 
 
 # The sampled phases, each with its own streams (`_stream`).
@@ -223,13 +266,14 @@ def _stream(seed: int, phase: int, *size: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, *size)))
 
 
-def _by_size(seed: int, phase: int, sizes: np.ndarray, covered=()):
-    """(size, positions, generator) for each size in `sizes` outside
-    `covered`, ascending: where it was drawn, and its own stream, so its
-    draws do not depend on the other sizes.  A size an exhaustive phase
-    passed in full is not drawn: each draw would equal a structure that
-    phase passed (at any size for the function classes)."""
-    for size in sorted(set(sizes.tolist()) - set(covered)):
+def _by_size(seed: int, phase: int, sizes: np.ndarray, plan: tuple = ()):
+    """(size, positions, generator) for each size in `sizes` that `plan`
+    does not sweep in full, ascending: where it was drawn, and its own
+    stream, so its draws do not depend on the other sizes.  A size an
+    exhaustive phase passed in full is not drawn: each draw would equal a
+    structure that phase passed (at any size for the function classes)."""
+    swept = {cover.size for cover in plan if cover.mode == "exhaustive"}
+    for size in sorted(set(sizes.tolist()) - swept):
         yield size, np.flatnonzero(sizes == size), _stream(seed, phase, size)
 
 
@@ -240,9 +284,9 @@ def _pool(
     """The structures the fp/tfp/ifp, forward and local checks scan, as one
     (size, masks, positions) group per size, sizes ascending.
 
-    The pool is every index of every size up to the resolved bound that
-    `_sweep` visits, then `samples` draws of sizes 1..sample_size from the
-    pool's streams (`_by_size`), of which those of a swept size are
+    The pool is what `_sweep` visits of each size up to the resolved bound,
+    as `_plan` covers it, then `samples` draws of sizes 1..sample_size from
+    the pool's streams (`_by_size`), of which those of a swept size are
     neither drawn nor pooled: each equals a swept structure, so it shows
     no failure and no ball key that an earlier structure did not.
     `positions` numbers a group's structures in that order, ascending, by
@@ -256,14 +300,13 @@ def _pool(
     parts: dict[int, list[tuple[dict, np.ndarray]]] = {}
     start = 0
     sizes = _stream(seed, _POOL).integers(1, bounds.sample_size + 1, bounds.samples)
-    swept = range(1, bounds.resolved_size(len(symbols)) + 1)
-    for size in swept:
-        total = count_structures(symbols, size, cls)
-        for _, indices, masks in _sweep(symbols, cls, size, total):
+    plan = _plan(symbols, cls, bounds)
+    for cover in plan:
+        for _, indices, masks in _sweep(symbols, cls, cover, seed):
             positions = start + np.asarray(indices, dtype=np.int64)
-            parts.setdefault(size, []).append((masks, positions))
-        start += total
-    for size, at, rng in _by_size(seed, _POOL, sizes, swept):
+            parts.setdefault(cover.size, []).append((masks, positions))
+        start += cover.checked
+    for size, at, rng in _by_size(seed, _POOL, sizes, plan):
         masks = bulk.random_symbol_masks(rng, len(at), size, cls, symbols)
         parts.setdefault(size, []).append((masks, start + at))
 
@@ -353,7 +396,7 @@ def _check_invariant(
     """Each pool group's values are tested for the class at once; the first
     failing pool position is re-derived one structure at a time."""
     cls, offence = _INVARIANTS[name]
-    first = None
+    plan, first = _plan(tm.term_signature(term), cls, bounds), None
     for size, masks, positions in _pool(tm.term_signature(term), cls, bounds, seed):
         values = _values(term, size, masks, len(positions))
         if size <= bulk.MAX_BULK_SIZE:
@@ -365,7 +408,7 @@ def _check_invariant(
             if first is None or positions[j] < first[0]:
                 first = positions[j], size, _structure_masks(masks, j)
     if first is None:
-        return Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
+        return _cut(Verdict(name, "pass-bounded", None, bounds.to_json(), seed), plan)
     _, size, masks = first
     if cls.contains(_int_value(term, size, masks), size):
         raise AssertionError("bulk and mask evaluation disagree on an invariant")
@@ -379,7 +422,7 @@ def _check_invariant(
         "structure": structure_to_json(structure),
         "offence": bad,
     }
-    return _confirmed(Verdict(name, "fail", counterexample, bounds.to_json(), seed))
+    return _cut(_confirmed(Verdict(name, "fail", counterexample, bounds.to_json(), seed)), plan)
 
 
 def check_function_preserving(
@@ -410,11 +453,11 @@ _GRID = 1 << 16
 _PAIR_SIZE = 2
 
 
-def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...]):
+def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...], plan: tuple, seed: int):
     """Yield (source size, source masks, target size, target masks) for every
-    pair of structures up to `_PAIR_SIZE` that `_sweep` visits with a
+    pair of structures that `_sweep` visits of the sizes of `plan` with a
     homomorphism that moves a pair of the term's value outside it, sources
-    then targets in enumeration order.
+    then targets in enumeration (or draw) order.
 
     Every visited structure of each size is evaluated once.  Each of
     the kt**ks maps moves the source bits as `_move_bits` does.  Over a
@@ -423,23 +466,20 @@ def _homsafe_hits(term: tm.Term, symbols: tuple[str, ...]):
     a moved value bit falls outside the target's value.  The grid runs in
     blocks of at most `_GRID` cells.
     """
-    sizes = range(1, _PAIR_SIZE + 1)
     batches = {}
-    for size in sizes:
-        total = count_structures(symbols, size, StructureClass.ALL)
-        runs = list(_sweep(symbols, StructureClass.ALL, size, total))
-        masks = {name: np.concatenate([run[name] for *_, run in runs]) for name in symbols}
-        n = sum(len(indices) for _, indices, _ in runs)
-        batches[size] = masks, _values(term, size, masks, n)
+    for cover in plan:
+        runs = list(_sweep(symbols, StructureClass.ALL, cover, seed))
+        if runs:
+            masks = {name: np.concatenate([run[name] for *_, run in runs]) for name in symbols}
+            n = sum(len(indices) for _, indices, _ in runs)
+            batches[cover.size] = masks, _values(term, cover.size, masks, n)
     rows = max(1, _GRID // max([1] + [len(v) for _, v in batches.values()]))
     cols = max(1, _GRID // rows)
-    for ks in sizes:
-        smasks, svalue = batches[ks]
+    for ks, (smasks, svalue) in batches.items():
         for s0 in range(0, len(svalue), rows):
             s1 = min(s0 + rows, len(svalue))
             found: list[tuple[int, int, int]] = []
-            for kt in sizes:
-                tmasks, tvalue = batches[kt]
+            for kt, (tmasks, tvalue) in batches.items():
                 for t0 in range(0, len(tvalue), cols):
                     t1 = min(t0 + cols, len(tvalue))
                     bad = np.zeros((s1 - s0, t1 - t0), dtype=bool)
@@ -529,17 +569,19 @@ def check_homomorphism_safe(
 ) -> Verdict:
     """Images of term pairs under any homomorphism stay in the term's value.
 
-    Exhaustive over every map between structures of at most `pair_size`
-    (2) elements as a bit-mask grid (`_homsafe_hits`), then
+    Every map between the structures of at most `pair_size` (2) elements
+    that `_plan` covers, as a bit-mask grid (`_homsafe_hits`), then
     `sampled_pairs` random pairs of sizes up to `sampled_size_cap`: the
     phase's stream draws each pair's two sizes, and each size's stream
-    (`_by_size`) its sources and targets in pair order.  A pair whose
-    sides both lie within `pair_size` is not searched: the grid tried
-    every map between such structures.  `_violating_hom` searches each
-    other pair to the end and re-derives a grid hit's map and pair.
+    (`_by_size`) its sources and targets in pair order.  A pair of sizes
+    the grid swept in full is not searched: the grid tried every map
+    between such structures.  `_violating_hom` searches each other pair to
+    the end and re-derives a grid hit's map and pair.
     """
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
+    plan = _plan(symbols, StructureClass.ALL, replace(bounds, max_size=_PAIR_SIZE))
+    swept = {cover.size for cover in plan if cover.mode == "exhaustive"}
     pairs = min(bounds.samples, 200)
     size_cap = min(bounds.sample_size, 6)
     sizes = _stream(seed, _PAIRS).integers(1, size_cap + 1, 2 * pairs)
@@ -566,9 +608,9 @@ def check_homomorphism_safe(
         verdict.bounds["pair_size"] = _PAIR_SIZE
         verdict.bounds["sampled_pairs"] = pairs
         verdict.bounds["sampled_size_cap"] = size_cap
-        return verdict
+        return _cut(verdict, plan)
 
-    for ks, source, kt, target in _homsafe_hits(term, symbols):
+    for ks, source, kt, target in _homsafe_hits(term, symbols, plan, seed):
         verdict = failure(ks, source, kt, target)
         if verdict is None:
             raise AssertionError("bulk and mask evaluation disagree on a homomorphism")
@@ -580,7 +622,7 @@ def check_homomorphism_safe(
             drawn[slot] = size, _structure_masks(masks, j)
     for (ks, source), (kt, target) in zip(drawn[::2], drawn[1::2]):
         # Draws' e1..ek order is their sorted domain: sizes stay below ten.
-        verdict = max(ks, kt) > _PAIR_SIZE and failure(ks, source, kt, target)
+        verdict = not {ks, kt} <= swept and failure(ks, source, kt, target)
         if verdict:
             return counted(verdict)
     return counted(
@@ -669,20 +711,20 @@ def _distinct(words: dict, k: int, shape: tuple[int, ...]):
 
 
 @_per_call
-def _chunk_parts(symbols: tuple[str, ...], size: int, start: int, stop: int):
+def _chunk_parts(symbols: tuple[str, ...], cover: SizeCoverage, seed: int, start: int):
     """The structures induced on the proper subsets of the ALL-class
-    structures of `size` elements that `_sweep` visits in the run [start,
-    stop).
+    structures that `_sweep` visits in the run from `start` of one size's
+    plan entry.
 
     One (k, cells, distinct, count, inverse) per subset size k: row j of
     `cells` holds the `_cells` of the j-th k-element subset in
     `_proper_subsets` order, `distinct` and `count` the structures to
     evaluate the term on (`_distinct`), and inverse[j, i] the index among
     them of the structure subset j induces on the chunk's i-th structure."""
-    ((_, indices, masks),) = _sweep(symbols, StructureClass.ALL, size, stop, start)
+    _, indices, masks = next(_sweep(symbols, StructureClass.ALL, cover, seed, start))
     by_size: dict[int, list[list[int]]] = {}
-    for subset in _proper_subsets(size):
-        by_size.setdefault(len(subset), []).append(_cells(subset, size))
+    for subset in _proper_subsets(cover.size):
+        by_size.setdefault(len(subset), []).append(_cells(subset, cover.size))
     parts = []
     for k, rows in by_size.items():
         narrow = np.min_scalar_type((1 << k * k) - 1)
@@ -697,11 +739,11 @@ def _chunk_parts(symbols: tuple[str, ...], size: int, start: int, stop: int):
     return tuple(parts)
 
 
-def _subsafe_exhaustive(
-    term: tm.Term, symbols: tuple[str, ...], size: int, stop: int, failure
+def _subsafe_size(
+    term: tm.Term, symbols: tuple[str, ...], cover: SizeCoverage, seed: int, failure
 ) -> Verdict | None:
-    """Exhaustive phase of the induced-substructure check on the structures
-    `_sweep` visits among the first `stop` of `size` elements.
+    """The induced-substructure check on the structures `_sweep` visits of
+    one size's plan entry, swept or sampled.
 
     Up to `bulk.MAX_BULK_SIZE`, per `_sweep` run, the term is evaluated
     once on each distinct structure the run's proper subsets induce
@@ -710,7 +752,8 @@ def _subsafe_exhaustive(
     own value; `failure` re-derives the run's first.  Larger sizes go to
     `failure` one structure at a time.
     """
-    for run, indices, masks in _sweep(symbols, StructureClass.ALL, size, stop):
+    size = cover.size
+    for run, indices, masks in _sweep(symbols, StructureClass.ALL, cover, seed):
         n = len(indices)
         if size > bulk.MAX_BULK_SIZE:
             for j in range(n):
@@ -722,7 +765,7 @@ def _subsafe_exhaustive(
             continue
         # Every pair an induced value puts on each structure.
         parts = np.zeros(n, dtype=np.uint64)
-        for k, cells, distinct, count, inverse in _chunk_parts(symbols, size, run.start, run.stop):
+        for k, cells, distinct, count, inverse in _chunk_parts(symbols, cover, seed, run.start):
             values = _values(term, k, distinct, count)
             for row, structure in zip(cells.tolist(), inverse):
                 parts |= _move_bits(values, list(enumerate(row)))[structure]
@@ -737,26 +780,26 @@ def _subsafe_exhaustive(
 
 
 @_per_call
-def _subset_draws(symbols: tuple[str, ...], seed: int, sizes: tuple[int, ...], covered: tuple):
+def _subset_draws(symbols: tuple[str, ...], seed: int, sizes: tuple[int, ...], plan: tuple):
     """The sampled phase's draws of the given sizes, in draw order, and
     their batches: (draws, wholes, parts).
 
     Each draw is a structure and its 32 subsets, each uniform over the
     subsets of its positions, tried in the order drawn with repeats
     dropped.  Each size's stream (`_by_size`) draws its structures, then
-    their subsets; a size in `covered`, which the exhaustive phase swept in
-    full, is not drawn.  draws[i] is draw i as (size, masks, subsets), in
-    Python ints and position tuples, None where not drawn.  `wholes` groups
-    the drawn ones by size as (size, draw indices, masks).  `parts` groups
-    the pairs of a draw and one of its proper subsets by subset size k, as
-    (k, draw, cells, distinct, count, inverse): each pair's draw index and
-    `_cells`, then the distinct induced structures as in `_chunk_parts`,
-    inverse[i] naming the i-th pair's."""
+    their subsets; a size `plan` sweeps in full is not drawn.  draws[i] is
+    draw i as (size, masks, subsets), in Python ints and position tuples,
+    None where not drawn.  `wholes` groups the drawn ones by size as (size,
+    draw indices, masks).  `parts` groups the pairs of a draw and one of
+    its proper subsets by subset size k, as (k, draw, cells, distinct,
+    count, inverse): each pair's draw index and `_cells`, then the distinct
+    induced structures as in `_chunk_parts`, inverse[i] naming the i-th
+    pair's."""
     masks = {name: np.zeros(len(sizes), dtype=np.uint64) for name in symbols}
     draws: list = [None] * len(sizes)
     wholes = []
     pairs: dict[int, list[tuple[int, list[int]]]] = {}
-    for size, rows, rng in _by_size(seed, _SUBSETS, np.array(sizes), covered):
+    for size, rows, rng in _by_size(seed, _SUBSETS, np.array(sizes), plan):
         # Draws' e1..ek order is their sorted domain: sizes stay below ten.
         drawn = bulk.random_symbol_masks(rng, len(rows), size, StructureClass.ALL, symbols)
         codes = rng.integers(0, 1 << size, (len(rows), 32)).tolist()
@@ -806,22 +849,20 @@ def check_subseteq_safe(
     are `_subset_draws`, of sizes from the phase's stream.  Both phases
     evaluate the term on whole batches; the first failing structure (in
     enumeration order, then in draw order) is re-derived one subset at a
-    time, which picks the reported subset and pair.  Each size the budget
-    cut short is listed as `SizeCoverage` JSON under `exhaustive_cut`, a
-    key present only when some size was cut."""
+    time, which picks the reported subset and pair.  The sizes up to the
+    resolved bound are covered as `_plan` decides, a sampled size by the
+    exhaustive phase's code on its batch."""
     bounds = bounds or Bounds()
     symbols = tm.term_signature(term)
     draws = min(bounds.samples, 200)
     size_cap = min(bounds.sample_size, 8)
     sizes = _stream(seed, _SUBSETS).integers(1, size_cap + 1, draws)
-    cut, covered = [], []
+    plan = _plan(symbols, StructureClass.ALL, bounds)
 
     def reported(verdict: Verdict) -> Verdict:
         verdict.bounds["sampled_structures"] = draws
         verdict.bounds["sampled_size_cap"] = size_cap
-        if cut:
-            verdict.bounds["exhaustive_cut"] = cut
-        return verdict
+        return _cut(verdict, plan)
 
     def failure(size: int, masks: dict, subsets) -> Verdict | None:
         hit = _subset_hit(term, size, masks, subsets)
@@ -839,18 +880,11 @@ def check_subseteq_safe(
             Verdict("subseteq-safe", "fail", counterexample, bounds.to_json(), seed)
         )
 
-    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
-        total = count_structures(symbols, size, StructureClass.ALL)
-        stop = min(total, bounds.exhaustive_budget)
-        if stop < total:
-            evaluated = _evaluated(symbols, StructureClass.ALL, size, stop)
-            cut.append(SizeCoverage(size, total, "exhaustive", stop, evaluated).to_json())
-        else:
-            covered.append(size)
-        verdict = _subsafe_exhaustive(term, symbols, size, stop, failure)
+    for cover in plan:
+        verdict = _subsafe_size(term, symbols, cover, seed, failure)
         if verdict is not None:
             return reported(verdict)
-    drawn, wholes, parts = _subset_draws(symbols, seed, tuple(sizes.tolist()), tuple(covered))
+    drawn, wholes, parts = _subset_draws(symbols, seed, tuple(sizes.tolist()), plan)
     bad = _sampled_flags(term, draws, wholes, parts)
     if bad.any():
         verdict = failure(*drawn[int(np.argmax(bad))])
@@ -1101,18 +1135,20 @@ def _bounded_rows_check(
     return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
 
 
+# The class of each mode's pool, whose letters are all partial functions.
+_POOL_CLASS = {
+    "forward": StructureClass.PARTIAL_FUNCTIONS,
+    "undirected": StructureClass.INJECTIVE_PARTIAL_FUNCTIONS,
+}
+
+
 @_per_call
 def _walks(symbols: tuple[str, ...], mode: str, bounds: Bounds, seed: int, max_radius: int):
     """The forward (or, in undirected mode, local) check's pool groups with
     their letters and one BFS to `max_radius`, as (size, masks, positions,
     letters, walk) per group: everything but the term's rows."""
-    cls = (
-        StructureClass.PARTIAL_FUNCTIONS
-        if mode == "forward"
-        else StructureClass.INJECTIVE_PARTIAL_FUNCTIONS
-    )
     groups = []
-    for size, masks, positions in _pool(symbols, cls, bounds, seed):
+    for size, masks, positions in _pool(symbols, _POOL_CLASS[mode], bounds, seed):
         letters = tuple(_successors(size, masks, mode))
         walk = _walk(letters, len(positions), size, max_radius)
         groups.append((size, masks, positions, letters, walk))
@@ -1133,6 +1169,7 @@ def _check_bounded(
     if max_radius < 0:
         raise CheckError(f"max radius must be at least 0, got {max_radius}")
     symbols = tm.term_signature(term)
+    plan = _plan(symbols, _POOL_CLASS[mode], bounds)
     with _sharing():
         groups = []
         walks = _walks(symbols, mode, bounds, seed, max_radius)
@@ -1148,11 +1185,11 @@ def _check_bounded(
                 verdict.bounds["radius"] = radius
                 verdict.bounds["max_radius"] = max_radius
                 verdict.bounds["balls_skipped"] = 0
-                return verdict
+                return _cut(verdict, plan)
             _confirmed(failure)
     failure.bounds["balls_skipped"] = 0
     failure.bounds["max_radius"] = max_radius
-    return failure
+    return _cut(failure, plan)
 
 
 def check_forward(
@@ -1268,23 +1305,6 @@ def catalogue_matrix(bounds: Bounds | None = None, seed: int = 0) -> MatrixRepor
 
 
 @dataclass
-class SizeCoverage:
-    """What one size's phase covered.  `checked` counts labelled structures
-    (an exhaustive size's indices [0, checked)); `representatives` counts
-    the structures actually evaluated: the orbit-minimal ones among them
-    where `_sweep` filters, every checked one otherwise."""
-
-    size: int
-    total: int
-    mode: str  # "exhaustive" | "sampled" | "skipped"
-    checked: int
-    representatives: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
 class EquivalenceReport:
     equivalent: bool
     counterexample: Structure | None
@@ -1351,26 +1371,24 @@ def equivalence_report(
 ) -> EquivalenceReport:
     """Compare two terms (or a term and a formula) over a structure class.
 
-    Exhaustive over each size up to the resolved bound while the cumulative
-    evaluation budget lasts, charged in labelled structures (one per size
-    for the empty signature) though `_sweep` evaluates one per orbit; an
-    over-budget size degrades to one random batch of up to 65,536
-    structures from its own stream, and a size past the spent budget is
-    skipped, with coverage recorded.  A second phase, the tail, draws
-    `samples` sizes of 1..sample_size and then each size's structures
-    (`_by_size`), compared in one batch per size (`_values`: terms on
-    masks past `MAX_BULK_SIZE` too, formulas through their structures);
-    a size whose first draw lies past a mismatch already found is not
-    drawn.  `random_checked` is the position of the first mismatching draw
-    (all draws when none differs).  The first counterexample (in
-    enumeration order, then in draw order) is re-verified through
-    `eval_term` and the Tarskian `eval_formula` before being reported.
+    Each size up to the resolved bound is covered as `_plan` decides, with
+    the coverage recorded: swept in full (charged in labelled structures,
+    one per size for the empty signature, though `_sweep` evaluates one per
+    orbit), sampled as one random batch from its own stream, or skipped.
+    A second phase, the tail, draws `samples` sizes of 1..sample_size and
+    then each size's structures (`_by_size`), compared in one batch per
+    size (`_values`: terms on masks past `MAX_BULK_SIZE` too, formulas
+    through their structures); a size swept in full is not drawn, nor a
+    size whose first draw lies past a mismatch already found.
+    `random_checked` is the position of the first mismatching draw (all
+    draws when none differs).  The first counterexample (in enumeration
+    order, then in draw order) is re-verified through `eval_term` and the
+    Tarskian `eval_formula` before being reported.
     """
     bounds = bounds or Bounds()
     signature = tuple(sorted(signature))
-    max_size = bounds.resolved_size(len(signature))
+    plan = _plan(signature, cls, bounds)
     coverage: list[SizeCoverage] = []
-    budget = bounds.exhaustive_budget
     sizes = _stream(seed, _TAIL).integers(1, bounds.sample_size + 1, bounds.samples)
 
     def first_difference(size: int, masks: dict, n: int):
@@ -1383,42 +1401,20 @@ def equivalence_report(
         # Every class lays its masks over e1..ek in numeric order.
         return j, drawn_structure(_structure_masks(masks, j), size)
 
-    for size in range(1, max_size + 1):
-        total = count_structures(signature, size, cls)
-        if not signature and budget:
-            # One bare domain per size, at any size; compare directly.
-            budget -= 1
-            structure = structure_from_index(signature, size, cls, 0)
-            coverage.append(SizeCoverage(size, 1, "exhaustive", 1, 1))
-            if _scalar_value(lhs, structure) != _scalar_value(rhs, structure):
-                return _mismatch_report(lhs, rhs, structure, coverage, 0, seed)
-        elif size <= bulk.MAX_BULK_SIZE and total <= budget:
-            budget -= total
-            evaluated = 0
-            for run, indices, masks in _sweep(signature, cls, size, total):
-                if not len(indices):  # a run with no orbit-minimal index
-                    continue
-                evaluated += len(indices)
-                found = first_difference(size, masks, len(indices))
-                if found is not None:
-                    coverage.append(SizeCoverage(size, total, "exhaustive", run.stop, evaluated))
-                    return _mismatch_report(lhs, rhs, found[1], coverage, 0, seed)
-            coverage.append(SizeCoverage(size, total, "exhaustive", total, evaluated))
-        elif size <= bulk.MAX_BULK_SIZE and budget > 0:
-            n = min(budget, _CHUNK * 2)
-            budget -= n
-            masks = bulk.random_symbol_masks(_stream(seed, _BATCHES, size), n, size, cls, signature)
-            coverage.append(SizeCoverage(size, total, "sampled", n, n))
-            found = first_difference(size, masks, n)
+    for cover in plan:
+        evaluated = 0
+        for run, indices, masks in _sweep(signature, cls, cover, seed):
+            if not len(indices):  # a run with no orbit-minimal index
+                continue
+            evaluated += len(indices)
+            found = first_difference(cover.size, masks, len(indices))
             if found is not None:
+                coverage.append(replace(cover, checked=run.stop, representatives=evaluated))
                 return _mismatch_report(lhs, rhs, found[1], coverage, 0, seed)
-        else:
-            coverage.append(SizeCoverage(size, total, "skipped", 0, 0))
+        coverage.append(replace(cover, representatives=evaluated))
 
-    # The tail: a size the exhaustive phase checked in full is not drawn.
-    covered = [c.size for c in coverage if c.mode == "exhaustive" and c.checked == c.total]
     first = None
-    for size, at, rng in _by_size(seed, _TAIL, sizes, covered):
+    for size, at, rng in _by_size(seed, _TAIL, sizes, plan):
         if first is None or at[0] < first[0]:
             masks = bulk.random_symbol_masks(rng, len(at), size, cls, signature)
             found = first_difference(size, masks, len(at))

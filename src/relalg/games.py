@@ -178,9 +178,11 @@ def check_union_compatibility(
     premise fails are skipped, not counted against the property.  Half the
     partners are shuffled copies of their mates so the premise actually
     fires; the rest are fresh draws that mostly exercise the skip path.
-    A negative rank or sample count, or a size below 1, raises `GameError`.
+    A negative rank, sample count or seed, or a size below 1, raises `GameError`.
     """
-    for name, value, least in (("rank", rank, 0), ("samples", samples, 0), ("size", size, 1)):
+    for name, value, least in (
+        ("rank", rank, 0), ("samples", samples, 0), ("size", size, 1), ("seed", seed, 0)
+    ):
         if value < least:
             raise GameError(f"{name} must be at least {least}, got {value}")
     rng = random.Random(seed)

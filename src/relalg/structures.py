@@ -710,8 +710,8 @@ def decode_symbol_masks(
 # code alone.  An index is orbit-minimal when no relabelling gives a smaller
 # one.  Marks need a one-symbol relabel table of k! codes per code.  They are
 # built for two or more symbols, where that table is smaller than the space it
-# filters, and up to `_RELABEL_LIMIT` table entries, since the table is built
-# whole even for a budget-cut prefix (ALL at size 5 would need 5! * 2**25).
+# filters, and up to `_RELABEL_LIMIT` entries, past which the space far outgrows
+# the default budget: ALL at size 5 needs 5! * 2**25 entries for 2**50 indices.
 
 _RELABEL_LIMIT = 1 << 21
 _MARK_BLOCK = 1 << 15
@@ -857,8 +857,8 @@ def random_masks(
 ) -> dict[str, int]:
     """One seeded random structure as a mask per symbol, bits laid out over
     `_domain_of(size)` (e1..e_size in numeric order); `drawn_structure`
-    decodes it.  This is the one Python-RNG generator: `random_structure`
-    and the checkers' sampled phases all draw through it."""
+    decodes it.  This is the one Python-RNG generator, and only
+    `random_structure` draws through it; the checkers draw numpy streams."""
     partial = cls is not StructureClass.TOTAL_FUNCTIONS
     out: dict[str, int] = {}
     for name in sorted(signature):

@@ -19,8 +19,9 @@ envelope (without its wall time), seeded `verify_compilation` and
 oracles, the messages and details of oracles the probes reject,
 `estimate_radius` searches, and equivalence reports across budgets,
 classes and signatures.  `ORBIT_CASES` reach a failure inside an
-orbit-filtered run of every exhaustive sweep, and `SEAM_CASE` a first
-mismatch past the first block of `bulk.bulk_eval_term`.  The `stream`
+orbit-filtered run of every exhaustive sweep, `PLAN_CASES` run checks
+whose budget binds, and `SEAM_CASE` reaches a first mismatch past the
+first block of `bulk.bulk_eval_term`.  The `stream`
 cases print one sha256 digest per sampled phase, class and size of that
 phase's draws at seeds 0-3, so a change can show with `cmp` that it left
 the sampled stream alone.  The file is not a test module: pytest does not
@@ -125,6 +126,21 @@ ORBIT_CASES = (
     ("check_subseteq_safe", f"~({ARROW} ; {ARROW} ; {ARROW}) | S",
      Bounds(max_size=3, samples=0, exhaustive_budget=200_000)),
     ("check_subseteq_safe", "R ; S", Bounds(max_size=4, samples=0)),
+    # The first ⊆-safety case samples size 3 on its budget; this one, the
+    # same term written with its compositions grouped, sweeps size 3 in full.
+    ("check_subseteq_safe", f"~(({ARROW} ; {ARROW}) ; {ARROW}) | S", Bounds(max_size=3, samples=0)),
+)
+# (check, term, bounds): checks whose budget binds, so their `exhaustive_cut`
+# lists what the budget rule sampled and skipped.  Two partial functions at
+# size 5 (60,466,176 structures) sample 65,536; the grid and ⊆-safety run
+# with no budget and with 100, a passing and a failing term each.
+PLAN_CASES = (
+    *((name, "f ; g", Bounds(max_size=5, samples=0))
+      for name in ("check_forward", "check_function_preserving", "check_local")),
+    *((name, source, Bounds(samples=200, sample_size=6, exhaustive_budget=budget))
+      for name in ("check_homomorphism_safe", "check_subseteq_safe")
+      for source in ("R ; S", "R <+ S")
+      for budget in (0, 100)),
 )
 
 # An over-budget three-symbol ALL batch of 65,536 random structures at size
@@ -198,6 +214,9 @@ def main() -> None:
     for name, source, bounds in ORBIT_CASES:
         verdict = getattr(checkers, name)(parse_term(source), bounds, 0)
         emit(f"orbit:{name}:{source}", verdict.to_json())
+    for name, source, bounds in PLAN_CASES:
+        verdict = getattr(checkers, name)(parse_term(source), bounds, 0)
+        emit(f"plan:{name}:{source}:{bounds.exhaustive_budget}", verdict.to_json())
     for preset in cli.PRESETS:
         for seed in (0, 23):
             out = io.StringIO()

@@ -8,7 +8,8 @@ checks' references scan the pool one structure and one anchor at a time,
 on Python ints.  The ⊆-safety reference evaluates the term on every
 induced substructure of every structure, one subset at a time.  The
 equivalence reference decodes and compares one index or draw at a time.
-Every sampled phase's reference draws every size it draws, from the same
+All three take what each size covers from one replay of the budget rule
+(`reference_plan`).  Every sampled phase's reference draws every size it draws, from the same
 streams (`stream_draws`), and evaluates each draw in turn, so it also
 evaluates the draws of the sizes the library leaves undrawn because an
 exhaustive phase covered them.  The bulk formula route's bit
@@ -232,15 +233,61 @@ def stream_draws(seed, phase, sizes, symbols, cls):
     return [drawn[position] for position in range(len(sizes))]
 
 
+# --- the budget rule, size by size --------------------------------------------
+
+def reference_plan(symbols, cls, bounds):
+    """What each size up to the resolved bound covers under the one budget
+    rule, as `SizeCoverage` with `representatives` equal to `checked`: the
+    budget left pays a size's whole count if it is at most `MAX_BULK_SIZE`
+    or the signature is empty, else up to 65,536 sampled structures up to
+    `MAX_BULK_SIZE`, else nothing."""
+    plan, left = [], bounds.exhaustive_budget
+    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
+        total = count_structures(symbols, size, cls)
+        small = size <= bulk.MAX_BULK_SIZE
+        if total <= left and (small or not symbols):
+            plan.append(SizeCoverage(size, total, "exhaustive", total, total))
+        elif small and left > 0:
+            n = min(left, 2 * _CHUNK)
+            plan.append(SizeCoverage(size, total, "sampled", n, n))
+        else:
+            plan.append(SizeCoverage(size, total, "skipped", 0, 0))
+        left -= plan[-1].checked
+    return plan
+
+
+def planned(symbols, cls, plan, seed):
+    """(cover, masks) for each structure the plan covers, size by size in
+    order: every index of an exhaustive size decoded alone, and a sampled
+    size's draws from its batch stream."""
+    for cover in plan:
+        if cover.mode == "exhaustive":
+            for index in range(cover.total):
+                yield cover, decode_symbol_masks(index, cover.size, cls, symbols)
+        elif cover.mode == "sampled":
+            rng = _stream(seed, _BATCHES, cover.size)
+            batch = bulk.random_symbol_masks(rng, cover.checked, cover.size, cls, symbols)
+            for j in range(cover.checked):
+                yield cover, {name: int(m[j]) for name, m in batch.items()}
+
+
+def with_cut(verdict, plan):
+    """The verdict with the plan's sizes not swept in full listed under
+    `exhaustive_cut`, if any."""
+    cut = [cover.to_json() for cover in plan if cover.mode != "exhaustive"]
+    if cut:
+        verdict.bounds["exhaustive_cut"] = cut
+    return verdict
+
+
 # --- the pooled checks, one structure and one anchor at a time -----------------
 
 def scalar_pool(symbols, cls, bounds, seed):
     """The (size, masks) entries of the checks' pool in pool order, each
-    index decoded on its own: every index of every size up to the resolved
-    bound, then every seeded draw."""
-    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
-        for index in range(count_structures(symbols, size, cls)):
-            yield size, decode_symbol_masks(index, size, cls, symbols)
+    structure on its own: what the plan covers of each size up to the
+    resolved bound, then every seeded draw."""
+    for cover, masks in planned(symbols, cls, reference_plan(symbols, cls, bounds), seed):
+        yield cover.size, masks
     sizes = _stream(seed, _POOL).integers(1, bounds.sample_size + 1, bounds.samples)
     yield from stream_draws(seed, _POOL, sizes, symbols, cls)
 
@@ -249,7 +296,9 @@ def scalar_invariant_check(name, term, bounds, seed):
     """The fp/tfp/ifp verdict from a scan of the pool in order, without the
     re-verification."""
     cls, offence = _INVARIANTS[name]
-    for size, masks in scalar_pool(term_signature(term), cls, bounds, seed):
+    symbols = term_signature(term)
+    plan = reference_plan(symbols, cls, bounds)
+    for size, masks in scalar_pool(symbols, cls, bounds, seed):
         if cls.contains(evaluate(term, masks, int_ops(size).value), size):
             continue
         structure = drawn_structure(masks, size)
@@ -259,8 +308,8 @@ def scalar_invariant_check(name, term, bounds, seed):
             "structure": structure_to_json(structure),
             "offence": offence(eval_term(term, structure), structure),
         }
-        return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
-    return Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
+        return with_cut(Verdict(name, "fail", counterexample, bounds.to_json(), seed), plan)
+    return with_cut(Verdict(name, "pass-bounded", None, bounds.to_json(), seed), plan)
 
 
 def letters(size, masks, mode):
@@ -353,9 +402,11 @@ def scalar_bounded_check(term, mode, bounds, seed, max_radius):
         cls, name = StructureClass.PARTIAL_FUNCTIONS, "forward-bounded"
     else:
         cls, name = StructureClass.INJECTIVE_PARTIAL_FUNCTIONS, "local-bounded"
+    symbols = term_signature(term)
+    plan = reference_plan(symbols, cls, bounds)
     pool = [
         (size, masks, letters(size, masks, mode))
-        for size, masks in scalar_pool(term_signature(term), cls, bounds, seed)
+        for size, masks in scalar_pool(symbols, cls, bounds, seed)
     ]
     values = [None] * len(pool)
     for radius in range(max_radius + 1):
@@ -363,24 +414,24 @@ def scalar_bounded_check(term, mode, bounds, seed, max_radius):
         if failure is None:
             verdict = Verdict(name, "pass-bounded", None, bounds.to_json(), seed)
             verdict.bounds.update(radius=radius, max_radius=max_radius, balls_skipped=0)
-            return verdict
+            return with_cut(verdict, plan)
     failure.bounds.update(balls_skipped=0, max_radius=max_radius)
-    return failure
+    return with_cut(failure, plan)
 
 
 # --- ⊆-safety, one subset at a time ---------------------------------------------
 
 def scalar_subseteq_check(term, bounds, seed):
-    """The ⊆-safety verdict without the re-verification: each size's
-    structures in enumeration order, every proper subset evaluated on its
-    own (a uint64 chunk at a time up to the bulk sizes), then each draw and
-    its subsets in draw order, one Python-int evaluation each.  A
-    size whose budget covers fewer than all its structures is listed under
-    `exhaustive_cut`."""
+    """The ⊆-safety verdict without the re-verification: what the plan
+    covers of each size, each structure in enumeration (or draw) order,
+    every proper subset evaluated on its own (a uint64 chunk or sampled
+    batch at a time up to the bulk sizes), then each draw and its subsets
+    in draw order, one Python-int evaluation each.  A size the plan does
+    not sweep in full is listed under `exhaustive_cut`."""
     symbols = term_signature(term)
     draws = min(bounds.samples, 200)
     size_cap = min(bounds.sample_size, 8)
-    cut = []
+    plan = reference_plan(symbols, StructureClass.ALL, bounds)
 
     def failure(size, masks, subsets):
         hit = _subset_hit(term, size, masks, subsets)
@@ -398,43 +449,35 @@ def scalar_subseteq_check(term, bounds, seed):
 
     def reported(verdict):
         verdict.bounds.update(sampled_structures=draws, sampled_size_cap=size_cap)
-        if cut:
-            verdict.bounds["exhaustive_cut"] = cut
-        return verdict
+        return with_cut(verdict, plan)
+
+    def batches(cover):
+        # The covered structures' masks, a chunk of indices or the sampled batch at a time.
+        if cover.mode == "sampled":
+            rng = _stream(seed, _BATCHES, cover.size)
+            yield bulk.random_symbol_masks(rng, cover.checked, cover.size, StructureClass.ALL, symbols)
+            return
+        for start in range(0, cover.checked, _CHUNK):
+            indices = np.arange(start, min(start + _CHUNK, cover.checked), dtype=np.uint64)
+            yield decode_symbol_masks(indices, cover.size, StructureClass.ALL, symbols)
 
     evaluate_bulk = partial(bulk.bulk_eval_term, term)
-    for size in range(1, bounds.resolved_size(len(symbols)) + 1):
-        total = count_structures(symbols, size, StructureClass.ALL)
-        budget = min(total, bounds.exhaustive_budget)
-        if budget < total:
-            evaluated = representatives(len(symbols), size, StructureClass.ALL, budget)
-            cut.append(
-                {
-                    "size": size,
-                    "total": total,
-                    "mode": "exhaustive",
-                    "checked": budget,
-                    "representatives": evaluated,
-                }
-            )
+    for cover in plan:
+        size = cover.size
         if not symbols or size > bulk.MAX_BULK_SIZE:
-            for index in range(budget):
-                masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
+            for _, masks in planned(symbols, StructureClass.ALL, [cover], seed):
                 verdict = failure(size, masks, _proper_subsets(size))
                 if verdict is not None:
                     return reported(verdict)
             continue
-        for start in range(0, budget, _CHUNK):
-            stop = min(start + _CHUNK, budget)
-            indices = np.arange(start, stop, dtype=np.uint64)
-            masks = decode_symbol_masks(indices, size, StructureClass.ALL, symbols)
+        for masks in batches(cover):
             whole = evaluate_bulk(size, masks)
-            bad = np.zeros(stop - start, dtype=bool)
+            bad = np.zeros(len(whole), dtype=bool)
             for subset in _proper_subsets(size):
                 bad |= _subset_bad(evaluate_bulk, size, masks, whole, subset) != 0
             if bad.any():
-                index = start + int(np.argmax(bad))
-                masks = decode_symbol_masks(index, size, StructureClass.ALL, symbols)
+                j = int(np.argmax(bad))
+                masks = {name: int(m[j]) for name, m in masks.items()}
                 return reported(failure(size, masks, _proper_subsets(size)))
     drawn = {}
     sizes = _stream(seed, _SUBSETS).integers(1, size_cap + 1, draws)
@@ -477,53 +520,46 @@ def side_pairs(side, structure):
 
 def scalar_equivalence_report(lhs, rhs, signature, cls, bounds, seed):
     """The `equivalence_report` of two sides, each structure compared on
-    its own: every exhaustive index decoded alone and the reported one
-    built by `structure_from_index`; an over-budget size's batch and then
-    every seeded draw one draw at a time.  A mismatch found in a run
-    of `_CHUNK` indices reports the run's end as checked, and as
-    representatives the orbit-minimal indices up to there (`representatives`).
-    The empty signature's one structure per size costs one of the budget."""
+    its own: what the plan covers of each size, every exhaustive index
+    decoded alone and the reported one built by `structure_from_index`, a
+    sampled size's batch one draw at a time, and then every seeded draw.
+    A mismatch found in a run of `_CHUNK` indices reports the run's end as
+    checked, and as representatives the orbit-minimal indices up to there
+    (`representatives`); one found in a sampled batch reports the batch."""
     signature = tuple(sorted(signature))
-    coverage = []
-    budget = bounds.exhaustive_budget
 
     def differs(size, masks):
         return side_mask(lhs, size, masks) != side_mask(rhs, size, masks)
 
-    def mismatch(structure, random_checked):
+    def mismatch(structure, coverage, random_checked):
         left, right = side_pairs(lhs, structure), side_pairs(rhs, structure)
         assert left != right
         return EquivalenceReport(False, structure, left, right, coverage, random_checked, seed)
 
-    def exhaustive(size, total, checked):
-        evaluated = representatives(len(signature), size, cls, checked)
-        return SizeCoverage(size, total, "exhaustive", checked, evaluated)
+    def covered(cover, checked=None):
+        # An exhaustive size's coverage up to `checked`, with its orbit count.
+        if cover.mode != "exhaustive":
+            return cover
+        checked = cover.checked if checked is None else checked
+        evaluated = representatives(len(signature), cover.size, cls, checked)
+        return SizeCoverage(cover.size, cover.total, "exhaustive", checked, evaluated)
 
-    for size in range(1, bounds.resolved_size(len(signature)) + 1):
-        total = count_structures(signature, size, cls)
-        if (not signature or size <= bulk.MAX_BULK_SIZE) and total <= budget:
-            budget -= total
-            for index in range(total):
-                if differs(size, decode_symbol_masks(index, size, cls, signature)):
-                    checked = min(total, (index // _CHUNK + 1) * _CHUNK)
-                    coverage.append(exhaustive(size, total, checked))
-                    return mismatch(structure_from_index(signature, size, cls, index), 0)
-            coverage.append(exhaustive(size, total, total))
-        elif signature and size <= bulk.MAX_BULK_SIZE and budget > 0:
-            n = min(budget, 2 * _CHUNK)
-            budget -= n
-            batch = bulk.random_symbol_masks(_stream(seed, _BATCHES, size), n, size, cls, signature)
-            coverage.append(SizeCoverage(size, total, "sampled", n, n))
-            for j in range(n):
-                masks = {name: int(m[j]) for name, m in batch.items()}
-                if differs(size, masks):
-                    return mismatch(drawn_structure(masks, size), 0)
-        else:
-            coverage.append(SizeCoverage(size, total, "skipped", 0, 0))
+    plan = reference_plan(signature, cls, bounds)
+    for n, cover in enumerate(plan):
+        for index, (_, masks) in enumerate(planned(signature, cls, [cover], seed)):
+            if not differs(cover.size, masks):
+                continue
+            before = [covered(c) for c in plan[:n]]
+            if cover.mode == "sampled":
+                return mismatch(drawn_structure(masks, cover.size), before + [cover], 0)
+            checked = min(cover.total, (index // _CHUNK + 1) * _CHUNK)
+            structure = structure_from_index(signature, cover.size, cls, index)
+            return mismatch(structure, before + [covered(cover, checked)], 0)
+    coverage = [covered(cover) for cover in plan]
     sizes = _stream(seed, _TAIL).integers(1, bounds.sample_size + 1, bounds.samples)
     for i, (size, masks) in enumerate(stream_draws(seed, _TAIL, sizes, signature, cls)):
         if differs(size, masks):
-            return mismatch(drawn_structure(masks, size), i + 1)
+            return mismatch(drawn_structure(masks, size), coverage, i + 1)
     return EquivalenceReport(True, None, None, None, coverage, bounds.samples, seed)
 
 
@@ -578,8 +614,14 @@ def representatives(count, size, cls, stop):
     return int(orbit_minimal_flags(count, size, cls, stop).sum())
 
 
-def labelled_sweep(symbols, cls, size, stop, first=0):
-    """`checkers._sweep` without the orbit filter: every index of each run."""
+def labelled_sweep(symbols, cls, cover, seed, first=0):
+    """`checkers._sweep` without the orbit filter: every index of each run
+    of an exhaustive size, and a sampled size's batch as one run."""
+    size, stop = cover.size, cover.checked
+    if cover.mode == "sampled":
+        batch = bulk.random_symbol_masks(_stream(seed, _BATCHES, size), stop, size, cls, symbols)
+        yield range(stop), np.arange(stop, dtype=np.uint64), batch
+        return
     for start in range(first, stop, _CHUNK):
         end = min(start + _CHUNK, stop)
         if size <= bulk.MAX_BULK_SIZE:

@@ -2,6 +2,8 @@
 
 import gc
 import random
+import time
+import tracemalloc
 import weakref
 from itertools import combinations_with_replacement
 
@@ -727,6 +729,17 @@ PAST_EIGHT = [
 ]
 
 
+# Bounds whose budget binds, over one and two symbols: from no budget at
+# all to budgets that sample part of size 3 or 4 and skip the rest.
+BUDGETED = [
+    (parse_term(text), Bounds(max_size=4, samples=40, sample_size=6, exhaustive_budget=budget), seed)
+    for seed, (text, budget) in enumerate((
+        ("f ; g", 0), ("f ; g^", 1), ("f | g", 100), ("dom(f) ; g^", 1_000),
+        ("f <+ (g ; g)", 1_000), ("ran(f) |> -(g & f)", 5_000), ("f ; f", 300), ("~f", 1_000),
+    ))
+]
+
+
 def large(verdict) -> bool:
     """Whether a failure was found on a structure of ten or more elements."""
     found = verdict.counterexample or {}
@@ -740,7 +753,7 @@ def test_array_bounded_checks_match_the_per_anchor_scan(check, mode):
     # Nonempty only from ten elements on: the ten-chain's rows leave
     # their balls, and its domain's rows differ on isomorphic balls.
     chains = (TEN_CHAIN, f"dom({TEN_CHAIN})")
-    for n, (term, bounds, seed) in enumerate(differential_cases(rng, 20, chains) + PAST_EIGHT):
+    for n, (term, bounds, seed) in enumerate(differential_cases(rng, 20, chains) + PAST_EIGHT + BUDGETED):
         max_radius = n % 4
         expected = reference.scalar_bounded_check(term, mode, bounds, seed, max_radius)
         got = check(term, bounds, seed, max_radius)
@@ -760,7 +773,7 @@ def test_array_invariant_scan_matches_the_scalar_scan(name):
         "injective-function-preserving": check_injective_function_preserving,
     }[name]
     statuses, sizes = set(), set()
-    cases = differential_cases(rng, 24, (f"id | (({TEN_CHAIN}) ; T)",)) + PAST_EIGHT
+    cases = differential_cases(rng, 24, (f"id | (({TEN_CHAIN}) ; T)",)) + PAST_EIGHT + BUDGETED
     for term, bounds, seed in cases:
         expected = reference.scalar_invariant_check(name, term, bounds, seed)
         got = check(term, bounds, seed)
@@ -814,8 +827,10 @@ def test_array_subset_check_matches_the_per_subset_sweep():
         symbols = ((), ("R",), ("R", "S"))[n % 3]
         term = random_term(rng, CATALOGUE, symbols, rng.randint(2, 6))
         cases.append((term, mixes[n % 4], n))
-    # Size 4 over two symbols is cut at the budget: 600,000 of 2**32.
+    # Size 4 over two symbols is sampled on the last 337,596 of the budget,
+    # and with no budget every size is skipped.
     cases += [(parse_term("R ; S"), Bounds(max_size=4, samples=0), 0), *PAST_EIGHT]
+    cases.append((parse_term("~(R^) | S"), Bounds(samples=50, exhaustive_budget=0), 3))
     phases, signatures, sampled_sizes, cut = set(), set(), set(), set()
     for term, bounds, seed in cases:
         expected = reference.scalar_subseteq_check(term, bounds, seed)
@@ -912,6 +927,129 @@ def test_shared_arrays_refuse_writes():
         positions[0] = 7
     with pytest.raises(ValueError, match="read-only"):
         masks["f"][0] = 7
-    (k, cells, distinct, count, inverse), *_ = checkers._chunk_parts(("R", "S"), 3, 0, 64)
+    sampled = checkers.SizeCoverage(3, 262_144, "sampled", 64, 64)
+    (k, cells, distinct, count, inverse), *_ = checkers._chunk_parts(("R", "S"), sampled, 0, 0)
     with pytest.raises(ValueError, match="read-only"):
         inverse[0, 0] = 1
+
+
+def spied_sweeps(monkeypatch) -> set:
+    """(plan entry, run start, run stop) of every distinct run `_sweep`
+    yields from now on."""
+    seen = set()
+    sweep = checkers._sweep
+
+    def spy(symbols, cls, cover, seed, first=0):
+        for run, indices, masks in sweep(symbols, cls, cover, seed, first):
+            seen.add((cover, run.start, run.stop))
+            yield run, indices, masks
+
+    monkeypatch.setattr(checkers, "_sweep", spy)
+    return seen
+
+
+def swept_by_size(seen) -> dict:
+    """Per size, the plan entries `_sweep` ran and the positions it swept."""
+    sizes = {}
+    for cover, start, stop in seen:
+        covers, count = sizes.get(cover.size, (set(), 0))
+        sizes[cover.size] = covers | {cover}, count + stop - start
+    return sizes
+
+
+GUARD_BUDGETS = (0, 1, 100, 1_000, 600_000)
+
+
+def test_every_sweep_stays_in_the_budget_and_lists_what_it_cut(monkeypatch):
+    seen = spied_sweeps(monkeypatch)
+    rng = random.Random("one-budget")
+    checks = (
+        check_function_preserving, check_total_function_preserving,
+        check_injective_function_preserving, check_forward, check_local,
+        check_homomorphism_safe, check_subseteq_safe,
+    )
+    modes, statuses = set(), set()
+    for n in range(40):
+        check, budget = checks[n % len(checks)], GUARD_BUDGETS[n % len(GUARD_BUDGETS)]
+        symbols = ((), ("f",), ("f", "g"), ("f", "g"))[n % 4]
+        term = random_term(rng, CATALOGUE, symbols, rng.randint(1, 5))
+        bounds = Bounds(max_size=3, samples=20, sample_size=5, exhaustive_budget=budget)
+        seen.clear()
+        verdict = check(term, bounds, n)
+        statuses.add(verdict.status)
+        swept = swept_by_size(seen)
+        assert sum(count for _, count in swept.values()) <= budget, (print_term(term), check)
+        cut = {c["size"]: c for c in verdict.bounds.get("exhaustive_cut", [])}
+        top = 2 if check is check_homomorphism_safe else bounds.resolved_size(len(term_signature(term)))
+        assert set(cut) <= set(range(1, top + 1))
+        for size in range(1, top + 1):
+            covers, count = swept.get(size, (set(), 0))
+            assert len(covers) <= 1
+            for cover in covers:
+                modes.add(cover.mode)
+                if cover.mode == "exhaustive":
+                    assert size not in cut and cover.checked == cover.total
+                else:
+                    assert cut[size] == cover.to_json() and count == cover.checked
+            if size in cut:
+                modes.add(cut[size]["mode"])
+                assert cut[size]["mode"] != "skipped" or not covers
+            # A pass covered every size: swept in full or listed.
+            if verdict.passed and size not in cut:
+                (cover,) = covers
+                assert cover.mode == "exhaustive" and count == cover.total
+    assert modes == {"exhaustive", "sampled", "skipped"}
+    assert statuses == {"pass-bounded", "fail"}
+
+
+def test_equivalence_sweeps_stay_in_the_budget_and_match_the_coverage(monkeypatch):
+    seen = spied_sweeps(monkeypatch)
+    rng = random.Random("one-budget-equivalence")
+    modes, equivalent = set(), set()
+    for n in range(30):
+        cls, budget = list(StructureClass)[n % 4], GUARD_BUDGETS[n % len(GUARD_BUDGETS)]
+        symbols = ((), ("f",), ("f", "g"))[n % 3]
+        lhs, rhs = (random_term(rng, CATALOGUE, symbols, rng.randint(1, 4)) for _ in range(2))
+        if n % 2:  # equal sides, so that every size is reached
+            rhs = parse_term(f"({print_term(lhs)}) & ({print_term(lhs)})")
+        bounds = Bounds(max_size=3, samples=20, sample_size=5, exhaustive_budget=budget)
+        seen.clear()
+        report = equivalence_report(lhs, rhs, symbols, cls, bounds, n)
+        equivalent.add(report.equivalent)
+        swept = swept_by_size(seen)
+        assert sum(count for _, count in swept.values()) <= budget, (lhs, rhs, cls)
+        assert set(swept) <= {c.size for c in report.coverage}
+        for c in report.coverage:
+            modes.add(c.mode)
+            covers, count = swept.get(c.size, (set(), 0))
+            assert {cover.mode for cover in covers} <= {c.mode} and count == c.checked
+            assert c.mode == "skipped" or covers
+    assert modes == {"exhaustive", "sampled", "skipped"}
+    assert equivalent == {True, False}
+
+
+@pytest.mark.parametrize(
+    "check, seconds, megabytes",
+    # Four times what each took on a shared 2-core machine (1.0 s and 57 MB,
+    # 0.06 s and 5.3 MB, 0.9 s and 50 MB, each alone in a fresh process under
+    # tracemalloc); sweeping every size-5 index took 8.6 s and 390 MB, and
+    # 2.2 s and 42.5 MB, for the first two.
+    [(check_forward, 4.0, 230), (check_function_preserving, 0.25, 21), (check_local, 3.6, 200)],
+)
+def test_a_size_past_the_budget_is_sampled_not_swept(check, seconds, megabytes):
+    # Two partial functions: sizes 1-4 take 394,806 of the budget, and size
+    # 5 holds 7,776 ** 2 = 60,466,176 structures (injective ones: 44,890
+    # and 2,390,116).
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        verdict = check(parse_term("f ; g"), Bounds(max_size=5, samples=0))
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed
+    (cut,) = verdict.bounds["exhaustive_cut"]
+    assert (cut["size"], cut["mode"], cut["checked"]) == (5, "sampled", 65_536)
+    assert elapsed < seconds, elapsed
+    assert peak < megabytes * 2**20, peak

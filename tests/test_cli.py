@@ -227,6 +227,7 @@ def test_usage_and_input_errors_exit_two(chain_file, tmp_path):
         ("ef", "union-compat", "--samples", "-5", "--report", "json"),
         ("ef", "union-compat", "--max-size", "0"),
         ("ef", "union-compat", "--rank", "-1"),
+        ("ef", "union-compat", "--seed", "-7"),
     )
     for argv in cases:
         assert main(list(argv)) == 2, argv

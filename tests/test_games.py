@@ -91,6 +91,13 @@ def test_union_compatibility_refuses_bounds_that_cover_nothing(field, value, lea
         check_union_compatibility(**{field: value})
 
 
+def test_union_compatibility_refuses_a_negative_seed():
+    # `random.Random` seeds -7 as it seeds 7, so the report would name a
+    # seed it did not draw from.
+    with pytest.raises(GameError, match="^seed must be at least 0, got -7$"):
+        check_union_compatibility(rank=2, samples=20, size=3, seed=-7)
+
+
 RANK2_SENTENCES = tuple(
     parse_formula(text)
     for text in (

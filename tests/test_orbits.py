@@ -176,11 +176,12 @@ def test_equivalence_reports_match_the_labelled_sweep(monkeypatch):
 def test_checks_match_the_labelled_sweep(monkeypatch, check):
     rng = random.Random(f"orbit-{check.__name__}")
     symbols = ("R", "S") if check in (check_homomorphism_safe, check_subseteq_safe) else ("f", "g")
-    # The injective pool at size 4 spans two runs; ⊆-safety is cut at size 3.
+    # The injective pool at size 4 spans two runs; ⊆-safety sweeps all
+    # eight runs of size 3.
     bounds = {
         check_injective_function_preserving: Bounds(max_size=4, samples=40),
         check_local: Bounds(max_size=4, samples=40, sample_size=6),
-        check_subseteq_safe: Bounds(max_size=3, samples=20, exhaustive_budget=200_000),
+        check_subseteq_safe: Bounds(max_size=3, samples=20),
     }.get(check, Bounds(samples=60, sample_size=6))
     cases = [parse_term(THREE_CYCLE)] if check is check_subseteq_safe else []
     while len(cases) < 10:

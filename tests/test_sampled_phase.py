@@ -216,12 +216,8 @@ def test_the_empty_signature_reports_as_with_every_draw_evaluated(monkeypatch):
             tail_failures += not got.equivalent and got.random_checked > 0
     assert tail_failures >= 3, tail_failures
     # A size-1 tail after a size-1 sweep evaluates nothing more.
-    calls = []
-    scalar_value = checkers._scalar_value
-    monkeypatch.setattr(
-        checkers, "_scalar_value", lambda obj, s: calls.append(s.size()) or scalar_value(obj, s)
-    )
+    sizes = spied_sizes(monkeypatch)
     bounds = Bounds(max_size=1, samples=40, sample_size=1)
     lhs, rhs = parse_term("id"), parse_term("T")
     report = equivalence_report(lhs, rhs, (), StructureClass.ALL, bounds, 5)
-    assert report.equivalent and report.random_checked == 40 and calls == [1, 1]
+    assert report.equivalent and report.random_checked == 40 and sizes == [1, 1]

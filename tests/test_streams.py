@@ -141,8 +141,10 @@ def test_the_draws_of_a_size_do_not_depend_on_the_sizes_covered():
         assert np.array_equal(low["f"], high["f"]) and np.array_equal(at_low + shift, at_high)
     # The subset draws: covering a size leaves the other sizes' draws.
     sizes = tuple(checkers._stream(5, checkers._SUBSETS).integers(1, 7, 100).tolist())
-    low, *_ = _subset_draws(("R",), 5, sizes, (1, 2))
-    high, *_ = _subset_draws(("R",), 5, sizes, (1, 2, 3, 4))
+    low, high = (
+        _subset_draws(("R",), 5, sizes, checkers._plan(("R",), ALL, Bounds(max_size=m)))[0]
+        for m in (2, 4)
+    )
     assert {3, 5, 6} <= set(sizes)
     for size, left, right in zip(sizes, low, high):
         assert (left is None) == (size <= 2) and (right is None) == (size <= 4)
