@@ -280,9 +280,10 @@ def _by_size(seed: int, phase: int, sizes: np.ndarray, plan: tuple = ()):
 @_per_call
 def _pool(
     symbols: tuple[str, ...], cls: StructureClass, bounds: Bounds, seed: int
-) -> tuple[tuple[int, dict, np.ndarray], ...]:
-    """The structures the fp/tfp/ifp, forward and local checks scan, as one
-    (size, masks, positions) group per size, sizes ascending.
+) -> tuple[tuple[SizeCoverage, ...], tuple[tuple[int, dict, np.ndarray], ...]]:
+    """The structures the fp/tfp/ifp, forward and local checks scan, as
+    (plan, groups): the `_plan` it followed, and one (size, masks,
+    positions) group per size, sizes ascending.
 
     The pool is what `_sweep` visits of each size up to the resolved bound,
     as `_plan` covers it, then `samples` draws of sizes 1..sample_size from
@@ -315,7 +316,7 @@ def _pool(
             return np.concatenate(chunks)
         return [word for chunk in chunks for word in chunk]
 
-    return tuple(
+    return plan, tuple(
         (
             size,
             {name: joined([masks[name] for masks, _ in chunks], size) for name in names},
@@ -396,8 +397,9 @@ def _check_invariant(
     """Each pool group's values are tested for the class at once; the first
     failing pool position is re-derived one structure at a time."""
     cls, offence = _INVARIANTS[name]
-    plan, first = _plan(tm.term_signature(term), cls, bounds), None
-    for size, masks, positions in _pool(tm.term_signature(term), cls, bounds, seed):
+    plan, groups = _pool(tm.term_signature(term), cls, bounds, seed)
+    first = None
+    for size, masks, positions in groups:
         values = _values(term, size, masks, len(positions))
         if size <= bulk.MAX_BULK_SIZE:
             bad = ~cls.contains(values, size)
@@ -1044,7 +1046,7 @@ def _ball_keys(
     anchor, `ranked` sorts the anchors by it, and first[a] is the first
     ranked anchor with the same exact ball key as ranked anchor a.  The
     three index arrays hold the narrowest unsigned integers that fit."""
-    groups = _walks(symbols, mode, bounds, seed, max_radius)
+    _, groups = _walks(symbols, mode, bounds, seed, max_radius)
     width = max(size for size, *_ in groups)
     digits, inside, place = [], [], []
     for size, _, positions, letters, walk in groups:
@@ -1135,24 +1137,24 @@ def _bounded_rows_check(
     return Verdict(name, "fail", counterexample, bounds.to_json(), seed)
 
 
-# The class of each mode's pool, whose letters are all partial functions.
-_POOL_CLASS = {
-    "forward": StructureClass.PARTIAL_FUNCTIONS,
-    "undirected": StructureClass.INJECTIVE_PARTIAL_FUNCTIONS,
-}
-
-
 @_per_call
 def _walks(symbols: tuple[str, ...], mode: str, bounds: Bounds, seed: int, max_radius: int):
-    """The forward (or, in undirected mode, local) check's pool groups with
-    their letters and one BFS to `max_radius`, as (size, masks, positions,
-    letters, walk) per group: everything but the term's rows."""
+    """The forward (or, in undirected mode, local) check's pool plan and
+    groups with their letters and one BFS to `max_radius`, as (plan,
+    groups) with (size, masks, positions, letters, walk) per group:
+    everything but the term's rows."""
+    cls = (
+        StructureClass.PARTIAL_FUNCTIONS
+        if mode == "forward"
+        else StructureClass.INJECTIVE_PARTIAL_FUNCTIONS
+    )
+    plan, pool = _pool(symbols, cls, bounds, seed)
     groups = []
-    for size, masks, positions in _pool(symbols, _POOL_CLASS[mode], bounds, seed):
+    for size, masks, positions in pool:
         letters = tuple(_successors(size, masks, mode))
         walk = _walk(letters, len(positions), size, max_radius)
         groups.append((size, masks, positions, letters, walk))
-    return tuple(groups)
+    return plan, tuple(groups)
 
 
 def _check_bounded(
@@ -1169,10 +1171,9 @@ def _check_bounded(
     if max_radius < 0:
         raise CheckError(f"max radius must be at least 0, got {max_radius}")
     symbols = tm.term_signature(term)
-    plan = _plan(symbols, _POOL_CLASS[mode], bounds)
     with _sharing():
         groups = []
-        walks = _walks(symbols, mode, bounds, seed, max_radius)
+        plan, walks = _walks(symbols, mode, bounds, seed, max_radius)
         for size, masks, positions, letters, walk in walks:
             values = _values(term, size, masks, len(positions))
             rows = _bit_rows(values, size)[:, _domain_order(size)]

@@ -442,11 +442,31 @@ def test_subset_search_on_a_size_nine_slice():
 
 
 def test_subset_check_decodes_a_size_eight_batch():
-    # One ALL-class symbol at size 8 spans all 2**64 uint64 codes.
+    # One ALL-class symbol at size 8 spans all 2**64 uint64 codes.  No
+    # budget sweeps that size in full, so a check lists it as cut...
     verdict = check_subseteq_safe(
         parse_term("R"), Bounds(max_size=8, exhaustive_budget=1, samples=0)
     )
     assert verdict.passed
+    skipped = checkers.SizeCoverage(8, 2**64, "skipped", 0, 0)
+    assert verdict.bounds["exhaustive_cut"][-1] == skipped.to_json()
+    # ...and the exhaustive phase's code runs on a size-8 plan entry here.
+    top = np.array([2**64 - 1, 2**63, 5], dtype=np.uint64)
+    assert decode_symbol_masks(top, 8, StructureClass.ALL, ("R",))["R"].tolist() == top.tolist()
+    cover = checkers.SizeCoverage(8, 2**64, "exhaustive", 64, 64)
+    run, indices, masks = next(checkers._sweep(("R",), StructureClass.ALL, cover, 0))
+    assert run == range(64) and masks["R"].dtype == np.uint64
+    assert masks["R"].tolist() == indices.tolist()
+    term = parse_term("~R")
+    first = checkers._subsafe_size(term, ("R",), cover, 0, lambda size, m, subsets: m["R"])
+    subsets = list(checkers._proper_subsets(8))
+
+    def fails(index):
+        structure = structure_from_index(("R",), 8, StructureClass.ALL, index)
+        named = [[structure.domain[p] for p in subset] for subset in subsets]
+        return first_subset_by_reference(term, structure, named) is not None
+
+    assert first == next(filter(fails, range(64))) > 0
 
 
 def row_marked_ball(structure, anchor, radius, mode, row):
@@ -600,7 +620,7 @@ def test_pool_decodes_to_the_structures_the_old_pool_built(cls, max_size):
     bounds = Bounds(max_size=max_size, samples=150, sample_size=12)
     symbols = ("f", "g")
     pooled = {}
-    for size, masks, positions in _pool(symbols, cls, bounds, 5):
+    for size, masks, positions in _pool(symbols, cls, bounds, 5)[1]:
         for j, position in enumerate(positions.tolist()):
             pooled[position] = drawn_structure(_structure_masks(masks, j), size)
         assert all(isinstance(m, np.ndarray) == (size <= 8) for m in masks.values())
@@ -809,13 +829,23 @@ FOUR_ELEMENT_FAILURES = (
 )
 
 
-def test_array_subset_check_matches_the_per_subset_sweep():
+def test_array_subset_check_matches_the_per_subset_sweep(monkeypatch):
+    distinct, keyed = checkers._distinct, []
+
+    def spy(words, k, shape):
+        if len(shape) == 2:  # from `_chunk_parts`, not the sampled phase
+            keyed.append(1 << k * k * len(words) > np.prod(shape))
+        return distinct(words, k, shape)
+
+    monkeypatch.setattr(checkers, "_distinct", spy)
     rng = random.Random("subset-array")
     c02 = Bounds(max_size=3, samples=200, sample_size=6)
     cases = [(parse_term(text), Bounds(max_size=2), 0) for text in FOUR_ELEMENT_FAILURES]
-    # Size 4 over two symbols: the 2**18 structures of three elements
-    # outnumber a chunk's induced ones, so those are told apart by key.
-    cases.append((parse_term("R <+ (S ; R)"), Bounds(max_size=4, exhaustive_budget=40_000), 0))
+    # Sizes 1-3 over two symbols swept (262,404 structures), then 40,000
+    # draws of size 4: the 2**18 structures of three elements outnumber
+    # the batch's 4 x 40,000 induced ones, so those are told apart by key.
+    keyed_case = (parse_term("R | (S ; R)"), Bounds(max_size=4, exhaustive_budget=302_404), 0)
+    cases.append(keyed_case)
     # The first failure meets only the last subset of its size, {e2} of
     # R = {(e1, e2)}; and a failure only on one-element subsets.
     cases.append((parse_term("~(R^)"), Bounds(samples=0), 0))
@@ -827,8 +857,8 @@ def test_array_subset_check_matches_the_per_subset_sweep():
         symbols = ((), ("R",), ("R", "S"))[n % 3]
         term = random_term(rng, CATALOGUE, symbols, rng.randint(2, 6))
         cases.append((term, mixes[n % 4], n))
-    # Size 4 over two symbols is sampled on the last 337,596 of the budget,
-    # and with no budget every size is skipped.
+    # Size 4 over two symbols is sampled, 65,536 of the 337,596 the default
+    # budget has left, and with no budget every size is skipped.
     cases += [(parse_term("R ; S"), Bounds(max_size=4, samples=0), 0), *PAST_EIGHT]
     cases.append((parse_term("~(R^) | S"), Bounds(samples=50, exhaustive_budget=0), 3))
     phases, signatures, sampled_sizes, cut = set(), set(), set(), set()
@@ -850,6 +880,9 @@ def test_array_subset_check_matches_the_per_subset_sweep():
     assert {(), ("R",), ("R", "S")} <= signatures
     assert sampled_sizes & {6, 7, 8}
     assert cut == {True, False}
+    assert True in keyed and False in keyed
+    sampled = checkers.SizeCoverage(4, 2**32, "sampled", 40_000, 40_000)
+    assert check_subseteq_safe(*keyed_case).bounds["exhaustive_cut"] == [sampled.to_json()]
 
 
 def test_array_subset_check_refuses_a_hit_the_subset_route_denies(monkeypatch):
@@ -921,7 +954,7 @@ def test_matrix_sharing_lives_and_dies_with_the_call(monkeypatch):
 
 
 def test_shared_arrays_refuse_writes():
-    pool = _pool(("f",), StructureClass.PARTIAL_FUNCTIONS, LIGHT, 0)
+    _, pool = _pool(("f",), StructureClass.PARTIAL_FUNCTIONS, LIGHT, 0)
     size, masks, positions = pool[0]
     with pytest.raises(ValueError, match="read-only"):
         positions[0] = 7

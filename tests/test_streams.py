@@ -134,7 +134,7 @@ def test_the_draws_of_a_size_do_not_depend_on_the_sizes_covered():
     # The pool: each drawn size holds the same draws at the same positions,
     # past the swept sizes' positions.
     bounds = {m: Bounds(max_size=m, samples=100, sample_size=6) for m in (2, 3)}
-    groups = {m: {size: (masks, pos) for size, masks, pos in _pool(("f",), PF, b, 5)} for m, b in bounds.items()}
+    groups = {m: {size: (masks, pos) for size, masks, pos in _pool(("f",), PF, b, 5)[1]} for m, b in bounds.items()}
     shift = 4**3  # the size-3 indices the second pool sweeps
     for size in range(4, 7):
         (low, at_low), (high, at_high) = groups[2][size], groups[3][size]
